@@ -13,7 +13,7 @@ import re
 import sys
 from fractions import Fraction
 
-from cdgacyc import free_loop, functors, gralg
+from cdgacyc import functors, gralg
 from cdgacyc.complexes import (
     UnsupportedConfiguration,
     beta_acyclic_check,
@@ -21,12 +21,10 @@ from cdgacyc.complexes import (
 from cdgacyc.free_loop import base_cochain, ideals, u_model
 from cdgacyc.gralg import FreeCDGA, Generator
 from cdgacyc.minimal_model import (
-    CDGAMorphism,
     FiniteCDGA,
     ModelError,
     build_minimal_model,
     functor_on_cdga,
-    is_quasi_iso,
     verify_minimal,
 )
 
@@ -390,6 +388,10 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        for flag, value in (("--cutoff", args.cutoff),
+                            ("--weight-max", args.weight_max)):
+            if value is not None and value < 0:
+                raise InputError(f"{flag} must be nonnegative, got {value}")
         algebra = load_algebra(args.file)
         if args.command in ("hh", "ch", "ph", "sh"):
             return cmd_functor(args.command, algebra, args)

@@ -71,36 +71,6 @@ class CochainComplex:
         return self.labels.get(n, []).index(label)
 
 
-class ChainComplex:
-    """Finitely supported chain complex: d_n: C_n -> C_{n-1}."""
-
-    def __init__(self, labels, diff, check=True):
-        self.labels = {n: list(v) for n, v in labels.items() if v}
-        self.diff = {}
-        for n, m in diff.items():
-            if m.rows != self.dim(n - 1) or m.cols != self.dim(n):
-                raise ComplexError(f"differential at {n} has wrong shape")
-            self.diff[n] = m
-        self._homology = {}
-        if check:
-            for n in sorted(self.diff):
-                if (n + 1) in self.diff:
-                    comp = self.diff[n] @ self.diff[n + 1]
-                    if not comp.is_zero():
-                        raise ConsistencyError(f"d.d != 0 at degree {n + 1}")
-
-    def dim(self, n):
-        return len(self.labels.get(n, ()))
-
-    def d(self, n):
-        return self.diff.get(n, SparseMatrix.zero(self.dim(n - 1), self.dim(n)))
-
-    def homology(self, n):
-        if n not in self._homology:
-            self._homology[n] = linalg.cohomology_at(self.d(n + 1), self.d(n))
-        return self._homology[n]
-
-
 class ChainMap:
     """Degree-preserving map of cochain complexes commuting with d."""
 
@@ -276,14 +246,6 @@ class MixedComplex:
             self.labels, {n: self.delta_m(n) for n in range(self.top)}, check=False
         )
 
-    def chain(self):
-        """(C, beta) as a plain chain complex."""
-        return ChainComplex(
-            self.labels,
-            {n: self.beta_m(n) for n in range(1, self.top + 1)},
-            check=False,
-        )
-
     def coordinate_subcomplex(self, keep):
         """Mixed subcomplex spanned by the kept label indices.
 
@@ -407,15 +369,6 @@ def band_complex(M, w, kind, r_min, r_max):
                 col += 1
         diff[r] = SparseMatrix(pos, src_dim, entries)
     return CochainComplex(labels, diff, check=True)
-
-
-def band_certified(M, w, kind, r):
-    """Whether cohomology of the band at degree r only involves slot
-    degrees the mixed complex actually covers (data through M.top)."""
-    if kind == "plus":
-        return r + 1 <= M.top
-    # top slot degree appearing in levels r-1..r+1 is r+1+2w (p >= 0)
-    return max(r + 1, r + 1 + 2 * w) <= M.top
 
 
 def plus_complex(M, r_min=0, r_max=None):
@@ -634,91 +587,6 @@ def les_audit(names, dims, maps):
         )
         ok = ok and exact
     return {"pass": ok, "nodes": findings}
-
-
-def homology_side(M, r_max=None):
-    """The beta-side chain complexes and their homology dimensions.
-
-    Returns dict with:
-      "H": dims of H_*(C, beta) for degrees 0..top-1 (exact there);
-      "plusHdelta": dims of the +complex under the delta-perturbed beta
-        differential, degrees 0..top-1;
-      "minusHdelta": present only when C is bounded strictly below top
-        (then the -complex is finite); otherwise omitted.
-    """
-    if r_max is None:
-        r_max = M.top - 1
-    chain = M.chain()
-    h = {n: chain.homology(n).dim for n in range(0, r_max + 1)}
-
-    # +H^delta: same slots as the +complex, differential beta + delta with
-    # beta acting within a slot column (m -> m-1 stays in the slice below).
-    slot_table = {
-        r: [(m, list(range(M.dim(m)))) for m in range(r % 2, r + 1, 2) if M.dim(m)]
-        for r in range(0, r_max + 2)
-    }
-
-    def build(r):
-        tgt_pos = {}
-        pos = 0
-        for m, idx in slot_table[r - 1]:
-            for i in idx:
-                tgt_pos[(m, i)] = pos
-                pos += 1
-        entries = {}
-        col = 0
-        for m, idx in slot_table[r]:
-            for i in idx:
-                for row, v in enumerate(M.beta_m(m).column(i)):
-                    if v and (m - 1, row) in tgt_pos:
-                        entries[(tgt_pos[(m - 1, row)], col)] = v
-                for row, v in enumerate(M.delta_m(m).column(i)):
-                    if v and (m + 1, row) in tgt_pos:
-                        entries[(tgt_pos[(m + 1, row)], col)] = v
-                col += 1
-        cols = sum(len(idx) for _, idx in slot_table[r])
-        return SparseMatrix(pos, cols, entries)
-
-    labels = {
-        r: [(m, M.labels[m][i]) for m, idx in slots for i in idx]
-        for r, slots in slot_table.items()
-    }
-    plus_chain = ChainComplex(
-        labels, {r: build(r) for r in range(1, r_max + 2)}, check=True
-    )
-    plus_h = {n: plus_chain.homology(n).dim for n in range(0, r_max + 1)}
-    out = {"H": h, "plusHdelta": plus_h}
-
-    top_nonzero = max((n for n in M.labels if M.dim(n)), default=-1)
-    if top_nonzero < M.top:
-        # bounded data: the -complex per degree is a finite product
-        minus = {}
-        mlabels = {}
-        mdiff = {}
-        for r in range(0, r_max + 2):
-            mlabels[r] = [
-                (m, lab)
-                for m in range(r, top_nonzero + 1, 2)
-                for lab in M.labels.get(m, [])
-            ]
-        for r in range(1, r_max + 2):
-            tgt_pos = {lab: i for i, lab in enumerate(mlabels[r - 1])}
-            entries = {}
-            for col, (m, lab) in enumerate(mlabels[r]):
-                i = M.labels[m].index(lab)
-                for row, v in enumerate(M.beta_m(m).column(i)):
-                    key = (m - 1, M.labels[m - 1][row])
-                    if v and key in tgt_pos:
-                        entries[(tgt_pos[key], col)] = v
-                for row, v in enumerate(M.delta_m(m).column(i)):
-                    key = (m + 1, M.labels[m + 1][row])
-                    if v and key in tgt_pos:
-                        entries[(tgt_pos[key], col)] = v
-            mdiff[r] = SparseMatrix(len(mlabels[r - 1]), len(mlabels[r]), entries)
-        minus_chain = ChainComplex(mlabels, mdiff, check=True)
-        minus = {n: minus_chain.homology(n).dim for n in range(0, r_max + 1)}
-        out["minusHdelta"] = minus
-    return out
 
 
 def beta_acyclic_check(M, r_max=None):

@@ -4,8 +4,8 @@ From (L[V], d) build L[V + Vbar] with degree(vbar) = degree(v) - 1, the
 exterior differential delta (delta v = d v, delta vbar = -i(d v)), the
 interior differential i (i v = vbar, i vbar = 0), the weight grading
 (total exponent of barred factors) and the power maps Psi_k acting by
-k^weight.  Also provides the weight slices, the augmentation ideal and
-interior-image subcomplexes, and the polynomial-circle model C (x) L[u].
+k^weight.  Also provides the augmentation ideal and interior-image
+subcomplexes, and the polynomial-circle model C (x) L[u].
 """
 
 from fractions import Fraction
@@ -199,35 +199,6 @@ def base_cochain(base, top):
         for n in range(top)
     }
     return CochainComplex(labels, diff, check=True)
-
-
-def weight_slices(loop, top, weight_max):
-    """Per-weight restrictions of (loop complex, delta).
-
-    Returns dict weight -> CochainComplex over degrees 0..top whose
-    degree-n basis is the weight-w monomials of degree n.  Together the
-    slices partition every degree basis (delta preserves weight).
-    """
-    out = {}
-    for w in range(weight_max + 1):
-        labels = {}
-        for n in range(top + 1):
-            monos = [m for m in loop.basis(n) if loop.weight(m) == w]
-            if monos:
-                labels[n] = monos
-        index = {n: {m: i for i, m in enumerate(v)} for n, v in labels.items()}
-        diff = {}
-        for n in range(top):
-            if n not in labels:
-                continue
-            diff[n] = derivation_matrix(
-                loop.delta,
-                labels[n],
-                index.get(n + 1, {}),
-                len(labels.get(n + 1, [])),
-            )
-        out[w] = CochainComplex(labels, diff, check=True)
-    return out
 
 
 def ideals(loop, top):

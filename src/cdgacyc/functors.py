@@ -11,7 +11,6 @@ degree cutoff.
 
 from fractions import Fraction
 
-from cdgacyc import complexes as cx
 from cdgacyc import linalg
 from cdgacyc.complexes import (
     ChainMap,
@@ -26,7 +25,7 @@ from cdgacyc.complexes import (
     shift_complex,
     ShortExactSequence,
 )
-from cdgacyc.free_loop import LoopAlgebra, base_cochain, free_loop
+from cdgacyc.free_loop import base_cochain, free_loop
 from cdgacyc.gralg import FreeCDGA
 from cdgacyc.linalg import SparseMatrix
 
@@ -177,32 +176,11 @@ def HH(a, cutoff, weight_cutoff=None):
             ws = range(0, max(n, ctx.loop.weight_cutoff) + 1)
         for w in ws:
             if w not in slices:
-                slices[w] = _weight_slice(ctx, w, cutoff + 1)
+                slices[w] = _top_slot_quotient(M, w, cutoff + 1)
             weights[w] = slices[w].betti(n)
         total = C.betti(n)
         table.set_row(n, total, weights, certified=True)
     return table
-
-
-def _weight_slice(ctx, w, top):
-    """The weight-w part of (loop complex, delta) as a cochain complex,
-    realized as the plus band in which it appears as the top slot."""
-    M = ctx.mixed(top)
-    labels = {}
-    diff = {}
-    index = {}
-    for n in range(M.top + 1):
-        idx = M.weight_indices(n, w)
-        labels[n] = [M.labels[n][i] for i in idx]
-        index[n] = {i: j for j, i in enumerate(idx)}
-    for n in range(M.top):
-        entries = {}
-        for j, i in enumerate(sorted(index[n], key=index[n].get)):
-            for row, v in enumerate(M.delta_m(n).column(i)):
-                if v:
-                    entries[(index[n + 1][row], j)] = v
-        diff[n] = SparseMatrix(len(labels[n + 1]), len(labels[n]), entries)
-    return CochainComplex(labels, diff, check=True)
 
 
 def CH(a, cutoff, weight_cutoff=None):

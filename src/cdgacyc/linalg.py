@@ -154,23 +154,12 @@ class SparseMatrix:
                 out[i] += v * x
         return tuple(out)
 
-    def transpose(self):
-        return SparseMatrix(
-            self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()}
-        )
-
     def column(self, j):
         col = [Fraction(0)] * self.rows
         for (i, jj), v in self.entries.items():
             if jj == j:
                 col[i] = v
         return tuple(col)
-
-    def to_dense(self):
-        dense = [[Fraction(0)] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            dense[i][j] = v
-        return dense
 
     def _integer_rows(self):
         """Dense integer rows: each row scaled by the lcm of denominators."""
@@ -353,16 +342,3 @@ def induced_map(f, source, target):
         },
     )
 
-
-def invert(m):
-    """Inverse of a square invertible matrix; LinalgError if singular."""
-    if m.rows != m.cols:
-        raise LinalgError("not square")
-    cols = []
-    for j in range(m.cols):
-        e = tuple(Fraction(int(i == j)) for i in range(m.rows))
-        x = solve(m, e)
-        if x is None:
-            raise LinalgError("matrix is singular")
-        cols.append(x)
-    return SparseMatrix.from_columns(m.rows, cols)

@@ -163,9 +163,6 @@ class FiniteCDGA:
         if self.betti(0) != 1:
             raise ModelError("H^0 is not one-dimensional")
 
-    def max_degree(self):
-        return max(self.degree.values(), default=0)
-
     def basis_of(self, n):
         return self.by_degree.get(n, [])
 

@@ -141,6 +141,17 @@ def test_degree_one_needs_weight_max(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("flags", [
+    ["--cutoff", "-1"],
+    ["--cutoff", "3", "--weight-max", "-2"],
+])
+def test_negative_bounds_rejected(flags, capsys):
+    code, out, err = run(["hh", S3, *flags], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "nonnegative" in err
+
+
 def test_missing_file(capsys):
     code, _, err = run(["hh", "/nonexistent/algebra.json"], capsys)
     assert code == 2

@@ -1,5 +1,6 @@
 """The free-loop construction: generators, differentials, weights."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,8 @@ from cdgacyc.free_loop import (
     free_loop,
     u_model,
     u_power_matrix,
-    weight_slices,
 )
+from cdgacyc.functors import _top_slot_quotient
 from cdgacyc.gralg import FreeCDGA, Generator
 
 
@@ -84,10 +85,11 @@ def test_degree_one_generators_need_weight_cutoff():
 def test_weight_slices_partition():
     loop = free_loop(sphere2())
     top = 8
-    slices = weight_slices(loop, top, top)
+    M = loop.mixed_complex(top)
+    slices = [_top_slot_quotient(M, w, top) for w in range(top + 1)]
     for n in range(top + 1):
-        total = sum(s.dim(n) for s in slices.values())
-        assert total == len(loop.basis(n))
+        labels = [mono for s in slices for _, mono in s.labels.get(n, [])]
+        assert Counter(labels) == Counter(loop.basis(n))
 
 
 def test_mixed_complex_weight_tags():

@@ -1,11 +1,11 @@
-"""Twin elimination kernels must agree exactly."""
+"""The elimination kernel against the brute-force oracle."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdgacyc import kernels
+from cdgacyc import kernels, linalg
 
 from oracles import rref_rank
 
@@ -18,23 +18,11 @@ matrices = st.integers(0, 6).flatmap(
 )
 
 
-def test_compiled_kernel_present():
-    names = set(kernels.available_kernels())
-    assert "python" in names
-    assert kernels.KERNEL_NAME in names
-
-
-@given(matrices)
-@settings(max_examples=200, deadline=None)
-def test_kernels_agree(case):
-    rows, ncols = case
-    results = {
-        name: fn(rows, ncols)
-        for name, fn in kernels.available_kernels().items()
-    }
-    first = next(iter(results.values()))
-    for got in results.values():
-        assert got == first
+def test_kernel_contract():
+    # perfbench stamps KERNEL_NAME and wraps kernels.bareiss, which
+    # reaches linalg only while linalg binds that very function.
+    assert kernels.KERNEL_NAME == "python"
+    assert linalg.bareiss is kernels.bareiss
 
 
 @given(matrices)
