@@ -3,14 +3,22 @@
 A mixed complex is a nonnegatively graded space with a degree +1 operator
 delta and a degree -1 operator beta that square to zero and anticommute.
 From it we build the derived complexes: the total +complex (always a
-finite product per degree), the band slices of the +, - and 2-periodic
-complexes at a fixed effective weight, mapping cones, and the long exact
-sequences of short exact sequences with explicit zig-zag connecting maps.
+finite product per degree), the bands of the +, - and 2-periodic
+complexes at a fixed effective weight, the weight slices of (C, delta),
+mapping cones, and the long exact sequences of short exact sequences with
+explicit zig-zag connecting maps.
 
 Effective weight: a basis element of weight p sitting in the degree-m slot
 of a degree-r slice has effective weight w = p + (m - r)/2.  Both delta
 (weight-preserving, slot degree +1) and beta (weight +1, slot degree -1)
 preserve w, so each derived complex splits into finite per-w bands.
+
+Slot tables: every band, weight slice and the total +complex is delta +
+beta restricted to a table {r: [(m, indices)]} that lists, for each
+degree r, the basis elements of C^m placed in it.  One builder,
+_slot_complex, assembles all of them; the kinds differ only in their
+tables (_slot_basis for bands and slices, all of C^{r-2k} for the
++complex).
 """
 
 from fractions import Fraction
@@ -66,9 +74,6 @@ class CochainComplex:
 
     def betti(self, n):
         return self.cohomology(n).dim
-
-    def index_of(self, n, label):
-        return self.labels.get(n, []).index(label)
 
 
 class ChainMap:
@@ -262,12 +267,10 @@ class MixedComplex:
         def restrict(mat, n, n_out):
             kept_in = keep.get(n, [])
             kept_out = {i: r for r, i in enumerate(keep.get(n_out, []))}
+            cols = _columns(mat)
             entries = {}
             for c, i in enumerate(kept_in):
-                col = mat.column(i)
-                for row, v in enumerate(col):
-                    if not v:
-                        continue
+                for row, v in cols.get(i, ()):
                     if row not in kept_out:
                         raise ConsistencyError(
                             f"subcomplex not closed: degree {n} index {i} "
@@ -289,86 +292,92 @@ class MixedComplex:
         return MixedComplex(labels, delta, beta, weights=weights, check=False)
 
 
-def _slot_basis(M, r, kind, w):
-    """Slots (m, weight p, indices) of the degree-r slice of a band.
+def _columns(mat):
+    """Column j -> [(row, value)] of a matrix, in one pass over its entries."""
+    cols = {}
+    for (i, j), v in mat.entries.items():
+        cols.setdefault(j, []).append((i, v))
+    return cols
 
-    kind: "plus" (m <= r), "minus" (m >= r) or "periodic" (all m); w is
-    the effective weight, so slot m carries weight p = w + (r - m)/2.
-    Slots run over 0 <= m <= M.top with m = r mod 2 and p >= 0.
+
+def _slot_complex(M, slot_table):
+    """delta + beta of M restricted to a table of slots.
+
+    slot_table maps each of a run of consecutive degrees r to its slots
+    [(m, indices)]: the listed basis elements of C^m.  The result has
+    degree-r labels (m, label) in slot order.  An image landing in a slot
+    degree outside that slot's indices breaks the grading and raises; an
+    image landing in a degree with no slot is dropped.
     """
+    labels = {
+        r: [(m, M.labels[m][i]) for m, idx in slots for i in idx]
+        for r, slots in slot_table.items()
+    }
+    columns = {}
+    diff = {}
+    for r in sorted(slot_table)[:-1]:
+        tgt_pos, rows = {}, 0
+        for m, idx in slot_table[r + 1]:
+            tgt_pos[m] = {i: rows + k for k, i in enumerate(idx)}
+            rows += len(idx)
+        entries, col = {}, 0
+        for m, idx in slot_table[r]:
+            for name, mat, m_out in (("delta", M.delta_m, m + 1),
+                                     ("beta", M.beta_m, m - 1)):
+                pos = tgt_pos.get(m_out)
+                if pos is None:
+                    continue
+                if (name, m) not in columns:
+                    columns[(name, m)] = _columns(mat(m))
+                for c, i in enumerate(idx):
+                    for row, v in columns[(name, m)].get(i, ()):
+                        if row not in pos:
+                            raise ConsistencyError(
+                                f"{name} breaks the weight grading at degree {m}"
+                            )
+                        entries[(pos[row], col + c)] = v
+            col += len(idx)
+        diff[r] = SparseMatrix(rows, col, entries)
+    return CochainComplex(labels, diff, check=True)
+
+
+def _slot_basis(M, r, kind, w):
+    """Slots (m, indices) of the degree-r slice of a band.
+
+    kind: "plus" (m <= r), "minus" (m >= r), "periodic" (all m) or
+    "slice" (m = r); w is the effective weight, so slot m carries weight
+    p = w + (r - m)/2.  Slots run over 0 <= m <= M.top with m = r mod 2
+    and p >= 0.
+    """
+    lo = r if kind in ("minus", "slice") else 0
+    hi = r if kind in ("plus", "slice") else M.top
     slots = []
-    for m in range(max(r, 0) if kind == "minus" else 0, M.top + 1):
-        if (r - m) % 2:
-            continue
-        if kind == "plus" and m > r:
-            break
+    for m in range(max(lo, 0), min(hi, M.top) + 1):
         p = w + (r - m) // 2
-        if p < 0:
+        if (r - m) % 2 or p < 0:
             continue
         idx = M.weight_indices(m, p)
         if idx:
-            slots.append((m, p, idx))
+            slots.append((m, idx))
     return slots
 
 
 def band_complex(M, w, kind, r_min, r_max):
-    """Effective-weight-w band of the +, - or 2-periodic complex.
+    """Effective-weight-w band of the +, - or 2-periodic complex, or the
+    weight-w slice of (C, delta) (kind "slice").
 
     Returns a CochainComplex over degrees r_min..r_max whose degree-r
     labels are (m, original label): the slot of underlying degree m.  The
     differential is delta + beta restricted to the band; a beta image
-    falling below the band (possible only for "minus" at its bottom slot)
-    is dropped, exactly as in the defining formulas.
+    falling below the band (possible only for "minus" at its bottom slot,
+    and everywhere for "slice") is dropped, exactly as in the defining
+    formulas.
     """
-    if kind not in ("plus", "minus", "periodic"):
+    if kind not in ("plus", "minus", "periodic", "slice"):
         raise ComplexError(f"unknown band kind {kind!r}")
-    slot_table = {r: _slot_basis(M, r, kind, w) for r in range(r_min, r_max + 1)}
-    labels = {
-        r: [(m, M.labels[m][i]) for m, _, idx in slots for i in idx]
-        for r, slots in slot_table.items()
-    }
-    diff = {}
-    for r in range(r_min, r_max):
-        src = slot_table[r]
-        tgt = slot_table[r + 1]
-        tgt_pos = {}
-        pos = 0
-        tgt_slots = set()
-        for m, _, idx in tgt:
-            tgt_slots.add(m)
-            for i in idx:
-                tgt_pos[(m, i)] = pos
-                pos += 1
-        entries = {}
-        col = 0
-        src_dim = sum(len(idx) for _, _, idx in src)
-        for m, _, idx in src:
-            delta_cols = {i: M.delta_m(m).column(i) for i in idx}
-            beta_cols = {i: M.beta_m(m).column(i) for i in idx}
-            for i in idx:
-                for row, v in enumerate(delta_cols[i]):
-                    if not v:
-                        continue
-                    key = (m + 1, row)
-                    if key in tgt_pos:
-                        entries[(tgt_pos[key], col)] = v
-                    elif (m + 1) in tgt_slots:
-                        raise ConsistencyError(
-                            f"delta breaks the weight grading at degree {m}"
-                        )
-                for row, v in enumerate(beta_cols[i]):
-                    if not v:
-                        continue
-                    key = (m - 1, row)
-                    if key in tgt_pos:
-                        entries[(tgt_pos[key], col)] = v
-                    elif (m - 1) in tgt_slots:
-                        raise ConsistencyError(
-                            f"beta breaks the weight grading at degree {m}"
-                        )
-                col += 1
-        diff[r] = SparseMatrix(pos, src_dim, entries)
-    return CochainComplex(labels, diff, check=True)
+    return _slot_complex(
+        M, {r: _slot_basis(M, r, kind, w) for r in range(r_min, r_max + 1)}
+    )
 
 
 def plus_complex(M, r_min=0, r_max=None):
@@ -376,41 +385,10 @@ def plus_complex(M, r_min=0, r_max=None):
     with differential (delta w_{r-2j} + beta w_{r-2j+2}) in slot j."""
     if r_max is None:
         r_max = M.top
-    slot_table = {
-        r: [
-            (m, list(range(M.dim(m))))
-            for m in range(r % 2, r + 1, 2)
-            if M.dim(m)
-        ]
+    return _slot_complex(M, {
+        r: [(m, range(M.dim(m))) for m in range(r % 2, r + 1, 2) if M.dim(m)]
         for r in range(r_min, r_max + 1)
-    }
-    labels = {
-        r: [(m, M.labels[m][i]) for m, idx in slots for i in idx]
-        for r, slots in slot_table.items()
-    }
-    diff = {}
-    for r in range(r_min, r_max):
-        tgt_pos = {}
-        pos = 0
-        for m, idx in slot_table[r + 1]:
-            for i in idx:
-                tgt_pos[(m, i)] = pos
-                pos += 1
-        entries = {}
-        col = 0
-        for m, idx in slot_table[r]:
-            for i in idx:
-                for row, v in enumerate(M.delta_m(m).column(i)):
-                    if v and (m + 1, row) in tgt_pos:
-                        entries[(tgt_pos[(m + 1, row)], col)] = v
-                for row, v in enumerate(M.beta_m(m).column(i)):
-                    if v and (m - 1, row) in tgt_pos:
-                        entries[(tgt_pos[(m - 1, row)], col)] = v
-                col += 1
-        diff[r] = SparseMatrix(
-            pos, sum(len(idx) for _, idx in slot_table[r]), entries
-        )
-    return CochainComplex(labels, diff, check=True)
+    })
 
 
 def plus_power_matrix(M, plus, k, r):
@@ -418,9 +396,12 @@ def plus_power_matrix(M, plus, k, r):
     underlying degree m is scaled by k^((m-r)/2) times Psi_k."""
     if k == 0:
         raise ComplexError("Psi_0 is not defined")
+    index = {}
     entries = {}
     for j, (m, lab) in enumerate(plus.labels.get(r, [])):
-        i = M.labels[m].index(lab)
+        if m not in index:
+            index[m] = {label: i for i, label in enumerate(M.labels[m])}
+        i = index[m][lab]
         scale = Fraction(k) ** ((m - r) // 2) * Fraction(k) ** M.weight_of(m, i)
         entries[(j, j)] = scale
     return SparseMatrix(plus.dim(r), plus.dim(r), entries)

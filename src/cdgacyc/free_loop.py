@@ -3,14 +3,15 @@
 From (L[V], d) build L[V + Vbar] with degree(vbar) = degree(v) - 1, the
 exterior differential delta (delta v = d v, delta vbar = -i(d v)), the
 interior differential i (i v = vbar, i vbar = 0), the weight grading
-(total exponent of barred factors) and the power maps Psi_k acting by
-k^weight.  Also provides the augmentation ideal and interior-image
-subcomplexes, and the polynomial-circle model C (x) L[u].
+(total exponent of barred factors), on which the power maps Psi_k act by
+k^weight.  Also provides the augmentation ideal and the polynomial-circle
+model C (x) L[u].
 """
 
+import math
 from fractions import Fraction
 
-from cdgacyc import gralg, linalg
+from cdgacyc import gralg
 from cdgacyc.complexes import (
     CochainComplex,
     ConsistencyError,
@@ -47,11 +48,19 @@ class LoopAlgebra:
         self.base = base
         self.weight_cutoff = weight_cutoff
         base_gens = base.algebra.generators
-        if any(g.degree == 1 for g in base_gens) and weight_cutoff is None:
+        degree_one = any(g.degree == 1 for g in base_gens)
+        if degree_one and weight_cutoff is None:
             raise UnsupportedConfiguration(
                 "degree-1 generators produce degree-0 barred partners; "
                 "supply an explicit weight cutoff"
             )
+        # Highest degree through which the weight cutoff drops no monomial:
+        # a monomial of degree m has weight <= m unless a degree-0 barred
+        # generator makes the weights of every degree unbounded.
+        if weight_cutoff is None:
+            self.complete_through = math.inf
+        else:
+            self.complete_through = -1 if degree_one else weight_cutoff
         n = len(base_gens)
         self.gens = tuple(
             Generator(i, g.name, g.degree) for i, g in enumerate(base_gens)
@@ -169,20 +178,6 @@ class LoopAlgebra:
         }
         return MixedComplex(labels, delta, beta, weights=weights, check=True)
 
-    def power_matrix(self, k, n):
-        """Psi_k on degree n: diagonal k^weight."""
-        if k == 0:
-            raise gralg.AlgebraError("Psi_0 is not defined")
-        basis = self.basis(n)
-        return SparseMatrix(
-            len(basis),
-            len(basis),
-            {
-                (i, i): Fraction(k) ** self.weight(m)
-                for i, m in enumerate(basis)
-            },
-        )
-
 
 def free_loop(base, weight_cutoff=None):
     return LoopAlgebra(base, weight_cutoff=weight_cutoff)
@@ -202,12 +197,10 @@ def base_cochain(base, top):
 
 
 def ideals(loop, top):
-    """(augmentation ideal, interior image) of the loop mixed complex.
+    """The augmentation ideal of the loop mixed complex on degrees 0..top.
 
-    The augmentation ideal drops exactly the unit monomial in degree 0;
-    it is a mixed subcomplex.  The interior image carries delta and zero
-    beta; its closure under delta is verified.  Returns
-    (ideal: MixedComplex, image: CochainComplex in the ideal ambient).
+    It drops exactly the unit monomial in degree 0 and is a mixed
+    subcomplex (the closure of delta and beta on it is verified).
     """
     M = loop.mixed_complex(top)
     keep = {}
@@ -215,33 +208,7 @@ def ideals(loop, top):
         idx = [i for i, m in enumerate(M.labels[n]) if m != gralg.ONE]
         if idx:
             keep[n] = idx
-    ideal = M.coordinate_subcomplex(keep)
-
-    im_bases = {
-        n: linalg.image_basis(ideal.beta_m(n + 1)) for n in range(top)
-    }
-    labels = {
-        n: [("im_i", n, j) for j in range(len(b))]
-        for n, b in im_bases.items()
-        if b
-    }
-    diff = {}
-    for n in range(top - 1):
-        if not im_bases[n]:
-            continue
-        tgt = SparseMatrix.from_columns(ideal.dim(n + 1), im_bases[n + 1])
-        cols = []
-        for v in im_bases[n]:
-            dv = ideal.delta_m(n).apply(v)
-            x = linalg.solve(tgt, dv)
-            if x is None:
-                raise ConsistencyError(
-                    f"delta leaves the interior image at degree {n}"
-                )
-            cols.append(x)
-        diff[n] = SparseMatrix.from_columns(len(im_bases[n + 1]), cols)
-    image = CochainComplex(labels, diff, check=True)
-    return ideal, image
+    return M.coordinate_subcomplex(keep)
 
 
 def u_model(loop, top):

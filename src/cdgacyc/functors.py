@@ -105,6 +105,11 @@ class LoopContext:
             self._bands = {}
         return self._mixed
 
+    def untruncated(self):
+        """Whether the weight cutoff drops no monomial of the mixed complex
+        built so far."""
+        return self._mixed is None or self._mixed.top <= self.loop.complete_through
+
     def base(self, top):
         if self._base is None or max(self._base.labels, default=-1) < top:
             self._base = base_cochain(self.algebra, top)
@@ -161,7 +166,8 @@ def HH(a, cutoff, weight_cutoff=None):
 
     Totals come from the full complex, per-weight dimensions from the
     weight slices; their agreement is asserted (the slices partition the
-    complex and the differential preserves weight).
+    complex and the differential preserves weight).  Row n is certified
+    when the weight cutoff drops no monomial through degree n + 1.
     """
     ctx = _context(a, cutoff, weight_cutoff)
     M = ctx.mixed(cutoff + 1)
@@ -176,16 +182,18 @@ def HH(a, cutoff, weight_cutoff=None):
             ws = range(0, max(n, ctx.loop.weight_cutoff) + 1)
         for w in ws:
             if w not in slices:
-                slices[w] = _top_slot_quotient(M, w, cutoff + 1)
+                slices[w] = band_complex(M, w, "slice", 0, cutoff + 1)
             weights[w] = slices[w].betti(n)
         total = C.betti(n)
-        table.set_row(n, total, weights, certified=True)
+        table.set_row(n, total, weights,
+                      certified=n + 1 <= ctx.loop.complete_through)
     return table
 
 
 def CH(a, cutoff, weight_cutoff=None):
     """+complex cohomology, decomposed by effective weight (an integer:
-    the unit tower contributes negative weights)."""
+    the unit tower contributes negative weights).  Row n is certified when
+    the weight cutoff drops no monomial through degree n + 1."""
     ctx = _context(a, cutoff, weight_cutoff)
     top = cutoff + 1
     table = CohomologyTable("CH")
@@ -196,7 +204,8 @@ def CH(a, cutoff, weight_cutoff=None):
             d = band.betti(n)
             if d:
                 weights[w] = d
-        table.set_row(n, sum(weights.values()), weights, certified=True)
+        table.set_row(n, sum(weights.values()), weights,
+                      certified=n + 1 <= ctx.loop.complete_through)
     return table
 
 
@@ -264,11 +273,13 @@ def PH(a, cutoff, weight_cutoff=None, extra_levels=5):
 
     For each degree r the S-maps are computed up to r + 2*extra_levels;
     the reported value is the rank of a deep composite, certified when
-    that rank is unchanged under moving both endpoints one step.
+    that rank is unchanged under moving both endpoints one step and the
+    weight cutoff drops no monomial of the +complex used.
     """
     ctx = _context(a, cutoff, weight_cutoff)
     top = cutoff + 2 * extra_levels + 3
     s, plus, shifted = _s_map(ctx, top)
+    untruncated = ctx.untruncated()
     table = CohomologyTable("PH")
     details = {}
     for r in range(cutoff + 1):
@@ -295,7 +306,7 @@ def PH(a, cutoff, weight_cutoff=None, extra_levels=5):
             r_deep = linalg.rank(comp(kmax - 2, kmax))
             r_a = linalg.rank(comp(kmax - 3, kmax - 1))
             r_b = linalg.rank(comp(kmax - 3, kmax))
-            certified = r_deep == r_a == r_b
+            certified = untruncated and r_deep == r_a == r_b
             value = r_deep
         else:
             value = plus.betti(r)
@@ -418,14 +429,15 @@ def SH(a, cutoff, weight_cutoff=None, project_weight_zero=True):
     Per weight w the cone pairs the base block in degree r+2w with the
     +band of weight w+1 one level down.  Weights whose surrounding exact
     sequence terms both vanish (base cohomology at r+2w and CH^{r-1} at
-    w+1) are skipped as zero; others are computed from the cone.
+    w+1) are skipped as zero; others are computed from the cone.  Rows are
+    certified by the base vanishing window, and only when the weight
+    cutoff drops no monomial of the mixed complex used.
     """
     ctx = _context(a, cutoff, weight_cutoff)
     bound, base_cert = ctx.base_bound()
-    table = CohomologyTable("SH")
+    rows = {}
     for r in range(cutoff + 1):
         weights = {}
-        certified = base_cert
         w_lo = -((r + 1) // 2) - 1
         w_hi = max(r - 2, (bound - r) // 2 + 1, w_lo)
         for w in range(w_lo, w_hi + 1):
@@ -438,6 +450,10 @@ def SH(a, cutoff, weight_cutoff=None, project_weight_zero=True):
             d = _sh_band(ctx, r, w, project_weight_zero=project_weight_zero)
             if d:
                 weights[w] = d
+        rows[r] = weights
+    certified = base_cert and ctx.untruncated()
+    table = CohomologyTable("SH")
+    for r, weights in rows.items():
         table.set_row(r, sum(weights.values()), weights, certified=certified)
     return table
 
@@ -490,7 +506,7 @@ def fig2_audit(a, cutoff, weight_cutoff=None, weight_range=None):
             continue
         plus_w = band_complex(M, w, "plus", 0, r_hi + 2)
         plus_w1 = shift_complex(band_complex(M, w + 1, "plus", 0, r_hi), 2)
-        slice_w = _top_slot_quotient(M, w, r_hi + 2)
+        slice_w = band_complex(M, w, "slice", 0, r_hi + 2)
         per_w = band_complex(M, w, "periodic", 0, r_hi + 2)
         minus_w = band_complex(M, w, "minus", 0, r_hi + 2)
 
@@ -547,26 +563,6 @@ def fig2_audit(a, cutoff, weight_cutoff=None, weight_range=None):
     return report
 
 
-def _top_slot_quotient(M, w, r_max):
-    """The weight-w slice of (C, delta) with labels (r, monomial), i.e.
-    the top-slot quotient of the weight-w +band."""
-    labels = {}
-    diff = {}
-    index = {}
-    for r in range(r_max + 1):
-        idx = M.weight_indices(r, w)
-        labels[r] = [(r, M.labels[r][i]) for i in idx]
-        index[r] = {i: j for j, i in enumerate(idx)}
-    for r in range(r_max):
-        entries = {}
-        for j, i in enumerate(sorted(index[r], key=index[r].get)):
-            for row, v in enumerate(M.delta_m(r).column(i)):
-                if v:
-                    entries[(index[r + 1][row], j)] = v
-        diff[r] = SparseMatrix(len(labels[r + 1]), len(labels[r]), entries)
-    return CochainComplex(labels, diff, check=True)
-
-
 def fig7_audit(a, cutoff, weight_cutoff=None, weight_range=None):
     """Audit of the comparison diagram between the CH/HH sequence and the
     CH/K/SH sequence, per effective weight.
@@ -600,7 +596,7 @@ def _fig7_weight(ctx, w, cutoff):
     M = ctx.mixed(top)
     band_w = band_complex(M, w, "plus", 0, r_hi + 2)
     band_w1 = shift_complex(band_complex(M, w + 1, "plus", 0, r_hi), 2)
-    slice_w = _top_slot_quotient(M, w, r_hi + 2)
+    slice_w = band_complex(M, w, "slice", 0, r_hi + 2)
 
     # row 1: cone over the inclusion, plus the quasi-isomorphism onto the
     # loop-cohomology slice
@@ -648,15 +644,14 @@ def _fig7_weight(ctx, w, cutoff):
                  check_degrees=range(0, r_hi + 1))
     cone_mats = {}
     for r in range(0, r_hi + 2):
-        entries = {}
         tgt_index = {lab: i for i, lab in enumerate(cone2.labels.get(r, []))}
+        # cone1^r starts with band_w^r, in order: T acts there as itself
+        entries = {
+            (tgt_index[(0, tgt2.labels[r][i])], j): v
+            for (i, j), v in t.matrix(r).entries.items()
+        }
         for j, lab in enumerate(cone1.labels.get(r, [])):
-            if lab[0] == 0:
-                col = t.matrix(r).column(band_w.index_of(r, lab[1]))
-                for row, v in enumerate(col):
-                    if v:
-                        entries[(tgt_index[(0, tgt2.labels[r][row])], j)] = v
-            else:
+            if lab[0] == 1:
                 entries[(tgt_index[lab], j)] = Fraction(1)
         cone_mats[r] = SparseMatrix(cone2.dim(r), cone1.dim(r), entries)
     vcone = ChainMap(cone1, cone2, cone_mats, check=True,

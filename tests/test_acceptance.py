@@ -110,7 +110,7 @@ def test_criterion_4_cross_pipelines():
             sum(hh.weights(n).values()) == hh.total(n) for n in range(N + 1)
         )
         if fixture(name).algebra.generators:
-            ideal, _ = ideals(c.loop, N + 1)
+            ideal = ideals(c.loop, N + 1)
             ba = beta_acyclic_check(ideal)
             ok = ok and ba["beta_acyclic"] and ba["dims_match"]
         budget.lap(name)
@@ -202,7 +202,6 @@ def test_criterion_8_negative_controls():
         label_projection,
         shift_complex,
     )
-    from cdgacyc.functors import _top_slot_quotient
 
     ok = True
     # (a) flip the sign of delta on y_bar: axioms must fail with a witness
@@ -228,7 +227,7 @@ def test_criterion_8_negative_controls():
     M3 = loop3.mixed_complex(10)
     plus_w = band_complex(M3, 0, "plus", 0, 8)
     plus_w1 = shift_complex(band_complex(M3, 1, "plus", 0, 6), 2)
-    slice_w = _top_slot_quotient(M3, 0, 8)
+    slice_w = band_complex(M3, 0, "slice", 0, 8)
     ses = ShortExactSequence(
         label_inclusion(plus_w1, plus_w, check=False),
         label_projection(plus_w, slice_w, check=False),

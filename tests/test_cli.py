@@ -70,6 +70,50 @@ def test_check_passes(capsys):
     assert all(ln.startswith("PASS") for ln in lines)
 
 
+@pytest.mark.parametrize("fixture, cutoff", [
+    ("sphere2", 0), ("sphere3", 1), ("sphereEven4", 2), ("product_s2_s3", 0),
+])
+def test_check_skips_audit_that_does_not_apply(fixture, cutoff, capsys):
+    # below the lowest generator degree - 1, beta vanishes on the ideal
+    path = str(FIXTURES / f"{fixture}.json")
+    code, out, _ = run(["check", path, "--cutoff", str(cutoff)], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert [ln for ln in lines if ln.startswith("SKIP")] == [
+        "SKIP  interior-acyclicity lemma on the ideal  "
+        "(beta is identically zero on a nonzero complex)"]
+    assert not [ln for ln in lines if ln.startswith("FAIL")]
+
+
+@pytest.mark.parametrize("command", ["hh", "ch", "ph", "sh"])
+def test_weight_truncated_rows_uncertified(command, tmp_path, capsys):
+    # degree-0 barred partners: the weight cutoff truncates every degree
+    torus = tmp_path / "torus.json"
+    torus.write_text(json.dumps({
+        "generators": [{"name": "a", "degree": 1},
+                       {"name": "b", "degree": 1}],
+    }))
+    for weight_max in ("1", "3"):
+        code, out, _ = run([command, str(torus), "--cutoff", "3",
+                            "--weight-max", weight_max], capsys)
+        assert code == 0
+        rows = [ln for ln in out.splitlines() if "dim" in ln]
+        assert len(rows) == 4
+        assert all(ln.endswith("(uncertified)") for ln in rows)
+
+
+def test_weight_cutoff_above_the_window_changes_nothing(capsys):
+    argv = ["hh", S3, "--cutoff", "4", "--per-weight"]
+    _, plain, _ = run(argv, capsys)
+    _, wide, _ = run(argv + ["--weight-max", "5"], capsys)
+    assert wide == plain
+    assert "uncertified" not in plain
+    # weight cutoff 1 drops xbar^2 from degree 4, where HH^4 = 1
+    _, narrow, _ = run(["hh", S3, "--cutoff", "4", "--weight-max", "1"],
+                       capsys)
+    assert "    4  dim   0  (uncertified)" in narrow.splitlines()
+
+
 def test_finite_input_goes_through_model(capsys):
     code, out, _ = run(["hh", S2H, "--cutoff", "8"], capsys)
     assert code == 0

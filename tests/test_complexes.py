@@ -1,6 +1,7 @@
 """Cochain complexes, mixed complexes, bands, cones and exact sequences."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,9 +21,13 @@ from cdgacyc.complexes import (
     plus_complex,
     shift_complex,
 )
+from cdgacyc.cli import load_algebra
 from cdgacyc.free_loop import free_loop, ideals
+from cdgacyc.functors import ch_weight_range
 from cdgacyc.gralg import FreeCDGA, Generator
 from cdgacyc.linalg import SparseMatrix
+
+FIXTURES = Path(__file__).resolve().parent.parent / "src" / "cdgacyc" / "fixtures"
 
 
 def sphere2():
@@ -122,6 +127,32 @@ def test_plus_complex_dims():
         assert plus.dim(r) == expect
 
 
+@pytest.mark.parametrize("name", ["sphere2", "sphere3", "product_s2_s3"])
+def test_plus_bands_partition_plus_complex(name):
+    M = free_loop(load_algebra(FIXTURES / f"{name}.json")).mixed_complex(7)
+    plus = plus_complex(M, 0, 7)
+    bands = {w: band_complex(M, w, "plus", 0, 7) for w in range(-3, 7)}
+    for r in range(7):
+        ws = ch_weight_range(r)
+        assert sum(bands[w].dim(r) for w in ws) == plus.dim(r)
+        assert sum(bands[w].betti(r) for w in ws) == plus.betti(r)
+
+
+def test_band_assembly_errors():
+    # delta sends the weight-0 element a onto the weight-1 element b
+    bad_delta = MixedComplex({0: ["a"], 1: ["b", "c"]}, {0: M_([[1], [0]])},
+                             {}, weights={0: [0], 1: [1, 0]})
+    with pytest.raises(ConsistencyError, match="delta breaks"):
+        band_complex(bad_delta, 0, "plus", 0, 1)
+    # beta sends the weight-0 element b onto the weight-0 element e
+    bad_beta = MixedComplex({0: ["a", "e"], 1: ["b"]}, {},
+                            {1: M_([[0], [1]])}, weights={0: [1, 0], 1: [0]})
+    with pytest.raises(ConsistencyError, match="beta breaks"):
+        band_complex(bad_beta, 0, "plus", 1, 2)
+    with pytest.raises(ComplexError, match="unknown band kind"):
+        band_complex(bad_delta, 0, "cyclic", 0, 1)
+
+
 def test_mapping_cone_les():
     loop = free_loop(sphere3())
     M = loop.mixed_complex(10)
@@ -135,13 +166,11 @@ def test_mapping_cone_les():
 
 
 def test_corrupted_connecting_map_fails_audit():
-    from cdgacyc.functors import _top_slot_quotient
-
     loop = free_loop(sphere3())
     M = loop.mixed_complex(10)
     plus_w = band_complex(M, 0, "plus", 0, 8)
     plus_w1 = shift_complex(band_complex(M, 1, "plus", 0, 6), 2)
-    slice_w = _top_slot_quotient(M, 0, 8)
+    slice_w = band_complex(M, 0, "slice", 0, 8)
     incl = label_inclusion(plus_w1, plus_w, check=False)
     proj = label_projection(plus_w, slice_w, check=False)
     ses = ShortExactSequence(incl, proj, degrees=range(0, 7))
@@ -194,7 +223,7 @@ def test_coordinate_subcomplex_closure_check():
 def test_beta_acyclic_lemma_on_ideal():
     for base in (sphere2(), sphere3()):
         loop = free_loop(base)
-        ideal, _ = ideals(loop, 10)
+        ideal = ideals(loop, 10)
         rep = beta_acyclic_check(ideal)
         assert rep["beta_acyclic"]
         assert rep["dims_match"]

@@ -6,14 +6,13 @@ from fractions import Fraction
 import pytest
 
 from cdgacyc import gralg
-from cdgacyc.complexes import UnsupportedConfiguration
+from cdgacyc.complexes import UnsupportedConfiguration, band_complex
 from cdgacyc.free_loop import (
     base_cochain,
     free_loop,
     u_model,
     u_power_matrix,
 )
-from cdgacyc.functors import _top_slot_quotient
 from cdgacyc.gralg import FreeCDGA, Generator
 
 
@@ -86,7 +85,7 @@ def test_weight_slices_partition():
     loop = free_loop(sphere2())
     top = 8
     M = loop.mixed_complex(top)
-    slices = [_top_slot_quotient(M, w, top) for w in range(top + 1)]
+    slices = [band_complex(M, w, "slice", 0, top) for w in range(top + 1)]
     for n in range(top + 1):
         labels = [mono for s in slices for _, mono in s.labels.get(n, [])]
         assert Counter(labels) == Counter(loop.basis(n))
@@ -103,7 +102,7 @@ def test_mixed_complex_weight_tags():
 def test_power_matrix_is_diagonal_weight_power():
     loop = free_loop(sphere2())
     for k in (2, 3):
-        m = loop.power_matrix(k, 5)
+        m = loop.mixed_complex(5).power_matrix(k, 5)
         for i, mono in enumerate(loop.basis(5)):
             assert m.entries.get((i, i)) == Fraction(k) ** loop.weight(mono)
 
