@@ -493,29 +493,18 @@ class ShortExactSequence:
         apply d, pull back along the inclusion."""
         hc = self.c.cohomology(r)
         ha = self.a.cohomology(r + 1)
-        cols = []
-        for v in hc.representatives:
-            b = linalg.solve(self.proj.matrix(r), v)
-            if b is None:
-                raise ConsistencyError(f"cocycle fails to lift at degree {r}")
-            db = self.b.d(r).apply(b)
-            a = linalg.solve(self.incl.matrix(r + 1), db)
-            if a is None:
-                raise ConsistencyError(f"d(lift) not in the subcomplex at {r}")
-            coords = ha.coordinates(a)
-            if coords is None:
-                raise ConsistencyError(f"connecting image not a cocycle at {r}")
-            cols.append(coords)
-        return SparseMatrix(
-            ha.dim,
-            hc.dim,
-            {
-                (i, j): cols[j][i]
-                for j in range(hc.dim)
-                for i in range(ha.dim)
-                if cols[j][i]
-            },
-        )
+        lifts = linalg.solve(self.proj.matrix(r), hc.representatives)
+        if None in lifts:
+            raise ConsistencyError(f"cocycle fails to lift at degree {r}")
+        d_b = self.b.d(r)
+        pulled = linalg.solve(self.incl.matrix(r + 1),
+                              [d_b.apply(b) for b in lifts])
+        if None in pulled:
+            raise ConsistencyError(f"d(lift) not in the subcomplex at {r}")
+        cols = ha.coordinates(pulled)
+        if None in cols:
+            raise ConsistencyError(f"connecting image not a cocycle at {r}")
+        return SparseMatrix.from_columns(ha.dim, cols)
 
     def les(self, r_min, r_max):
         """The long exact sequence as (node names, dims, maps).
@@ -608,15 +597,10 @@ def beta_acyclic_check(M, r_max=None):
             im_diff[n] = SparseMatrix.zero(len(im_bases[n + 1]), 0)
             continue
         tgt = SparseMatrix.from_columns(M.dim(n + 1), im_bases[n + 1])
-        cols = []
-        for v in im_bases[n]:
-            dv = M.delta_m(n).apply(v)
-            x = linalg.solve(tgt, dv)
-            if x is None:
-                raise ConsistencyError(
-                    f"delta leaves Im(beta) at degree {n}"
-                )
-            cols.append(x)
+        delta = M.delta_m(n)
+        cols = linalg.solve(tgt, [delta.apply(v) for v in im_bases[n]])
+        if None in cols:
+            raise ConsistencyError(f"delta leaves Im(beta) at degree {n}")
         im_diff[n] = SparseMatrix.from_columns(len(im_bases[n + 1]), cols)
     im_complex = CochainComplex(im_labels, im_diff, check=True)
 

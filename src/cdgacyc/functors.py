@@ -226,7 +226,7 @@ def reduced_CH(a, cutoff, table=None, weight_cutoff=None):
             if (0, ()) in labs:
                 e = [Fraction(0)] * len(labs)
                 e[labs.index((0, ()))] = Fraction(1)
-                coords = band.cohomology(n).coordinates(tuple(e))
+                [coords] = band.cohomology(n).coordinates([tuple(e)])
                 if coords is not None and any(coords):
                     weights[w0] = weights.get(w0, 0) - 1
                     total -= 1
@@ -798,10 +798,10 @@ def euler_series(a, cutoff, weight_max=None, weight_cutoff=None):
     """Per-weight Euler characteristics of HH and CH.
 
     chiH(w) = sum over i of (-1)^i dim HH^i(w); a coefficient is certified
-    when the weight slice has no cohomology in the top vanishing window
-    (so nothing beyond the cutoff can contribute).  chiC is indexed by
-    the integer effective weight; the unit tower contributes to negative
-    weights.
+    when every row it sums is certified and the weight slice has no
+    cohomology in the top vanishing window (so nothing beyond the cutoff
+    can contribute).  chiC is indexed by the integer effective weight;
+    the unit tower contributes to negative weights.
     """
     ctx = _context(a, cutoff, weight_cutoff)
     if weight_max is None:
@@ -810,17 +810,14 @@ def euler_series(a, cutoff, weight_max=None, weight_cutoff=None):
     ch = CH(ctx, cutoff)
     g = ctx.algebra.max_generator_degree()
     window = range(max(0, cutoff - g), cutoff + 1)
+    rows = range(cutoff + 1)
     out = {"chiH": {}, "chiC": {}}
-    for w in range(0, weight_max + 1):
-        coeff = sum(
-            (-1) ** n * hh.weight(n, w) for n in range(cutoff + 1)
-        )
-        certified = all(hh.weight(n, w) == 0 for n in window)
-        out["chiH"][w] = {"value": coeff, "certified": certified}
-    for w in range(-weight_max, weight_max + 1):
-        coeff = sum(
-            (-1) ** n * ch.weight(n, w) for n in range(cutoff + 1)
-        )
-        certified = all(ch.weight(n, w) == 0 for n in window)
-        out["chiC"][w] = {"value": coeff, "certified": certified}
+    for name, table, ws in (("chiH", hh, range(0, weight_max + 1)),
+                            ("chiC", ch, range(-weight_max, weight_max + 1))):
+        whole = all(table.certified(n) for n in rows)
+        for w in ws:
+            coeff = sum((-1) ** n * table.weight(n, w) for n in rows)
+            certified = whole and all(table.weight(n, w) == 0
+                                      for n in window)
+            out[name][w] = {"value": coeff, "certified": certified}
     return out

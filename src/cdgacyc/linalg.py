@@ -2,8 +2,12 @@
 
 Everything downstream (cohomology of every complex, induced maps, audits)
 reduces to the operations here: rank, kernel, image, subquotient bases and
-maps induced on subquotients.  All arithmetic is exact; matrices are
-immutable after construction.
+maps induced on subquotients.  Each is one fraction-free elimination: a
+subquotient picks its representatives from one echelon of
+[image | kernel], and ``solve`` appends a whole batch of right-hand sides
+to the matrix, so coordinates, lifts and induced maps never eliminate
+once per vector.  All arithmetic is exact; matrices are immutable after
+construction.
 """
 
 from fractions import Fraction
@@ -222,40 +226,41 @@ def image_basis(m):
     return [m.column(j) for j in pivots]
 
 
-def solve(m, b):
-    """One solution of m x = b, or None if inconsistent."""
-    if len(b) != m.rows:
-        raise LinalgError("rhs of wrong length")
-    aug = SparseMatrix(
-        m.rows,
-        m.cols + 1,
-        dict(m.entries)
-        | {(i, m.cols): x for i, x in enumerate(b) if x},
-    )
-    rows, pivots = _rref(aug)
-    if m.cols in pivots:
-        return None
-    x = [Fraction(0)] * m.cols
-    for i, p in enumerate(pivots):
-        x[p] = rows[i][m.cols]
-    return tuple(x)
+def solve(m, rhs):
+    """Solutions of m x = b for every b in rhs, from one elimination.
 
-
-def in_span(vectors, v):
-    """Whether v lies in the span of the given vectors."""
-    if not vectors:
-        return all(x == 0 for x in v)
-    return solve(SparseMatrix.from_columns(len(v), vectors), v) is not None
+    Each answer is the solution whose free coordinates are zero, or None
+    when b is not in the column space of m.
+    """
+    if not rhs:
+        return []
+    n = m.cols
+    entries = dict(m.entries)
+    for k, b in enumerate(rhs):
+        if len(b) != m.rows:
+            raise LinalgError("rhs of wrong length")
+        entries.update({(i, n + k): x for i, x in enumerate(b) if x})
+    rows, pivots = _rref(SparseMatrix(m.rows, n + len(rhs), entries))
+    r = sum(p < n for p in pivots)
+    out = []
+    for c in range(n, n + len(rhs)):
+        if any(row[c] for row in rows[r:]):
+            out.append(None)
+            continue
+        x = [Fraction(0)] * n
+        for i in range(r):
+            x[pivots[i]] = rows[i][c]
+        out.append(tuple(x))
+    return out
 
 
 class SubquotientBasis:
     """Concrete model of Ker(d_out) / Im(d_in) inside an ambient Q^n."""
 
-    __slots__ = ("ambient", "kernel", "image", "representatives")
+    __slots__ = ("ambient", "image", "representatives")
 
-    def __init__(self, ambient, kernel, image, representatives):
+    def __init__(self, ambient, image, representatives):
         self.ambient = ambient
-        self.kernel = kernel
         self.image = image
         self.representatives = representatives
 
@@ -263,18 +268,14 @@ class SubquotientBasis:
     def dim(self):
         return len(self.representatives)
 
-    def coordinates(self, v):
-        """Coordinates of [v] on the representatives, or None if v is not
-        in the kernel span."""
-        if self.dim == 0 and not self.image:
-            return () if all(x == 0 for x in v) else None
+    def coordinates(self, vectors):
+        """Coordinates of each [v] on the representatives, or None where v
+        is not in the kernel span."""
         m = SparseMatrix.from_columns(
             self.ambient, list(self.representatives) + list(self.image)
         )
-        x = solve(m, v)
-        if x is None:
-            return None
-        return tuple(x[: self.dim])
+        return [None if x is None else x[: self.dim]
+                for x in solve(m, vectors)]
 
     def __repr__(self):
         return f"SubquotientBasis(dim={self.dim}, ambient={self.ambient})"
@@ -284,7 +285,10 @@ def cohomology_at(d_in, d_out):
     """Subquotient Ker(d_out)/Im(d_in) with explicit representatives.
 
     d_in has shape (n, p) and lands in the ambient Q^n; d_out has shape
-    (q, n) and maps out of it.  Requires d_out . d_in = 0.
+    (q, n) and maps out of it.  Requires d_out . d_in = 0.  The
+    representatives are the kernel vectors that are pivot columns of
+    [image | kernel]: each one is independent of the image and of the
+    kernel vectors before it.
     """
     if d_in.rows != d_out.cols:
         raise LinalgError("ambient dimension mismatch")
@@ -293,16 +297,9 @@ def cohomology_at(d_in, d_out):
     ambient = d_in.rows
     kern = kernel_basis(d_out)
     img = image_basis(d_in)
-    reps = []
-    seen = list(img)
-    r = len(img)
-    for v in kern:
-        cand = SparseMatrix.from_columns(ambient, seen + [v])
-        if rank(cand) > r:
-            reps.append(v)
-            seen.append(v)
-            r += 1
-    return SubquotientBasis(ambient, kern, img, reps)
+    _, pivots = SparseMatrix.from_columns(ambient, img + kern).echelon()
+    reps = [kern[j - len(img)] for j in pivots if j >= len(img)]
+    return SubquotientBasis(ambient, img, reps)
 
 
 class NotChainCompatible(LinalgError):
@@ -314,31 +311,19 @@ class NotChainCompatible(LinalgError):
 def induced_map(f, source, target):
     """Matrix of the map induced by f on subquotients.
 
-    Checks that f carries source kernel into target kernel span and source
-    image into target image span; raises NotChainCompatible with a witness
-    vector otherwise.
+    Checks that f carries source image into target image span and source
+    kernel into target kernel span; raises NotChainCompatible with the
+    first failing vector (image vectors first) otherwise.
     """
     if f.cols != source.ambient or f.rows != target.ambient:
         raise LinalgError("shape mismatch for induced map")
-    for v in source.image:
-        w = f.apply(v)
-        if not in_span(target.image, w):
+    image = SparseMatrix.from_columns(target.ambient, target.image)
+    lifts = solve(image, [f.apply(v) for v in source.image])
+    for v, x in zip(source.image, lifts):
+        if x is None:
             raise NotChainCompatible("image not carried into image", v)
-    cols = []
-    for v in source.representatives:
-        w = f.apply(v)
-        coords = target.coordinates(w)
+    cols = target.coordinates([f.apply(v) for v in source.representatives])
+    for v, coords in zip(source.representatives, cols):
         if coords is None:
             raise NotChainCompatible("kernel not carried into kernel", v)
-        cols.append(coords + (Fraction(0),) * (target.dim - len(coords)))
-    return SparseMatrix(
-        target.dim,
-        source.dim,
-        {
-            (i, j): cols[j][i]
-            for j in range(source.dim)
-            for i in range(target.dim)
-            if cols[j][i]
-        },
-    )
-
+    return SparseMatrix.from_columns(target.dim, cols)

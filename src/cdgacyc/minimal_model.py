@@ -490,16 +490,13 @@ def build_minimal_model(B, cutoff, seed=None):
         hn_src = src_c.cohomology(n)
         hn_tgt = tgt_c.cohomology(n)
         m = linalg.induced_map(theta.matrix(n), hn_src, hn_tgt)
-        image_cols = [m.column(j) for j in range(m.cols)]
-        have = [v for v in image_cols if any(v)]
-        missing = []
-        for i, rep in enumerate(hn_tgt.representatives):
-            e = [Fraction(0)] * hn_tgt.dim
-            e[i] = Fraction(1)
-            cand = tuple(e)
-            if not linalg.in_span(have, cand):
-                have.append(cand)
-                missing.append(cand)
+        # unit vectors outside the image: pivot columns of [image | units]
+        d = m.rows
+        _, pivots = SparseMatrix(
+            d, m.cols + d, m.entries | {(i, m.cols + i): 1 for i in range(d)}
+        ).echelon()
+        missing = [tuple(Fraction(int(i == j - m.cols)) for i in range(d))
+                   for j in pivots if j >= m.cols]
         if rng and len(missing) > 1:
             missing = _mix(rng, missing)
         for coords in missing:
@@ -527,6 +524,7 @@ def build_minimal_model(B, cutoff, seed=None):
         kernel = linalg.kernel_basis(m)
         if rng and len(kernel) > 1:
             kernel = _mix(rng, kernel)
+        z_polys = []
         for coords in kernel:
             # cocycle z in Lambda[V]^{n+1} representing the killed class
             z_vec = [Fraction(0)] * src_c.dim(n + 1)
@@ -534,18 +532,18 @@ def build_minimal_model(B, cutoff, seed=None):
                 if c:
                     for pos, v in enumerate(h_src.representatives[i]):
                         z_vec[pos] += c * v
-            z_poly = {}
-            for pos, v in enumerate(z_vec):
-                if v:
-                    z_poly[src_c.labels[n + 1][pos]] = v
-            # primitive b in B^n with d(b) = theta(z)
-            tz = theta.apply(z_poly)
-            rhs = tgt.vector(tz, n + 1)
-            sol = linalg.solve(B.d_matrix(n), rhs)
-            if sol is None:
-                raise ModelError(
-                    f"no primitive for a killed class in degree {n + 1}"
-                )
+            z_polys.append({src_c.labels[n + 1][pos]: v
+                            for pos, v in enumerate(z_vec) if v})
+        # primitives b in B^n with d(b) = theta(z)
+        sols = linalg.solve(
+            B.d_matrix(n),
+            [tgt.vector(theta.apply(z), n + 1) for z in z_polys],
+        )
+        if None in sols:
+            raise ModelError(
+                f"no primitive for a killed class in degree {n + 1}"
+            )
+        for z_poly, sol in zip(z_polys, sols):
             if rng and h_tgt is not None:
                 # primitive ambiguity: shift by a random cocycle
                 hb = tgt_c.cohomology(n)

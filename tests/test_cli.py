@@ -85,14 +85,19 @@ def test_check_skips_audit_that_does_not_apply(fixture, cutoff, capsys):
     assert not [ln for ln in lines if ln.startswith("FAIL")]
 
 
-@pytest.mark.parametrize("command", ["hh", "ch", "ph", "sh"])
-def test_weight_truncated_rows_uncertified(command, tmp_path, capsys):
+@pytest.fixture
+def torus(tmp_path):
     # degree-0 barred partners: the weight cutoff truncates every degree
-    torus = tmp_path / "torus.json"
-    torus.write_text(json.dumps({
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps({
         "generators": [{"name": "a", "degree": 1},
                        {"name": "b", "degree": 1}],
     }))
+    return path
+
+
+@pytest.mark.parametrize("command", ["hh", "ch", "ph", "sh"])
+def test_weight_truncated_rows_uncertified(command, torus, capsys):
     for weight_max in ("1", "3"):
         code, out, _ = run([command, str(torus), "--cutoff", "3",
                             "--weight-max", weight_max], capsys)
@@ -100,6 +105,32 @@ def test_weight_truncated_rows_uncertified(command, tmp_path, capsys):
         rows = [ln for ln in out.splitlines() if "dim" in ln]
         assert len(rows) == 4
         assert all(ln.endswith("(uncertified)") for ln in rows)
+
+
+def test_weight_truncated_euler_uncertified(torus, capsys):
+    # at --weight-max 3, chiC weight 2 is -5: weight 1 misses classes
+    for weight_max in ("1", "3"):
+        code, out, _ = run(["euler", str(torus), "--cutoff", "3",
+                            "--weight-max", weight_max, "--json"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert not any(row["certified"] for part in doc.values()
+                       for row in part.values())
+    assert doc["chiC"]["2"]["value"] == -5
+
+
+def test_check_skips_audits_under_weight_cutoff(torus, capsys):
+    code, out, _ = run(["check", str(torus), "--cutoff", "3",
+                        "--weight-max", "1"], capsys)
+    assert code == 0
+    reason = "  (the weight cutoff 1 truncates the loop complex from degree 0)"
+    lines = out.splitlines()
+    assert [ln for ln in lines if not ln.startswith("PASS")] == [
+        "SKIP  power map eigenstructure" + reason,
+        "SKIP  circle model agrees with CH" + reason,
+        "SKIP  interior-acyclicity lemma on the ideal" + reason,
+    ]
+    assert len(lines) == 7
 
 
 def test_weight_cutoff_above_the_window_changes_nothing(capsys):

@@ -50,23 +50,23 @@ def test_solve_consistency(rows):
     # image vectors are solvable, and solutions reproduce them
     for j in range(m.cols):
         b = m.column(j)
-        x = linalg.solve(m, b)
+        x = linalg.solve(m, [b])[0]
         assert x is not None
         assert tuple(m.apply(x)) == tuple(b)
 
 
 def test_solve_inconsistent():
     m = M([[1, 0], [0, 0]])
-    assert linalg.solve(m, (Fraction(0), Fraction(1))) is None
+    assert linalg.solve(m, [(Fraction(0), Fraction(1))]) == [None]
 
 
 def test_image_basis_spans_columns():
     m = M([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     basis = linalg.image_basis(m)
     assert len(basis) == linalg.rank(m)
-    span = list(basis)
+    span = SparseMatrix.from_columns(m.rows, basis)
     for j in range(m.cols):
-        assert linalg.in_span(span, m.column(j))
+        assert linalg.solve(span, [m.column(j)])[0] is not None
 
 
 def test_matrix_algebra():
@@ -108,7 +108,7 @@ def test_coordinates_of_classes():
     d_out = SparseMatrix.zero(0, 2)
     h = linalg.cohomology_at(d_in, d_out)
     assert h.dim == 2
-    coords = h.coordinates((Fraction(2), Fraction(3)))
+    coords = h.coordinates([(Fraction(2), Fraction(3))])[0]
     rebuilt = [Fraction(0), Fraction(0)]
     for c, rep in zip(coords, h.representatives):
         rebuilt = [a + c * b for a, b in zip(rebuilt, rep)]
@@ -132,3 +132,127 @@ def test_induced_map_rejects_non_chain():
     with pytest.raises(linalg.NotChainCompatible):
         linalg.induced_map(f, h, h)
 
+
+
+def _columns(rows):
+    return [tuple(r[j] for r in rows) for j in range(len(rows[0]))]
+
+
+@st.composite
+def system(draw):
+    """A random matrix and right-hand sides, some in its column space."""
+    rows = draw(dense)
+    cols = _columns(rows)
+    ints = st.integers(-3, 3)
+    rhs = []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            cs = draw(st.lists(ints, min_size=len(cols), max_size=len(cols)))
+            rhs.append(tuple(sum(c * v[i] for c, v in zip(cs, cols))
+                             for i in range(len(rows))))
+        else:
+            rhs.append(tuple(Fraction(x) for x in draw(
+                st.lists(ints, min_size=len(rows), max_size=len(rows)))))
+    return rows, rhs
+
+
+@given(system())
+@settings(max_examples=150, deadline=None)
+def test_batched_solve_matches_columnwise(case):
+    rows, rhs = case
+    m = M(rows)
+    xs = linalg.solve(m, rhs)
+    assert xs == [linalg.solve(m, [b])[0] for b in rhs]
+    for b, x in zip(rhs, xs):
+        assert (x is None) == (rref_rank([list(r) + [y] for r, y in
+                                          zip(rows, b)]) > rref_rank(rows))
+        if x is not None:
+            assert m.apply(x) == tuple(b)
+
+
+@st.composite
+def complex_at(draw):
+    """(d_in, d_out) with d_out . d_in = 0, through an ambient Q^n."""
+    n = draw(st.integers(1, 5))
+    ints = st.integers(-2, 2)
+    p = draw(st.integers(0, 4))
+    d_in = SparseMatrix(n, p, {
+        (i, j): draw(ints) for i in range(n) for j in range(p)})
+    # rows of d_out: combinations of the left kernel of d_in
+    left = linalg.kernel_basis(SparseMatrix(
+        p, n, {(j, i): v for (i, j), v in d_in.entries.items()}))
+    q = draw(st.integers(0, 3))
+    out = {}
+    for i in range(q):
+        cs = draw(st.lists(ints, min_size=len(left), max_size=len(left)))
+        for j in range(n):
+            out[(i, j)] = sum(c * v[j] for c, v in zip(cs, left))
+    return d_in, SparseMatrix(q, n, out)
+
+
+def _greedy_representatives(d_in, d_out):
+    """Kernel vectors that raise the rank of the image and those before."""
+    seen = linalg.image_basis(d_in)
+    reps = []
+    for v in linalg.kernel_basis(d_out):
+        if rref_rank(seen + [v]) > rref_rank(seen):
+            reps.append(v)
+            seen = seen + [v]
+    return reps
+
+
+@given(complex_at())
+@settings(max_examples=150, deadline=None)
+def test_cohomology_representatives_are_the_greedy_ones(case):
+    d_in, d_out = case
+    h = linalg.cohomology_at(d_in, d_out)
+    assert h.representatives == _greedy_representatives(d_in, d_out)
+    assert h.dim == (linalg.nullity(d_out) - linalg.rank(d_in))
+
+
+def _in_span(vectors, v):
+    return rref_rank(list(vectors) + [v]) == rref_rank(list(vectors))
+
+
+@given(complex_at(), complex_at(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_not_chain_compatible_witness_order(src, tgt, data):
+    source = linalg.cohomology_at(*src)
+    target = linalg.cohomology_at(*tgt)
+    f = SparseMatrix(target.ambient, source.ambient, {
+        (i, j): data.draw(st.integers(-1, 1))
+        for i in range(target.ambient) for j in range(source.ambient)})
+    ker_span = list(target.representatives) + list(target.image)
+    bad_image = [v for v in source.image
+                 if not _in_span(target.image, f.apply(v))]
+    bad_kernel = [v for v in source.representatives
+                  if not _in_span(ker_span, f.apply(v))]
+    if not bad_image and not bad_kernel:
+        m = linalg.induced_map(f, source, target)
+        assert (m.rows, m.cols) == (target.dim, source.dim)
+        return
+    with pytest.raises(linalg.NotChainCompatible) as err:
+        linalg.induced_map(f, source, target)
+    if bad_image:
+        assert err.value.witness == bad_image[0]
+        assert "image not carried" in str(err.value)
+    else:
+        assert err.value.witness == bad_kernel[0]
+        assert "kernel not carried" in str(err.value)
+
+
+def test_not_chain_compatible_names_first_failure():
+    free = linalg.cohomology_at(SparseMatrix.zero(3, 0),
+                                SparseMatrix.zero(0, 3))
+    # image e0, e1; f kills e0, so e1 is the first image vector to fail
+    source = linalg.cohomology_at(M([[1, 0], [0, 1], [0, 0]]),
+                                  SparseMatrix.zero(0, 3))
+    with pytest.raises(linalg.NotChainCompatible) as err:
+        linalg.induced_map(M([[0, 0, 0], [0, 1, 0], [0, 0, 1]]),
+                           source, free)
+    assert err.value.witness == source.image[1]
+    # representatives e0, e1, e2 into Ker (0 1 0): e1 fails first
+    target = linalg.cohomology_at(SparseMatrix.zero(3, 0), M([[0, 1, 0]]))
+    with pytest.raises(linalg.NotChainCompatible) as err:
+        linalg.induced_map(SparseMatrix.identity(3), free, target)
+    assert err.value.witness == free.representatives[1]
