@@ -53,10 +53,22 @@ def _coeff(v):
     raise InputError(f"bad coefficient {v!r}")
 
 
+def _is_int(v):
+    """A JSON integer; true and false are not integers here."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _check_keys(obj, allowed, where):
     extra = set(obj) - set(allowed)
     if extra:
         raise InputError(f"unknown fields {sorted(extra)} in {where}")
+
+
+def _differential(data):
+    diff = data.get("differential") or {}
+    if not isinstance(diff, dict):
+        raise InputError("differential must be an object name -> terms")
+    return diff
 
 
 def _parse_terms(terms, where):
@@ -72,7 +84,7 @@ def _parse_terms(terms, where):
         mono = t.get("monomial", [])
         if not isinstance(mono, list) or not all(
             isinstance(p, list) and len(p) == 2 and isinstance(p[0], str)
-            and isinstance(p[1], int) and p[1] >= 1
+            and _is_int(p[1]) and p[1] >= 1
             for p in mono
         ):
             raise InputError(f"{where}: monomial must be [[name, exp], ...]")
@@ -89,25 +101,32 @@ def parse_free(data):
             raise InputError("generator entries must be objects")
         _check_keys(g, ("name", "degree"), "generator")
         name, degree = g.get("name"), g.get("degree")
-        if not isinstance(name, str) or not isinstance(degree, int):
+        if not isinstance(name, str) or not _is_int(degree):
             raise InputError(f"bad generator entry {g!r}")
         gens.append(Generator(i, name, degree))
     by_name = {g.name: g for g in gens}
     if len(by_name) != len(gens):
         raise InputError("duplicate generator name")
     values = {}
-    for name, terms in (data.get("differential") or {}).items():
+    for name, terms in _differential(data).items():
         if name not in by_name:
             raise InputError(f"differential on unknown generator {name}")
         poly = {}
         for c, mono in _parse_terms(terms, f"d({name})"):
-            try:
-                key = tuple(
-                    sorted(((by_name[h], e) for h, e in mono),
-                           key=lambda p: p[0].uid)
-                )
-            except KeyError as exc:
-                raise InputError(f"unknown generator {exc} in d({name})")
+            seen = set()
+            for h, e in mono:
+                if h not in by_name:
+                    raise InputError(f"unknown generator {h!r} in d({name})")
+                if h in seen:
+                    raise InputError(
+                        f"d({name}): generator {h} listed twice in one monomial")
+                if by_name[h].degree % 2 and e > 1:
+                    raise InputError(
+                        f"d({name}): odd generator {h} has exponent {e}; "
+                        "odd generators square to zero")
+                seen.add(h)
+            key = tuple(sorted(((by_name[h], e) for h, e in mono),
+                               key=lambda p: p[0].uid))
             poly[key] = poly.get(key, Fraction(0)) + c
         values[name] = {m: c for m, c in poly.items() if c}
     try:
@@ -134,22 +153,25 @@ def parse_finite(data):
     _check_keys(data, ("basis", "products", "differential"), "algebra file")
     basis = []
     for b in data.get("basis", []):
+        if not isinstance(b, dict):
+            raise InputError("basis entries must be objects")
         _check_keys(b, ("name", "degree"), "basis entry")
         name, degree = b.get("name"), b.get("degree")
-        if not isinstance(name, str) or not isinstance(degree, int):
+        if not isinstance(name, str) or not _is_int(degree):
             raise InputError(f"bad basis entry {b!r}")
         basis.append((name, degree))
     names = {n for n, _ in basis}
     products = {}
     for entry in data.get("products", []):
-        if not (isinstance(entry, list) and len(entry) == 3):
+        if not (isinstance(entry, list) and len(entry) == 3
+                and all(isinstance(x, str) for x in entry[:2])):
             raise InputError("product entries must be [name, name, terms]")
         a, b, terms = entry
         if a not in names or b not in names:
             raise InputError(f"product on unknown pair {a},{b}")
         products[(a, b)] = _finite_element(terms, names, f"{a}*{b}")
     differential = {}
-    for name, terms in (data.get("differential") or {}).items():
+    for name, terms in _differential(data).items():
         if name not in names:
             raise InputError(f"differential on unknown element {name}")
         differential[name] = _finite_element(terms, names, f"d({name})")

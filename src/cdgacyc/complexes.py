@@ -19,6 +19,15 @@ degree r, the basis elements of C^m placed in it.  One builder,
 _slot_complex, assembles all of them; the kinds differ only in their
 tables (_slot_basis for bands and slices, all of C^{r-2k} for the
 +complex).
+
+Each invariant is checked once, in one place.  Inputs are validated where
+they enter (the free CDGA, the finite CDGA and the loop algebra check
+their axioms on generators or structure constants).  d.d = 0 is checked
+only where cohomology is taken: linalg.cohomology_at raises for every
+degree whose Betti number, representatives or induced map is computed,
+so no complex is built with a check of degrees nobody reads.  The
+matrix-level mixed-complex axioms are MixedComplex.validate, run as an
+audit.
 """
 
 from fractions import Fraction
@@ -42,7 +51,7 @@ class ConsistencyError(ComplexError):
 class CochainComplex:
     """Finitely supported cochain complex: labels and d^n: C^n -> C^{n+1}."""
 
-    def __init__(self, labels, diff, check=True):
+    def __init__(self, labels, diff):
         self.labels = {n: list(v) for n, v in labels.items() if v}
         self.diff = {}
         for n, m in diff.items():
@@ -50,12 +59,6 @@ class CochainComplex:
                 raise ComplexError(f"differential at {n} has wrong shape")
             self.diff[n] = m
         self._cohomology = {}
-        if check:
-            for n in sorted(self.diff):
-                if (n + 1) in self.diff:
-                    comp = self.diff[n + 1] @ self.diff[n]
-                    if not comp.is_zero():
-                        raise ConsistencyError(f"d.d != 0 at degree {n}")
 
     @property
     def degrees(self):
@@ -120,11 +123,10 @@ def shift_complex(c, s):
     return CochainComplex(
         {n + s: v for n, v in c.labels.items()},
         {n + s: m for n, m in c.diff.items()},
-        check=False,
     )
 
 
-def label_inclusion(sub, amb, check=True):
+def label_inclusion(sub, amb):
     """ChainMap including a complex whose labels are a subset of another's."""
     mats = {}
     for n in sub.degrees:
@@ -135,10 +137,10 @@ def label_inclusion(sub, amb, check=True):
                 raise ComplexError(f"label {lab!r} missing in ambient at {n}")
             entries[(amb_index[lab], j)] = Fraction(1)
         mats[n] = SparseMatrix(amb.dim(n), sub.dim(n), entries)
-    return ChainMap(sub, amb, mats, check=check)
+    return ChainMap(sub, amb, mats, check=False)
 
 
-def label_projection(amb, quot, check=True):
+def label_projection(amb, quot):
     """ChainMap projecting onto the labels retained by the quotient."""
     mats = {}
     for n in set(amb.degrees) | set(quot.degrees):
@@ -148,7 +150,7 @@ def label_projection(amb, quot, check=True):
             if lab in quot_index:
                 entries[(quot_index[lab], j)] = Fraction(1)
         mats[n] = SparseMatrix(quot.dim(n), amb.dim(n), entries)
-    return ChainMap(amb, quot, mats, check=check)
+    return ChainMap(amb, quot, mats, check=False)
 
 
 class MixedComplex:
@@ -158,9 +160,10 @@ class MixedComplex:
     delta: dict degree n -> matrix C^n -> C^{n+1} (n in 0..top-1).
     beta: dict degree n -> matrix C^n -> C^{n-1} (n in 1..top).
     weights: optional dict degree -> list of nonnegative ints per label.
+    Construction checks shapes only; validate() checks the axioms.
     """
 
-    def __init__(self, labels, delta, beta, weights=None, check=True):
+    def __init__(self, labels, delta, beta, weights=None):
         self.labels = {n: list(v) for n, v in labels.items()}
         self.top = max(self.labels, default=0)
         self.delta = dict(delta)
@@ -178,10 +181,6 @@ class MixedComplex:
             for n, v in self.labels.items():
                 if len(self.weights.get(n, [])) != len(v):
                     raise ComplexError(f"weight list at {n} has wrong length")
-        if check:
-            failures = self.validate()
-            if failures:
-                raise ConsistencyError("; ".join(failures))
 
     def dim(self, n):
         return len(self.labels.get(n, ()))
@@ -248,7 +247,7 @@ class MixedComplex:
     def cochain(self):
         """(C, delta) as a plain cochain complex."""
         return CochainComplex(
-            self.labels, {n: self.delta_m(n) for n in range(self.top)}, check=False
+            self.labels, {n: self.delta_m(n) for n in range(self.top)}
         )
 
     def coordinate_subcomplex(self, keep):
@@ -289,7 +288,7 @@ class MixedComplex:
             for n in range(1, self.top + 1)
             if keep.get(n)
         }
-        return MixedComplex(labels, delta, beta, weights=weights, check=False)
+        return MixedComplex(labels, delta, beta, weights=weights)
 
 
 def _columns(mat):
@@ -338,7 +337,7 @@ def _slot_complex(M, slot_table):
                         entries[(pos[row], col + c)] = v
             col += len(idx)
         diff[r] = SparseMatrix(rows, col, entries)
-    return CochainComplex(labels, diff, check=True)
+    return CochainComplex(labels, diff)
 
 
 def _slot_basis(M, r, kind, w):
@@ -440,11 +439,10 @@ def mapping_cone(f):
         for (i, j), v in d1.entries.items():
             entries[(c2.dim(n + 1) + i, c2.dim(n) + j)] = -v
         diff[n] = SparseMatrix(rows, cols, entries)
-    cone = CochainComplex(labels, diff, check=True)
+    cone = CochainComplex(labels, diff)
     shifted = CochainComplex(
         {n - 1: [(1, lab) for lab in c1.labels[n]] for n in c1.degrees},
         {n - 1: c1.d(n).scale(-1) for n in c1.degrees},
-        check=False,
     )
     inc_mats = {}
     for n in c2.degrees:
@@ -464,7 +462,7 @@ def mapping_cone(f):
 class ShortExactSequence:
     """0 -> A -> B -> C -> 0 of cochain complexes, verified degreewise."""
 
-    def __init__(self, incl, proj, degrees=None, check=True):
+    def __init__(self, incl, proj, degrees=None):
         if incl.target is not proj.source:
             raise ComplexError("inclusion target differs from projection source")
         self.incl = incl
@@ -474,19 +472,18 @@ class ShortExactSequence:
         if degrees is None:
             degrees = sorted(set(a.degrees) | set(b.degrees) | set(c.degrees))
         self.degrees = list(degrees)
-        if check:
-            for n in self.degrees:
-                comp = proj.matrix(n) @ incl.matrix(n)
-                if not comp.is_zero():
-                    raise ConsistencyError(f"proj.incl != 0 at degree {n}")
-                ri = linalg.rank(incl.matrix(n))
-                rp = linalg.rank(proj.matrix(n))
-                if ri != a.dim(n):
-                    raise ConsistencyError(f"inclusion not injective at {n}")
-                if rp != c.dim(n):
-                    raise ConsistencyError(f"projection not surjective at {n}")
-                if a.dim(n) + c.dim(n) != b.dim(n):
-                    raise ConsistencyError(f"dimensions do not add up at {n}")
+        for n in self.degrees:
+            comp = proj.matrix(n) @ incl.matrix(n)
+            if not comp.is_zero():
+                raise ConsistencyError(f"proj.incl != 0 at degree {n}")
+            ri = linalg.rank(incl.matrix(n))
+            rp = linalg.rank(proj.matrix(n))
+            if ri != a.dim(n):
+                raise ConsistencyError(f"inclusion not injective at {n}")
+            if rp != c.dim(n):
+                raise ConsistencyError(f"projection not surjective at {n}")
+            if a.dim(n) + c.dim(n) != b.dim(n):
+                raise ConsistencyError(f"dimensions do not add up at {n}")
 
     def connecting(self, r):
         """H^r(C) -> H^{r+1}(A) by the zig-zag lift: lift a C-cocycle to B,
@@ -602,7 +599,7 @@ def beta_acyclic_check(M, r_max=None):
         if None in cols:
             raise ConsistencyError(f"delta leaves Im(beta) at degree {n}")
         im_diff[n] = SparseMatrix.from_columns(len(im_bases[n + 1]), cols)
-    im_complex = CochainComplex(im_labels, im_diff, check=True)
+    im_complex = CochainComplex(im_labels, im_diff)
 
     plus = plus_complex(M)
     window = range(0, max(0, r_max + 1))

@@ -176,7 +176,7 @@ class LoopAlgebra:
             )
             for n in range(1, top + 1)
         }
-        return MixedComplex(labels, delta, beta, weights=weights, check=True)
+        return MixedComplex(labels, delta, beta, weights=weights)
 
 
 def free_loop(base, weight_cutoff=None):
@@ -193,7 +193,7 @@ def base_cochain(base, top):
         )
         for n in range(top)
     }
-    return CochainComplex(labels, diff, check=True)
+    return CochainComplex(labels, diff)
 
 
 def ideals(loop, top):
@@ -244,7 +244,7 @@ def u_model(loop, top):
                         f"u-model slot missing for {gralg.monomial_str(m)}"
                     )
         diff[n] = SparseMatrix(len(labels[n + 1]), len(labels[n]), entries)
-    return CochainComplex(labels, diff, check=True)
+    return CochainComplex(labels, diff)
 
 
 def u_power_matrix(loop, umodel, k, n):

@@ -264,8 +264,8 @@ def _s_map(ctx, top):
     hi = max(plus.degrees)
     labels = {n: v for n, v in full.labels.items() if n <= hi}
     diff = {n: full.d(n) for n in labels if n + 1 in labels}
-    shifted = CochainComplex(labels, diff, check=False)
-    return label_inclusion(shifted, plus, check=False), plus, shifted
+    shifted = CochainComplex(labels, diff)
+    return label_inclusion(shifted, plus), plus, shifted
 
 
 def PH(a, cutoff, weight_cutoff=None, extra_levels=5):
@@ -381,7 +381,7 @@ def _base_block(ctx, w, top):
             diff[r] = base.d(m)
         elif m == -1:
             diff[r] = SparseMatrix.zero(len(labels.get(r + 1, [])), 0)
-    return CochainComplex(labels, diff, check=False)
+    return CochainComplex(labels, diff)
 
 
 def _ibar_map(ctx, w, top, project_weight_zero=True):
@@ -397,7 +397,7 @@ def _ibar_map(ctx, w, top, project_weight_zero=True):
     source = shift_complex(band, 2)
     if not project_weight_zero:
         target = band_complex(M, w, "periodic", 0, top + 1)
-        return label_inclusion(source, target, check=False), source, target
+        return label_inclusion(source, target), source, target
     target = _base_block(ctx, w, top + 1)
     loop = ctx.loop
     mats = {}
@@ -511,21 +511,21 @@ def fig2_audit(a, cutoff, weight_cutoff=None, weight_range=None):
         minus_w = band_complex(M, w, "minus", 0, r_hi + 2)
 
         row1 = ShortExactSequence(
-            label_inclusion(plus_w1, plus_w, check=False),
-            label_projection(plus_w, slice_w, check=False),
+            label_inclusion(plus_w1, plus_w),
+            label_projection(plus_w, slice_w),
             degrees=range(0, r_hi + 2),
         )
         row2 = ShortExactSequence(
-            label_inclusion(plus_w1, per_w, check=False),
-            label_projection(per_w, minus_w, check=False),
+            label_inclusion(plus_w1, per_w),
+            label_projection(per_w, minus_w),
             degrees=range(0, r_hi + 2),
         )
         a1 = les_audit(*row1.les(1, r_hi))
         a2 = les_audit(*row2.les(1, r_hi))
 
         # verticals: id on A, inclusion +C -> PC on B, top-slot on C
-        vb = label_inclusion(plus_w, per_w, check=False)
-        vc = label_inclusion(slice_w, minus_w, check=False)
+        vb = label_inclusion(plus_w, per_w)
+        vc = label_inclusion(slice_w, minus_w)
         squares = True
         for r in range(1, r_hi + 1):
             lhs = vb.induced(r) @ row1.incl.induced(r)
@@ -600,7 +600,7 @@ def _fig7_weight(ctx, w, cutoff):
 
     # row 1: cone over the inclusion, plus the quasi-isomorphism onto the
     # loop-cohomology slice
-    incl = label_inclusion(band_w1, band_w, check=False)
+    incl = label_inclusion(band_w1, band_w)
     cone1, inc1, proj1 = mapping_cone(incl)
     ses1 = ShortExactSequence(inc1, proj1, degrees=range(0, r_hi + 2))
     q_mats = {}
@@ -674,7 +674,7 @@ def _fig7_weight(ctx, w, cutoff):
 
     # triangle: T^r . S^{r-2} equals the chain-level comparison H(Ibar)
     triangle = True
-    s_incl = label_inclusion(band_w1, band_w, check=False)
+    s_incl = label_inclusion(band_w1, band_w)
     for r in range(1, r_hi + 1):
         lhs_mat = t.matrix(r) @ s_incl.matrix(r)
         rhs_mat = f2.matrix(r)

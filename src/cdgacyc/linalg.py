@@ -313,17 +313,22 @@ def induced_map(f, source, target):
 
     Checks that f carries source image into target image span and source
     kernel into target kernel span; raises NotChainCompatible with the
-    first failing vector (image vectors first) otherwise.
+    first failing vector (image vectors first) otherwise.  One batch of
+    target coordinates decides both: the columns [representatives |
+    image] are independent, so an image vector lands in the target image
+    exactly when its representative coordinates exist and are zero.
     """
     if f.cols != source.ambient or f.rows != target.ambient:
         raise LinalgError("shape mismatch for induced map")
-    image = SparseMatrix.from_columns(target.ambient, target.image)
-    lifts = solve(image, [f.apply(v) for v in source.image])
-    for v, x in zip(source.image, lifts):
-        if x is None:
+    k = len(source.image)
+    coords = target.coordinates(
+        [f.apply(v) for v in source.image + source.representatives]
+    )
+    for v, x in zip(source.image, coords[:k]):
+        if x is None or any(x):
             raise NotChainCompatible("image not carried into image", v)
-    cols = target.coordinates([f.apply(v) for v in source.representatives])
-    for v, coords in zip(source.representatives, cols):
-        if coords is None:
+    cols = coords[k:]
+    for v, x in zip(source.representatives, cols):
+        if x is None:
             raise NotChainCompatible("kernel not carried into kernel", v)
     return SparseMatrix.from_columns(target.dim, cols)

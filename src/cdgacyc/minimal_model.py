@@ -31,7 +31,7 @@ class FiniteCDGA:
     name -> element.
     """
 
-    def __init__(self, basis, products, differential, check=True):
+    def __init__(self, basis, products, differential):
         names = [n for n, _ in basis]
         if len(set(names)) != len(names):
             raise ModelError("duplicate basis name")
@@ -59,8 +59,7 @@ class FiniteCDGA:
             n: {m: Fraction(c) for m, c in e.items() if Fraction(c)}
             for n, e in differential.items()
         }
-        if check:
-            self._check_axioms()
+        self._check_axioms()
 
     def _fill_unit(self, a):
         for pair, value in (((self.unit, a), {a: Fraction(1)}),
@@ -166,6 +165,9 @@ class FiniteCDGA:
     def basis_of(self, n):
         return self.by_degree.get(n, [])
 
+    def unit_element(self):
+        return {self.unit: Fraction(1)}
+
     def d_matrix(self, n):
         src = self.basis_of(n)
         tgt = self.basis_of(n + 1)
@@ -192,11 +194,11 @@ class FiniteCDGA:
     def cochain(self, top):
         labels = {n: list(self.basis_of(n)) for n in range(top + 1)}
         diff = {n: self.d_matrix(n) for n in range(top)}
-        return CochainComplex(labels, diff, check=True)
+        return CochainComplex(labels, diff)
 
 
 class _FreeSide:
-    """Uniform element interface over a free CDGA."""
+    """The element interface of FiniteCDGA over a free CDGA."""
 
     def __init__(self, a):
         self.cdga = a
@@ -222,57 +224,24 @@ class _FreeSide:
     def cochain(self, top):
         return base_cochain(self.cdga, top)
 
-    def vector(self, e, n):
-        basis = self.basis_of(n)
-        pos = {m: i for i, m in enumerate(basis)}
-        v = [Fraction(0)] * len(basis)
-        for m, c in e.items():
-            v[pos[m]] = c
-        return tuple(v)
-
-
-class _FiniteSide:
-    """Uniform element interface over a finite CDGA."""
-
-    def __init__(self, b):
-        self.cdga = b
-
-    def basis_of(self, n):
-        return self.cdga.basis_of(n)
-
-    def unit_element(self):
-        return {self.cdga.unit: Fraction(1)}
-
-    def mul(self, e1, e2):
-        return self.cdga.mul(e1, e2)
-
-    def add(self, e1, e2):
-        return self.cdga.add(e1, e2)
-
-    def scale(self, c, e):
-        return self.cdga.scale(c, e)
-
-    def d(self, e):
-        return self.cdga.d(e)
-
-    def cochain(self, top):
-        return self.cdga.cochain(top)
-
-    def vector(self, e, n):
-        basis = self.basis_of(n)
-        pos = {m: i for i, m in enumerate(basis)}
-        v = [Fraction(0)] * len(basis)
-        for m, c in e.items():
-            v[pos[m]] = c
-        return tuple(v)
-
 
 def _side(a):
+    """The element interface of an algebra: a FiniteCDGA is its own."""
     if isinstance(a, FreeCDGA):
         return _FreeSide(a)
     if isinstance(a, FiniteCDGA):
-        return _FiniteSide(a)
+        return a
     raise ModelError(f"unsupported algebra type {type(a).__name__}")
+
+
+def _vector(side, e, n):
+    """Coordinates of a degree-n element on side.basis_of(n)."""
+    basis = side.basis_of(n)
+    pos = {m: i for i, m in enumerate(basis)}
+    v = [Fraction(0)] * len(basis)
+    for m, c in e.items():
+        v[pos[m]] = c
+    return tuple(v)
 
 
 class CDGAMorphism:
@@ -331,7 +300,7 @@ class CDGAMorphism:
                 img = self.apply({key: Fraction(1)})
             else:
                 img = self._image_mono(key)
-            cols.append(self.tgt.vector(img, n))
+            cols.append(_vector(self.tgt, img, n))
         return SparseMatrix.from_columns(len(self.tgt.basis_of(n)), cols)
 
     def verify(self, top):
@@ -472,7 +441,6 @@ def build_minimal_model(B, cutoff, seed=None):
     if not B.is_homologically_1_connected():
         raise ModelError("input must be homologically 1-connected")
     rng = random.Random(seed) if seed is not None else None
-    tgt = _FiniteSide(B)
     gens = []
     diff_values = {}
     theta_values = {}
@@ -537,7 +505,7 @@ def build_minimal_model(B, cutoff, seed=None):
         # primitives b in B^n with d(b) = theta(z)
         sols = linalg.solve(
             B.d_matrix(n),
-            [tgt.vector(theta.apply(z), n + 1) for z in z_polys],
+            [_vector(B, theta.apply(z), n + 1) for z in z_polys],
         )
         if None in sols:
             raise ModelError(

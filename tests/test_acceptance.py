@@ -216,8 +216,7 @@ def test_criterion_8_negative_controls():
     }
     delta = dict(M.delta)
     delta[2] = SparseMatrix(d2.rows, d2.cols, entries)
-    bad = MixedComplex(M.labels, delta, M.beta, weights=M.weights,
-                       check=False)
+    bad = MixedComplex(M.labels, delta, M.beta, weights=M.weights)
     failures = bad.validate(ks=[2])
     ok = ok and failures != []
     budget.lap("sign flip")
@@ -229,8 +228,8 @@ def test_criterion_8_negative_controls():
     plus_w1 = shift_complex(band_complex(M3, 1, "plus", 0, 6), 2)
     slice_w = band_complex(M3, 0, "slice", 0, 8)
     ses = ShortExactSequence(
-        label_inclusion(plus_w1, plus_w, check=False),
-        label_projection(plus_w, slice_w, check=False),
+        label_inclusion(plus_w1, plus_w),
+        label_projection(plus_w, slice_w),
         degrees=range(0, 7),
     )
     names, dims, maps = ses.les(1, 6)

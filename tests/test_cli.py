@@ -259,6 +259,42 @@ def test_broken_d_squared_rejected(tmp_path, capsys):
     assert code == 2
 
 
+X2_Y3 = [{"name": "x", "degree": 2}, {"name": "y", "degree": 3}]
+
+
+@pytest.mark.parametrize("doc, named", [
+    ({"generators": X2_Y3,
+      "differential": {"y": [{"monomial": [["x", 1], ["x", 1]]}]}},
+     "generator x listed twice"),
+    ({"generators": [{"name": "a", "degree": 3}, {"name": "y", "degree": 5}],
+      "differential": {"y": [{"monomial": [["a", 2]]}]}},
+     "odd generator a has exponent 2"),
+    ({"generators": X2_Y3,
+      "differential": {"y": [{"monomial": [["x", True]]}]}},
+     "monomial must be"),
+    ({"generators": [{"name": "x", "degree": True}]},
+     "bad generator entry"),
+    ({"basis": [{"name": "1", "degree": False}, {"name": "u", "degree": 2}],
+      "products": [["u", "u", []]]},
+     "bad basis entry"),
+    ({"basis": [{"name": "1", "degree": 0}, {"name": "u", "degree": 2}],
+      "products": [["u", "u", [{"monomial": [["u", True]]}]]]},
+     "monomial must be"),
+    ({"generators": X2_Y3, "differential": [1]},
+     "differential must be an object"),
+    ({"basis": [3]}, "basis entries must be objects"),
+    ({"basis": [{"name": "1", "degree": 0}], "products": [["1", ["1"], []]]},
+     "product entries must be"),
+])
+def test_malformed_input_exits_2(doc, named, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(["hh", str(bad), "--cutoff", "4"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and named in err
+
+
 def test_trivial_fixture(capsys):
     code, out, _ = run(["hh", TRIV, "--cutoff", "4"], capsys)
     assert code == 0

@@ -25,7 +25,7 @@ from cdgacyc.cli import load_algebra
 from cdgacyc.free_loop import free_loop, ideals
 from cdgacyc.functors import ch_weight_range
 from cdgacyc.gralg import FreeCDGA, Generator
-from cdgacyc.linalg import SparseMatrix
+from cdgacyc.linalg import PreconditionError, SparseMatrix
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "cdgacyc" / "fixtures"
 
@@ -47,24 +47,27 @@ def M_(rows):
 def test_cochain_requires_d_squared_zero():
     labels = {0: ["a"], 1: ["b"], 2: ["c"]}
     good = {0: M_([[1]]), 1: M_([[0]])}
-    CochainComplex(labels, good, check=True)
-    bad = {0: M_([[1]]), 1: M_([[1]])}
-    with pytest.raises(ComplexError):
-        CochainComplex(labels, bad, check=True)
+    assert CochainComplex(labels, good).betti(1) == 0
+    bad = CochainComplex(labels, {0: M_([[1]]), 1: M_([[1]])})
+    # d.d != 0 only through degree 1: the degrees around it still compute
+    assert bad.betti(0) == 0
+    assert bad.betti(2) == 0
+    with pytest.raises(PreconditionError):
+        bad.betti(1)
 
 
 def test_betti_interval():
     # 0 -> Q -1-> Q -> 0: acyclic
-    c = CochainComplex({0: ["a"], 1: ["b"]}, {0: M_([[1]])}, check=True)
+    c = CochainComplex({0: ["a"], 1: ["b"]}, {0: M_([[1]])})
     assert c.betti(0) == 0
     assert c.betti(1) == 0
-    c2 = CochainComplex({0: ["a"], 1: ["b"]}, {0: M_([[0]])}, check=True)
+    c2 = CochainComplex({0: ["a"], 1: ["b"]}, {0: M_([[0]])})
     assert c2.betti(0) == 1
     assert c2.betti(1) == 1
 
 
 def test_shift_even_only():
-    c = CochainComplex({0: ["a"]}, {}, check=True)
+    c = CochainComplex({0: ["a"]}, {})
     s = shift_complex(c, 2)
     assert s.labels == {2: ["a"]}
     with pytest.raises(ComplexError):
@@ -82,9 +85,28 @@ def test_mixed_complex_validation_catches_corruption():
     (i0, j0), v0 = next(iter(entries.items()))
     entries[(i0, j0)] = v0 + 1
     beta[3] = SparseMatrix(b3.rows, b3.cols, entries)
-    bad = MixedComplex(M.labels, M.delta, beta, weights=M.weights,
-                       check=False)
+    bad = MixedComplex(M.labels, M.delta, beta, weights=M.weights)
     assert bad.validate(ks=[2]) != []
+
+
+def test_corrupted_beta_cannot_produce_a_number():
+    # nothing but validate() checks the mixed axioms at construction, so a
+    # corrupted beta block must still fail where cohomology is taken
+    loop = free_loop(sphere2())
+    M = loop.mixed_complex(8)
+    beta = dict(M.beta)
+    b3 = beta[3]
+    entries = dict(b3.entries)
+    (i0, j0), v0 = next(iter(entries.items()))
+    entries[(i0, j0)] = v0 + 1
+    beta[3] = SparseMatrix(b3.rows, b3.cols, entries)
+    bad = MixedComplex(M.labels, M.delta, beta, weights=M.weights)
+    # the plus band whose degree-3 top slot holds the corrupted column
+    band = band_complex(bad, bad.weight_of(3, j0), "plus", 0, 8)
+    assert (3, M.labels[3][j0]) in band.labels[3]
+    with pytest.raises(PreconditionError):
+        for r in range(8):
+            band.betti(r)
 
 
 def test_power_map_axioms_on_loop():
@@ -158,7 +180,7 @@ def test_mapping_cone_les():
     M = loop.mixed_complex(10)
     amb = band_complex(M, 0, "plus", 0, 8)
     sub = shift_complex(band_complex(M, 1, "plus", 0, 6), 2)
-    incl = label_inclusion(sub, amb, check=False)
+    incl = label_inclusion(sub, amb)
     cone, inc, proj = mapping_cone(incl)
     ses = ShortExactSequence(inc, proj, degrees=range(0, 7))
     audit = les_audit(*ses.les(1, 6))
@@ -171,8 +193,8 @@ def test_corrupted_connecting_map_fails_audit():
     plus_w = band_complex(M, 0, "plus", 0, 8)
     plus_w1 = shift_complex(band_complex(M, 1, "plus", 0, 6), 2)
     slice_w = band_complex(M, 0, "slice", 0, 8)
-    incl = label_inclusion(plus_w1, plus_w, check=False)
-    proj = label_projection(plus_w, slice_w, check=False)
+    incl = label_inclusion(plus_w1, plus_w)
+    proj = label_projection(plus_w, slice_w)
     ses = ShortExactSequence(incl, proj, degrees=range(0, 7))
     names, dims, maps = ses.les(1, 6)
     tampered = False
@@ -194,12 +216,12 @@ def test_corrupted_connecting_map_fails_audit():
 
 def test_label_projection_and_inclusion():
     c = CochainComplex({0: ["a", "b"], 1: ["c"]},
-                       {0: M_([[1, 0]])}, check=True)
-    sub = CochainComplex({0: ["b"]}, {}, check=True)
-    inc = label_inclusion(sub, c, check=False)
+                       {0: M_([[1, 0]])})
+    sub = CochainComplex({0: ["b"]}, {})
+    inc = label_inclusion(sub, c)
     assert inc.matrix(0) == M_([[0], [1]])
-    quot = CochainComplex({1: ["c"]}, {}, check=True)
-    proj = label_projection(c, quot, check=False)
+    quot = CochainComplex({1: ["c"]}, {})
+    proj = label_projection(c, quot)
     assert proj.matrix(1) == M_([[1]])
 
 
@@ -230,8 +252,8 @@ def test_beta_acyclic_lemma_on_ideal():
 
 
 def test_chain_map_commuting_enforced():
-    c = CochainComplex({0: ["a"], 1: ["b"]}, {0: M_([[1]])}, check=True)
-    d = CochainComplex({0: ["a"], 1: ["b"]}, {0: M_([[0]])}, check=True)
+    c = CochainComplex({0: ["a"], 1: ["b"]}, {0: M_([[1]])})
+    d = CochainComplex({0: ["a"], 1: ["b"]}, {0: M_([[0]])})
     with pytest.raises(ComplexError):
         ChainMap(c, d, {0: M_([[1]]), 1: M_([[1]])}, check=True,
                  check_degrees=range(0, 1))
