@@ -169,6 +169,8 @@ def parse_finite(data):
         a, b, terms = entry
         if a not in names or b not in names:
             raise InputError(f"product on unknown pair {a},{b}")
+        if (a, b) in products:
+            raise InputError(f"second product entry for the pair {a},{b}")
         products[(a, b)] = _finite_element(terms, names, f"{a}*{b}")
     differential = {}
     for name, terms in _differential(data).items():
@@ -371,14 +373,17 @@ def cmd_minimal_model(algebra, args):
     if not isinstance(algebra, FiniteCDGA):
         raise InputError("minimal-model needs a finite-form input file")
     A, theta = build_minimal_model(algebra, args.cutoff, seed=args.seed)
+    if args.emit:
+        try:
+            with open(args.emit, "w", encoding="utf-8") as fh:
+                json.dump(emit_free(A), fh, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {args.emit}: {exc}")
     print("model generators: " + (", ".join(
         f"{g.name} (degree {g.degree})" for g in A.algebra.generators
     ) or "none"))
     if args.emit:
-        doc = emit_free(A)
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
         reparsed = load_algebra(args.emit)
         report = verify_minimal(reparsed, args.cutoff)
         if not report["pass"]:

@@ -2,16 +2,15 @@
 
 Everything downstream (cohomology of every complex, induced maps, audits)
 reduces to the operations here: rank, kernel, image, subquotient bases and
-maps induced on subquotients.  Each is one fraction-free elimination: a
-subquotient picks its representatives from one echelon of
-[image | kernel], and ``solve`` appends a whole batch of right-hand sides
-to the matrix, so coordinates, lifts and induced maps never eliminate
-once per vector.  All arithmetic is exact; matrices are immutable after
-construction.
+maps induced on subquotients.  Each is read off one sparse reduced row
+echelon form over Q: a subquotient picks its representatives from one
+echelon of [image | kernel], and ``solve`` appends a whole batch of
+right-hand sides to the matrix, so coordinates, lifts and induced maps
+never eliminate once per vector.  All arithmetic is exact; matrices are
+immutable after construction.
 """
 
 from fractions import Fraction
-from math import lcm
 
 from cdgacyc.kernels import bareiss
 
@@ -165,20 +164,15 @@ class SparseMatrix:
                 col[i] = v
         return tuple(col)
 
-    def _integer_rows(self):
-        """Dense integer rows: each row scaled by the lcm of denominators."""
-        dense = [[0] * self.cols for _ in range(self.rows)]
-        denoms = [1] * self.rows
-        for (i, _), v in self.entries.items():
-            denoms[i] = lcm(denoms[i], v.denominator)
-        for (i, j), v in self.entries.items():
-            dense[i][j] = int(v * denoms[i])
-        return dense
-
     def echelon(self):
-        """(echelon integer rows, pivot columns); cached."""
+        """Reduced row echelon form, cached: (nonzero rows as {col: Fraction}
+        dicts in pivot order, ascending pivot columns)."""
         if self._echelon is None:
-            self._echelon = bareiss(self._integer_rows(), self.cols)
+            rows = [[] for _ in range(self.rows)]
+            for (i, j), v in self.entries.items():
+                rows[i].append((j, v))
+            self._echelon = bareiss([tuple(sorted(r)) for r in rows],
+                                    self.cols)
         return self._echelon
 
 
@@ -190,40 +184,30 @@ def nullity(m):
     return m.cols - rank(m)
 
 
-def _rref(m):
-    """Reduced row echelon form over Q: (rows as Fraction lists, pivots)."""
-    ech, pivots = m.echelon()
-    rows = [[Fraction(x) for x in row] for row in ech]
-    for i in reversed(range(len(rows))):
-        piv = rows[i][pivots[i]]
-        rows[i] = [x / piv for x in rows[i]]
-        for u in range(i):
-            f = rows[u][pivots[i]]
-            if f:
-                rows[u] = [a - f * b for a, b in zip(rows[u], rows[i])]
-    return rows, pivots
-
-
 def kernel_basis(m):
     """Exact basis of Ker m, one vector per free column, ascending."""
-    rows, pivots = _rref(m)
+    rows, pivots = m.echelon()
     pivot_set = set(pivots)
-    basis = []
+    basis = {}
     for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * m.cols
-        v[free] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -rows[i][free]
-        basis.append(tuple(v))
-    return basis
+        if free not in pivot_set:
+            basis[free] = [Fraction(0)] * m.cols
+            basis[free][free] = Fraction(1)
+    for p, row in zip(pivots, rows):
+        for j, x in row.items():
+            if j != p:
+                basis[j][p] = -x
+    return [tuple(v) for v in basis.values()]
 
 
 def image_basis(m):
     """Columns of m forming a basis of its column space (pivot columns)."""
     _, pivots = m.echelon()
-    return [m.column(j) for j in pivots]
+    cols = {j: [Fraction(0)] * m.rows for j in pivots}
+    for (i, j), v in m.entries.items():
+        if j in cols:
+            cols[j][i] = v
+    return [tuple(c) for c in cols.values()]
 
 
 def solve(m, rhs):
@@ -240,18 +224,18 @@ def solve(m, rhs):
         if len(b) != m.rows:
             raise LinalgError("rhs of wrong length")
         entries.update({(i, n + k): x for i, x in enumerate(b) if x})
-    rows, pivots = _rref(SparseMatrix(m.rows, n + len(rhs), entries))
+    rows, pivots = SparseMatrix(m.rows, n + len(rhs), entries).echelon()
     r = sum(p < n for p in pivots)
-    out = []
-    for c in range(n, n + len(rhs)):
-        if any(row[c] for row in rows[r:]):
-            out.append(None)
-            continue
-        x = [Fraction(0)] * n
-        for i in range(r):
-            x[pivots[i]] = rows[i][c]
-        out.append(tuple(x))
-    return out
+    # b is outside the column space exactly when a row past rank(m) has
+    # an entry in its column.
+    outside = set().union(*rows[r:])
+    out = [None if n + k in outside else [Fraction(0)] * n
+           for k in range(len(rhs))]
+    for p, row in zip(pivots[:r], rows):
+        for c, x in row.items():
+            if c >= n and out[c - n] is not None:
+                out[c - n][p] = x
+    return [None if x is None else tuple(x) for x in out]
 
 
 class SubquotientBasis:

@@ -99,12 +99,16 @@ class BruteAlgebra:
         return out
 
 
-def rref_rank(rows):
-    """Rank by naive Gaussian elimination over Fraction."""
-    rows = [list(r) for r in rows if any(r)]
+def rref(rows):
+    """Reduced row echelon form by naive dense Gauss-Jordan over Fraction.
+
+    Returns (nonzero rows as Fraction lists, pivot columns).
+    """
+    rows = [[Fraction(v) for v in r] for r in rows if any(r)]
     rank = 0
     col = 0
     width = len(rows[0]) if rows else 0
+    pivots = []
     while rank < len(rows) and col < width:
         piv = None
         for i in range(rank, len(rows)):
@@ -121,9 +125,15 @@ def rref_rank(rows):
             if i != rank and rows[i][col]:
                 f = rows[i][col]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        pivots.append(col)
         rank += 1
         col += 1
-    return rank
+    return rows[:rank], pivots
+
+
+def rref_rank(rows):
+    """Rank by naive Gaussian elimination over Fraction."""
+    return len(rref(rows)[1])
 
 
 def cohomology_dims(algebra, top):

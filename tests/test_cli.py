@@ -163,6 +163,15 @@ def test_minimal_model_emit_roundtrip(tmp_path, capsys):
     assert verify_minimal(reparsed, 10)["pass"]
 
 
+def test_minimal_model_emit_unwritable(tmp_path, capsys):
+    target = str(tmp_path / "missing" / "x.json")
+    code, out, err = run(
+        ["minimal-model", S2H, "--cutoff", "6", "--emit", target], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+
+
 def test_verify_minimal_command(capsys):
     code, out, _ = run(["verify-minimal", S2, "--cutoff", "10"], capsys)
     assert code == 0
@@ -285,6 +294,10 @@ X2_Y3 = [{"name": "x", "degree": 2}, {"name": "y", "degree": 3}]
     ({"basis": [3]}, "basis entries must be objects"),
     ({"basis": [{"name": "1", "degree": 0}], "products": [["1", ["1"], []]]},
      "product entries must be"),
+    ({"basis": [{"name": "1", "degree": 0}, {"name": "a", "degree": 2},
+                {"name": "b", "degree": 4}],
+      "products": [["a", "a", [{"monomial": [["b", 1]]}]], ["a", "a", []]]},
+     "pair a,a"),
 ])
 def test_malformed_input_exits_2(doc, named, tmp_path, capsys):
     bad = tmp_path / "bad.json"

@@ -7,15 +7,31 @@ from hypothesis import strategies as st
 
 from cdgacyc import kernels, linalg
 
-from oracles import rref_rank
+from oracles import rref, rref_rank
 
-matrices = st.integers(0, 6).flatmap(
-    lambda nc: st.lists(
-        st.lists(st.integers(-9, 9), min_size=nc, max_size=nc),
-        min_size=0,
-        max_size=6,
-    ).map(lambda rows: (rows, nc))
-)
+
+def dense_matrices(entries):
+    return st.integers(0, 6).flatmap(
+        lambda nc: st.lists(
+            st.lists(entries, min_size=nc, max_size=nc),
+            min_size=0,
+            max_size=6,
+        ).map(lambda rows: (rows, nc))
+    )
+
+
+matrices = dense_matrices(st.integers(-9, 9))
+
+# Mostly zeros, so that zero rows and zero columns are common.
+rational_matrices = dense_matrices(st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+))
+
+
+def sparse(rows):
+    """Rows in the kernel's input format: sorted (col, value) pairs."""
+    return [tuple((j, v) for j, v in enumerate(r) if v) for r in rows]
 
 
 def test_kernel_contract():
@@ -29,7 +45,7 @@ def test_kernel_contract():
 @settings(max_examples=200, deadline=None)
 def test_rank_matches_naive_elimination(case):
     rows, ncols = case
-    _, pivots = kernels.bareiss(rows, ncols)
+    _, pivots = kernels.bareiss(sparse(rows), ncols)
     naive = rref_rank([[Fraction(v) for v in r] for r in rows])
     assert len(pivots) == naive
 
@@ -38,21 +54,34 @@ def test_rank_matches_naive_elimination(case):
 @settings(max_examples=100, deadline=None)
 def test_echelon_spans_row_space(case):
     rows, ncols = case
-    echelon, pivots = kernels.bareiss(rows, ncols)
+    echelon, pivots = kernels.bareiss(sparse(rows), ncols)
     assert pivots == sorted(pivots)
     assert len(echelon) == len(pivots)
     # every original row reduces to zero against the echelon
     for r in rows:
         r = [Fraction(v) for v in r]
         for erow in echelon:
-            lead = next((j for j, v in enumerate(erow) if v), None)
-            if lead is not None and r[lead]:
+            lead = min(erow)
+            if r[lead]:
                 f = r[lead] / erow[lead]
-                r = [a - f * b for a, b in zip(r, erow)]
+                for j, v in erow.items():
+                    r[j] -= f * v
         assert not any(r)
 
 
+@given(rational_matrices)
+@settings(max_examples=200, deadline=None)
+def test_rref_matches_dense_gauss_jordan(case):
+    rows, ncols = case
+    echelon, pivots = kernels.bareiss(sparse(rows), ncols)
+    want_rows, want_pivots = rref(rows)
+    assert pivots == want_pivots
+    assert [[row.get(j, 0) for j in range(ncols)] for row in echelon] \
+        == want_rows
+    assert all(all(v for v in row.values()) for row in echelon)
+
+
 def test_known_echelon():
-    echelon, pivots = kernels.bareiss([[2, 4], [1, 2], [0, 3]], 2)
+    echelon, pivots = kernels.bareiss(sparse([[2, 4], [1, 2], [0, 3]]), 2)
     assert pivots == [0, 1]
-    assert echelon == [[1, 2], [0, 1]]
+    assert echelon == [{0: 1}, {1: 1}]
