@@ -353,7 +353,7 @@ def cmd_check(algebra, args):
         agree = all(um.betti(n) == ch.total(n) for n in range(N + 1))
         results.append(("circle model agrees with CH", agree, ""))
 
-        ba = beta_acyclic_check(ideals(ctx.loop, N + 1))
+        ba = beta_acyclic_check(ideals(M))
         ba_ok = ba.get("beta_acyclic", False) and ba.get("dims_match", False)
         results.append(("interior-acyclicity lemma on the ideal",
                         None if "skipped" in ba else ba_ok, ba.get("skipped")))

@@ -196,13 +196,12 @@ def base_cochain(base, top):
     return CochainComplex(labels, diff)
 
 
-def ideals(loop, top):
-    """The augmentation ideal of the loop mixed complex on degrees 0..top.
+def ideals(M):
+    """The augmentation ideal of a loop mixed complex M.
 
     It drops exactly the unit monomial in degree 0 and is a mixed
     subcomplex (the closure of delta and beta on it is verified).
     """
-    M = loop.mixed_complex(top)
     keep = {}
     for n in M.labels:
         idx = [i for i, m in enumerate(M.labels[n]) if m != gralg.ONE]

@@ -84,8 +84,18 @@ class CohomologyTable:
 
 
 class LoopContext:
-    """Shared caches for one algebra: loop construction, mixed complexes
-    (grown on demand), base complex, plus complexes and bands."""
+    """Shared caches for one algebra: the loop mixed complex, the base
+    complex, +complexes and bands.
+
+    The mixed complex is built once, through max(top, cutoff + 1), which
+    covers every degree HH, CH, SH, euler and check read; only PH and
+    PH_periodic ask for more, and then it is rebuilt larger.  A band or
+    +complex over 0..top reads the mixed complex only in degrees <= top,
+    so it is the same whichever larger complex it is cut from: both are
+    cached under a key that includes top and never invalidated.  Bands
+    serve the kinds "plus" and "slice", whose degree-r piece reads degrees
+    <= r.
+    """
 
     def __init__(self, algebra, cutoff, weight_cutoff=None):
         if not isinstance(algebra, FreeCDGA):
@@ -95,20 +105,13 @@ class LoopContext:
         self.loop = free_loop(algebra, weight_cutoff=weight_cutoff)
         self._mixed = None
         self._base = None
-        self._plus = None
+        self._plus = {}
         self._bands = {}
 
     def mixed(self, top):
         if self._mixed is None or self._mixed.top < top:
-            self._mixed = self.loop.mixed_complex(top)
-            self._plus = None
-            self._bands = {}
+            self._mixed = self.loop.mixed_complex(max(top, self.cutoff + 1))
         return self._mixed
-
-    def untruncated(self):
-        """Whether the weight cutoff drops no monomial of the mixed complex
-        built so far."""
-        return self._mixed is None or self._mixed.top <= self.loop.complete_through
 
     def base(self, top):
         if self._base is None or max(self._base.labels, default=-1) < top:
@@ -116,16 +119,14 @@ class LoopContext:
         return self._base
 
     def plus(self, top):
-        M = self.mixed(top)
-        if self._plus is None:
-            self._plus = plus_complex(M, 0, M.top)
-        return self._plus
+        if top not in self._plus:
+            self._plus[top] = plus_complex(self.mixed(top), 0, top)
+        return self._plus[top]
 
     def band(self, w, kind, top):
-        M = self.mixed(top)
-        key = (w, kind)
+        key = (w, kind, top)
         if key not in self._bands:
-            self._bands[key] = band_complex(M, w, kind, 0, M.top)
+            self._bands[key] = band_complex(self.mixed(top), w, kind, 0, top)
         return self._bands[key]
 
     def base_bound(self):
@@ -170,10 +171,8 @@ def HH(a, cutoff, weight_cutoff=None):
     when the weight cutoff drops no monomial through degree n + 1.
     """
     ctx = _context(a, cutoff, weight_cutoff)
-    M = ctx.mixed(cutoff + 1)
-    C = M.cochain()
+    C = ctx.mixed(cutoff + 1).cochain()
     table = CohomologyTable("HH")
-    slices = {}
     for n in range(cutoff + 1):
         weights = {}
         ws = hh_weight_range(n)
@@ -181,9 +180,7 @@ def HH(a, cutoff, weight_cutoff=None):
             # degree-1 generators break the weight <= degree bound
             ws = range(0, max(n, ctx.loop.weight_cutoff) + 1)
         for w in ws:
-            if w not in slices:
-                slices[w] = band_complex(M, w, "slice", 0, cutoff + 1)
-            weights[w] = slices[w].betti(n)
+            weights[w] = ctx.band(w, "slice", cutoff + 1).betti(n)
         total = C.betti(n)
         table.set_row(n, total, weights,
                       certified=n + 1 <= ctx.loop.complete_through)
@@ -209,12 +206,11 @@ def CH(a, cutoff, weight_cutoff=None):
     return table
 
 
-def reduced_CH(a, cutoff, table=None, weight_cutoff=None):
+def reduced_CH(a, cutoff, weight_cutoff=None):
     """CH modulo the image of the one-point algebra: the unit tower class
     at effective weight -n/2 is removed wherever it survives."""
     ctx = _context(a, cutoff, weight_cutoff)
-    if table is None:
-        table = CH(ctx, cutoff)
+    table = CH(ctx, cutoff)
     out = CohomologyTable("CH~")
     for n in table.degrees:
         weights = dict(table.weights(n))
@@ -279,9 +275,8 @@ def PH(a, cutoff, weight_cutoff=None, extra_levels=5):
     ctx = _context(a, cutoff, weight_cutoff)
     top = cutoff + 2 * extra_levels + 3
     s, plus, shifted = _s_map(ctx, top)
-    untruncated = ctx.untruncated()
+    untruncated = top <= ctx.loop.complete_through
     table = CohomologyTable("PH")
-    details = {}
     for r in range(cutoff + 1):
         levels = [r + 2 * k for k in range(extra_levels + 2) if r + 2 * k <= top - 3]
         maps = []
@@ -312,28 +307,21 @@ def PH(a, cutoff, weight_cutoff=None, extra_levels=5):
             value = plus.betti(r)
             certified = False
         table.set_row(r, value, None, certified=certified)
-        details[r] = {
-            "levels": levels,
-            "dims": [plus.betti(lv) for lv in levels],
-            "map_ranks": [linalg.rank(m) for m in maps],
-        }
-    table.details = details
     return table
 
 
-def PH_periodic(a, cutoff, weight_cutoff=None, pad=2, w_cap=None):
+def PH_periodic(a, cutoff, weight_cutoff=None):
     """PH via the direct-sum periodic complex, weight by weight.
 
     PC splits as the direct sum of the finite effective-weight bands of
     the 2-periodic complex, so its cohomology is the sum over w of the
-    band cohomologies.  The sum is cut off after `pad` consecutive zero
-    weights past the structural markers; certification additionally needs
-    the base vanishing-window certificate.
+    band cohomologies.  The sum is cut off after two consecutive zero
+    weights past the structural markers, and a row is uncertified if it
+    reaches weight cutoff + 5 first; certification additionally needs the
+    base vanishing-window certificate.
     """
     ctx = _context(a, cutoff, weight_cutoff)
     bound, base_cert = ctx.base_bound()
-    if w_cap is None:
-        w_cap = cutoff + 4
     table = CohomologyTable("PHper")
     for r in range(cutoff + 1):
         weights = {}
@@ -342,7 +330,7 @@ def PH_periodic(a, cutoff, weight_cutoff=None, pad=2, w_cap=None):
         ran_out = False
         while True:
             w += 1
-            if w > w_cap:
+            if w > cutoff + 4:
                 ran_out = True
                 break
             top = max(r + 1, r + 1 + 2 * w)
@@ -354,7 +342,7 @@ def PH_periodic(a, cutoff, weight_cutoff=None, pad=2, w_cap=None):
                 zeros = 0
             else:
                 zeros += 1
-            if w >= 0 and r + 2 * w > bound and zeros >= pad:
+            if w >= 0 and r + 2 * w > bound and zeros >= 2:
                 break
         table.set_row(
             r,
@@ -388,14 +376,14 @@ def _ibar_map(ctx, w, top, project_weight_zero=True):
     """The comparison map into the periodic base complex at weight w.
 
     Source: degree r piece is the +band of effective weight w+1 at level
-    r-2.  Target: the base block (weight-0 projection of the top slot).
-    With project_weight_zero=False the projection is skipped and the full
-    periodic band of the loop complex is the target (negative control).
+    r-2, for r <= top + 1.  Target: the base block (weight-0 projection of
+    the top slot) through degree top + 1.  With project_weight_zero=False
+    the projection is skipped and the full periodic band of the loop
+    complex is the target (negative control).
     """
-    M = ctx.mixed(max(top + 2, max(0, top + 2 + 2 * w)))
-    band = band_complex(M, w + 1, "plus", 0, top - 1)
-    source = shift_complex(band, 2)
+    source = shift_complex(ctx.band(w + 1, "plus", top - 1), 2)
     if not project_weight_zero:
+        M = ctx.mixed(max(top + 2, top + 2 + 2 * w))
         target = band_complex(M, w, "periodic", 0, top + 1)
         return label_inclusion(source, target), source, target
     target = _base_block(ctx, w, top + 1)
@@ -415,9 +403,9 @@ def _ibar_map(ctx, w, top, project_weight_zero=True):
 
 
 def _sh_band(ctx, r, w, project_weight_zero=True):
-    """dim SH^r at effective weight w, with the cone built honestly."""
-    top = max(r + 1, r + 1 + 2 * w, r + 1)
-    f, _, _ = _ibar_map(ctx, w, top + 1,
+    """dim SH^r at effective weight w, with the cone built honestly: its
+    degrees r - 1..r + 1 read the source +band only through degree r."""
+    f, _, _ = _ibar_map(ctx, w, r + 1,
                         project_weight_zero=project_weight_zero)
     cone, _, _ = mapping_cone(f)
     return cone.cohomology(r).dim
@@ -431,7 +419,8 @@ def SH(a, cutoff, weight_cutoff=None, project_weight_zero=True):
     sequence terms both vanish (base cohomology at r+2w and CH^{r-1} at
     w+1) are skipped as zero; others are computed from the cone.  Rows are
     certified by the base vanishing window, and only when the weight
-    cutoff drops no monomial of the mixed complex used.
+    cutoff drops no monomial through degree cutoff + 1, the top degree the
+    bands read.
     """
     ctx = _context(a, cutoff, weight_cutoff)
     bound, base_cert = ctx.base_bound()
@@ -451,7 +440,7 @@ def SH(a, cutoff, weight_cutoff=None, project_weight_zero=True):
             if d:
                 weights[w] = d
         rows[r] = weights
-    certified = base_cert and ctx.untruncated()
+    certified = base_cert and cutoff + 1 <= ctx.loop.complete_through
     table = CohomologyTable("SH")
     for r, weights in rows.items():
         table.set_row(r, sum(weights.values()), weights, certified=certified)
@@ -484,7 +473,7 @@ def theorem2_check(a, cutoff, weight_cutoff=None):
     return report
 
 
-def fig2_audit(a, cutoff, weight_cutoff=None, weight_range=None):
+def fig2_audit(a, cutoff, weight_cutoff=None):
     """Exactness and commutativity audit of the two standard long exact
     sequences of the loop mixed complex, per effective weight.
 
@@ -496,17 +485,15 @@ def fig2_audit(a, cutoff, weight_cutoff=None, weight_range=None):
     ctx = _context(a, cutoff, weight_cutoff)
     top = cutoff + 1
     M = ctx.mixed(top)
-    if weight_range is None:
-        weight_range = range(-(cutoff // 2) - 1, cutoff // 2 + 2)
     report = {"pass": True, "weights": {}}
-    for w in weight_range:
+    for w in range(-(cutoff // 2) - 1, cutoff // 2 + 2):
         # certified stretch for the minus/periodic bands
         r_hi = min(cutoff - 1, top - 2 * w - 2)
         if r_hi < 1:
             continue
-        plus_w = band_complex(M, w, "plus", 0, r_hi + 2)
-        plus_w1 = shift_complex(band_complex(M, w + 1, "plus", 0, r_hi), 2)
-        slice_w = band_complex(M, w, "slice", 0, r_hi + 2)
+        plus_w = ctx.band(w, "plus", r_hi + 2)
+        plus_w1 = shift_complex(ctx.band(w + 1, "plus", r_hi), 2)
+        slice_w = ctx.band(w, "slice", r_hi + 2)
         per_w = band_complex(M, w, "periodic", 0, r_hi + 2)
         minus_w = band_complex(M, w, "minus", 0, r_hi + 2)
 
@@ -563,7 +550,7 @@ def fig2_audit(a, cutoff, weight_cutoff=None, weight_range=None):
     return report
 
 
-def fig7_audit(a, cutoff, weight_cutoff=None, weight_range=None):
+def fig7_audit(a, cutoff, weight_cutoff=None):
     """Audit of the comparison diagram between the CH/HH sequence and the
     CH/K/SH sequence, per effective weight.
 
@@ -580,10 +567,7 @@ def fig7_audit(a, cutoff, weight_cutoff=None, weight_range=None):
     ctx = _context(a, cutoff, weight_cutoff)
     bound, _ = ctx.base_bound()
     report = {"pass": True, "weights": {}}
-    if weight_range is None:
-        w_hi = max(2, (bound - 0) // 2 + 1)
-        weight_range = range(-(cutoff // 2) - 1, w_hi + 1)
-    for w in weight_range:
+    for w in range(-(cutoff // 2) - 1, max(2, bound // 2 + 1) + 1):
         entry = _fig7_weight(ctx, w, cutoff)
         report["weights"][w] = entry
         report["pass"] = report["pass"] and entry["pass"]
@@ -592,11 +576,9 @@ def fig7_audit(a, cutoff, weight_cutoff=None, weight_range=None):
 
 def _fig7_weight(ctx, w, cutoff):
     r_hi = cutoff - 1
-    top = max(r_hi + 3, r_hi + 3 + 2 * w)
-    M = ctx.mixed(top)
-    band_w = band_complex(M, w, "plus", 0, r_hi + 2)
-    band_w1 = shift_complex(band_complex(M, w + 1, "plus", 0, r_hi), 2)
-    slice_w = band_complex(M, w, "slice", 0, r_hi + 2)
+    band_w = ctx.band(w, "plus", r_hi + 2)
+    band_w1 = shift_complex(ctx.band(w + 1, "plus", r_hi), 2)
+    slice_w = ctx.band(w, "slice", r_hi + 2)
 
     # row 1: cone over the inclusion, plus the quasi-isomorphism onto the
     # loop-cohomology slice
@@ -694,7 +676,7 @@ def _fig7_weight(ctx, w, cutoff):
     return entry
 
 
-def t4_audit(a, cutoff, ks=(2, 3), weight_cutoff=None):
+def t4_audit(a, cutoff, weight_cutoff=None):
     """Eigenstructure audit of the induced power maps.
 
     (a) the induced matrices on HH^n and CH^n are annihilated by the
@@ -717,7 +699,7 @@ def t4_audit(a, cutoff, ks=(2, 3), weight_cutoff=None):
         report["findings"].append({"check": name, "pass": bool(ok)})
         report["pass"] = report["pass"] and bool(ok)
 
-    for k in ks:
+    for k in (2, 3):
         for n in range(cutoff + 1):
             psi = linalg.induced_map(
                 M.power_matrix(k, n), C.cohomology(n), C.cohomology(n)
@@ -794,7 +776,7 @@ def _eigenspace_dim(m, lam):
     return linalg.nullity(m - SparseMatrix.scalar(m.rows, lam))
 
 
-def euler_series(a, cutoff, weight_max=None, weight_cutoff=None):
+def euler_series(a, cutoff, weight_cutoff=None):
     """Per-weight Euler characteristics of HH and CH.
 
     chiH(w) = sum over i of (-1)^i dim HH^i(w); a coefficient is certified
@@ -804,16 +786,14 @@ def euler_series(a, cutoff, weight_max=None, weight_cutoff=None):
     the unit tower contributes to negative weights.
     """
     ctx = _context(a, cutoff, weight_cutoff)
-    if weight_max is None:
-        weight_max = cutoff
     hh = HH(ctx, cutoff)
     ch = CH(ctx, cutoff)
     g = ctx.algebra.max_generator_degree()
     window = range(max(0, cutoff - g), cutoff + 1)
     rows = range(cutoff + 1)
     out = {"chiH": {}, "chiC": {}}
-    for name, table, ws in (("chiH", hh, range(0, weight_max + 1)),
-                            ("chiC", ch, range(-weight_max, weight_max + 1))):
+    for name, table, ws in (("chiH", hh, range(0, cutoff + 1)),
+                            ("chiC", ch, range(-cutoff, cutoff + 1))):
         whole = all(table.certified(n) for n in rows)
         for w in ws:
             coeff = sum((-1) ** n * table.weight(n, w) for n in rows)

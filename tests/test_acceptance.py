@@ -110,7 +110,7 @@ def test_criterion_4_cross_pipelines():
             sum(hh.weights(n).values()) == hh.total(n) for n in range(N + 1)
         )
         if fixture(name).algebra.generators:
-            ideal = ideals(c.loop, N + 1)
+            ideal = ideals(c.mixed(N + 1))
             ba = beta_acyclic_check(ideal)
             ok = ok and ba["beta_acyclic"] and ba["dims_match"]
         budget.lap(name)

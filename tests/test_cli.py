@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from cdgacyc import cli
+from cdgacyc.free_loop import LoopAlgebra
 from cdgacyc.minimal_model import verify_minimal
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "cdgacyc" / "fixtures"
@@ -134,15 +135,37 @@ def test_check_skips_audits_under_weight_cutoff(torus, capsys):
 
 
 def test_weight_cutoff_above_the_window_changes_nothing(capsys):
-    argv = ["hh", S3, "--cutoff", "4", "--per-weight"]
-    _, plain, _ = run(argv, capsys)
-    _, wide, _ = run(argv + ["--weight-max", "5"], capsys)
-    assert wide == plain
-    assert "uncertified" not in plain
+    # SH reads the loop complex through degree cutoff + 1
+    for argv, weight_max in (
+        (["hh", S3, "--cutoff", "4", "--per-weight"], "5"),
+        (["sh", S3, "--cutoff", "8", "--per-weight"], "9"),
+    ):
+        _, plain, _ = run(argv, capsys)
+        _, wide, _ = run(argv + ["--weight-max", weight_max], capsys)
+        assert wide == plain
+        assert "uncertified" not in plain
     # weight cutoff 1 drops xbar^2 from degree 4, where HH^4 = 1
     _, narrow, _ = run(["hh", S3, "--cutoff", "4", "--weight-max", "1"],
                        capsys)
     assert "    4  dim   0  (uncertified)" in narrow.splitlines()
+
+
+@pytest.mark.parametrize("command", ["hh", "ch", "sh", "euler", "check"])
+def test_one_mixed_complex_per_command(command, monkeypatch, capsys):
+    # every band, cone and slice these commands read lies in degrees
+    # <= cutoff + 1, so the loop mixed complex is built once, there
+    tops = []
+    build = LoopAlgebra.mixed_complex
+
+    def counted(self, top):
+        tops.append(top)
+        return build(self, top)
+
+    monkeypatch.setattr(LoopAlgebra, "mixed_complex", counted)
+    code, _, _ = run([command, str(FIXTURES / "product_s2_s3.json"),
+                      "--cutoff", "4"], capsys)
+    assert code == 0
+    assert tops == [5]
 
 
 def test_finite_input_goes_through_model(capsys):

@@ -245,7 +245,7 @@ def test_coordinate_subcomplex_closure_check():
 def test_beta_acyclic_lemma_on_ideal():
     for base in (sphere2(), sphere3()):
         loop = free_loop(base)
-        ideal = ideals(loop, 10)
+        ideal = ideals(loop.mixed_complex(10))
         rep = beta_acyclic_check(ideal)
         assert rep["beta_acyclic"]
         assert rep["dims_match"]
