@@ -1,12 +1,14 @@
 """Cohomology functors of a free connected CDGA via its free-loop complex.
 
 HH is the cohomology of the loop complex itself; CH of its +complex; PH
-the colimit of CH under the degree +2 inclusion S; SH the cohomology of
-the cone over the zero-weight comparison map into the periodic complex of
-the base.  All computations are organized by effective weight, where each
-derived complex is an honest finite complex, and come with certification
-flags recording when a reported number is provably unaffected by the
-degree cutoff.
+the colimit of CH under the degree +2 inclusion S, read off the CH table;
+SH the cohomology of the cone over the zero-weight comparison map into
+the periodic complex of the base.  All computations are organized by
+effective weight, where each derived complex is an honest finite complex,
+and come with certification flags recording when a reported number is
+provably unaffected by the degree cutoff.  Every table and audit reads
+the loop complex only through degree cutoff + 1; the independent
+cross-check PH_periodic alone reads further.
 """
 
 from fractions import Fraction
@@ -88,8 +90,8 @@ class LoopContext:
     complex, +complexes and bands.
 
     The mixed complex is built once, through max(top, cutoff + 1), which
-    covers every degree HH, CH, SH, euler and check read; only PH and
-    PH_periodic ask for more, and then it is rebuilt larger.  A band or
+    covers every degree HH, CH, PH, SH, euler and check read; only
+    PH_periodic asks for more, and then it is rebuilt larger.  A band or
     +complex over 0..top reads the mixed complex only in degrees <= top,
     so it is the same whichever larger complex it is cut from: both are
     cached under a key that includes top and never invalidated.  Bands
@@ -105,6 +107,7 @@ class LoopContext:
         self.loop = free_loop(algebra, weight_cutoff=weight_cutoff)
         self._mixed = None
         self._base = None
+        self._base_top = -1
         self._plus = {}
         self._bands = {}
 
@@ -114,8 +117,10 @@ class LoopContext:
         return self._mixed
 
     def base(self, top):
-        if self._base is None or max(self._base.labels, default=-1) < top:
+        # the complex drops empty degrees, so its labels do not record top
+        if self._base_top < top:
             self._base = base_cochain(self.algebra, top)
+            self._base_top = top
         return self._base
 
     def plus(self, top):
@@ -253,60 +258,45 @@ def K_groups(a, cutoff, weight_cutoff=None):
     }
 
 
-def _s_map(ctx, top):
-    """S: +C^{*-2} -> +C^* as a chain map (slotwise inclusion)."""
-    plus = ctx.plus(top)
-    full = shift_complex(plus, 2)
-    hi = max(plus.degrees)
-    labels = {n: v for n, v in full.labels.items() if n <= hi}
-    diff = {n: full.d(n) for n in labels if n + 1 in labels}
-    shifted = CochainComplex(labels, diff)
-    return label_inclusion(shifted, plus), plus, shifted
+def PH(a, cutoff, weight_cutoff=None):
+    """Colimit of CH^{r+2k} along S, read off the CH table.
 
+    S includes the +band of weight w + 1 in degree n - 2 into the +band
+    of weight w in degree n as the slots of the same (m, p), so PH^r is
+    the sum over w of colim_k CH^{r+2k}(w - k), and
 
-def PH(a, cutoff, weight_cutoff=None, extra_levels=5):
-    """Colimit of CH^{r+2k} along S, detected by composite-image ranks.
+        PH^r(w) = CH^{r+2k}(w - k),  k = max(w, 0),
 
-    For each degree r the S-maps are computed up to r + 2*extra_levels;
-    the reported value is the rank of a deep composite, certified when
-    that rank is unchanged under moving both endpoints one step and the
-    weight cutoff drops no monomial of the +complex used.
+    for w from -(r//2) to (cutoff - r)//2.
+
+    Stable level.  In the long exact sequence of
+    0 -> +C^{*-2}(v+1) -S-> +C^*(v) -> C^*(v) -> 0 (row 1 of fig2_audit),
+    S is an isomorphism when v < 0: the slices HH^{n-1}(v) and HH^n(v)
+    are empty, since every weight is >= 0.  In the chain for w the step
+    from level k to k + 1 has v = w - k - 1, so the chain is constant
+    from k = max(w, 0) on.
+
+    Tail.  At that level the +band has the slots of the periodic band of
+    weight w around degree r: slot m carries p = w + (r - m)/2 >= 0, so
+    m <= r + 2w, and the +band cap m <= r + 2k no longer binds.  Filter
+    that band by s = m + p, which is finite in each degree: beta keeps s
+    and delta raises it by 1.  E1 is then the beta-cohomology of
+    L[V + Vbar], which over Q is the unit alone (the Poincare lemma; check
+    audits it as the interior-acyclicity lemma), and the unit (m = p = 0)
+    lies in the band only when w = -r/2.  So PH^r(w) = 0 for w != -r/2,
+    which covers the weights above (cutoff - r)//2 that are not read;
+    below -(r//2) the band is empty.
+
+    Row r is certified when every CH row it reads is certified.
     """
-    ctx = _context(a, cutoff, weight_cutoff)
-    top = cutoff + 2 * extra_levels + 3
-    s, plus, shifted = _s_map(ctx, top)
-    untruncated = top <= ctx.loop.complete_through
+    ch = CH(_context(a, cutoff, weight_cutoff), cutoff)
     table = CohomologyTable("PH")
     for r in range(cutoff + 1):
-        levels = [r + 2 * k for k in range(extra_levels + 2) if r + 2 * k <= top - 3]
-        maps = []
-        for lv in levels[:-1]:
-            f = linalg.induced_map(
-                s.matrix(lv + 2),
-                plus.cohomology(lv),
-                plus.cohomology(lv + 2),
-            )
-            maps.append(f)
-
-        def comp(j, k):
-            m = SparseMatrix.identity(maps[j].cols) if maps else None
-            if m is None:
-                return None
-            for t in range(j, k):
-                m = maps[t] @ m
-            return m
-
-        kmax = len(maps)
-        if kmax >= 3:
-            r_deep = linalg.rank(comp(kmax - 2, kmax))
-            r_a = linalg.rank(comp(kmax - 3, kmax - 1))
-            r_b = linalg.rank(comp(kmax - 3, kmax))
-            certified = untruncated and r_deep == r_a == r_b
-            value = r_deep
-        else:
-            value = plus.betti(r)
-            certified = False
-        table.set_row(r, value, None, certified=certified)
+        reads = {w: (r + 2 * max(w, 0), w - max(w, 0))
+                 for w in range(-(r // 2), (cutoff - r) // 2 + 1)}
+        weights = {w: ch.weight(n, v) for w, (n, v) in reads.items()}
+        table.set_row(r, sum(weights.values()), weights,
+                      certified=all(ch.certified(n) for n, _ in reads.values()))
     return table
 
 
@@ -534,8 +524,12 @@ def fig2_audit(a, cutoff, weight_cutoff=None):
         report["weights"][w] = entry
         report["pass"] = report["pass"] and entry["pass"]
 
-    # intertwining on the total +complex: S . +Psi_k = k . +Psi_k . S
-    s, plus, shifted = _s_map(ctx, top)
+    # intertwining on the total +complex: S . +Psi_k = k . +Psi_k . S,
+    # where S: +C^{*-2} -> +C^* is the slotwise inclusion
+    plus = ctx.plus(top)
+    lower = CochainComplex(
+        {n + 2: v for n, v in plus.labels.items() if n + 2 <= top}, {})
+    s = label_inclusion(lower, plus)
     inter = True
     for k in (2, 3):
         for r in range(2, cutoff + 1):

@@ -115,7 +115,7 @@ def test_criterion_4_cross_pipelines():
             ok = ok and ba["beta_acyclic"] and ba["dims_match"]
         budget.lap(name)
     # (c) stabilized PH equals the periodic complex
-    for name in ("trivial", "sphere2", "sphere3"):
+    for name in ("trivial", "sphere2", "sphere3", "product_s2_s3"):
         c = ctx(name)
         ph = F.PH(c, N)
         php = F.PH_periodic(c, N)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from cdgacyc import cli
+from cdgacyc import cli, functors
 from cdgacyc.free_loop import LoopAlgebra
 from cdgacyc.minimal_model import verify_minimal
 
@@ -139,6 +139,7 @@ def test_weight_cutoff_above_the_window_changes_nothing(capsys):
     for argv, weight_max in (
         (["hh", S3, "--cutoff", "4", "--per-weight"], "5"),
         (["sh", S3, "--cutoff", "8", "--per-weight"], "9"),
+        (["ph", S3, "--cutoff", "8", "--per-weight"], "9"),
     ):
         _, plain, _ = run(argv, capsys)
         _, wide, _ = run(argv + ["--weight-max", weight_max], capsys)
@@ -150,7 +151,7 @@ def test_weight_cutoff_above_the_window_changes_nothing(capsys):
     assert "    4  dim   0  (uncertified)" in narrow.splitlines()
 
 
-@pytest.mark.parametrize("command", ["hh", "ch", "sh", "euler", "check"])
+@pytest.mark.parametrize("command", ["hh", "ch", "ph", "sh", "euler", "check"])
 def test_one_mixed_complex_per_command(command, monkeypatch, capsys):
     # every band, cone and slice these commands read lies in degrees
     # <= cutoff + 1, so the loop mixed complex is built once, there
@@ -166,6 +167,22 @@ def test_one_mixed_complex_per_command(command, monkeypatch, capsys):
                       "--cutoff", "4"], capsys)
     assert code == 0
     assert tops == [5]
+
+
+def test_base_complex_rebuilt_only_when_it_grows(monkeypatch, capsys):
+    # sphereEven4 has empty base degrees, which the built complex drops
+    tops = []
+    build = functors.base_cochain
+
+    def counted(algebra, top):
+        tops.append(top)
+        return build(algebra, top)
+
+    monkeypatch.setattr(functors, "base_cochain", counted)
+    code, _, _ = run(["sh", str(FIXTURES / "sphereEven4.json"),
+                      "--cutoff", "12"], capsys)
+    assert code == 0
+    assert tops == sorted(set(tops))
 
 
 def test_finite_input_goes_through_model(capsys):

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdgacyc import gralg
@@ -60,22 +60,29 @@ polys = st.dictionaries(monomials, st.integers(-4, 4), max_size=4).map(
 )
 
 
+def _koszul(m1, m2):
+    return -1 if monomial_degree(m1) % 2 and monomial_degree(m2) % 2 else 1
+
+
 @given(polys, polys)
+@example({(): Fraction(1), mono((Y, 1)): Fraction(1)},
+         {mono((Z, 1)): Fraction(1), mono((Y, 1), (Z, 1)): Fraction(1)})
 @settings(max_examples=150, deadline=None)
 def test_graded_commutativity(p, q):
-    pq = poly_mul(p, q)
-    qp = poly_mul(q, p)
-    # compare termwise with the Koszul sign of the homogeneous pieces
-    for m, c in pq.items():
-        assert m in qp or c == 0
+    # pq is the sum over term pairs of the Koszul-signed reversed product;
+    # inhomogeneous p, q need not have pq and qp on the same monomials
+    expect = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            expect = poly_add(expect, poly_scale(
+                _koszul(m1, m2), poly_mul({m2: c2}, {m1: c1})))
+    assert poly_mul(p, q) == expect
     # bilinear check on homogeneous parts
     for m1, c1 in p.items():
         for m2, c2 in q.items():
             a = poly_mul({m1: c1}, {m2: c2})
             b = poly_mul({m2: c2}, {m1: c1})
-            sign = -1 if (monomial_degree(m1) % 2
-                          and monomial_degree(m2) % 2) else 1
-            assert a == poly_scale(sign, b)
+            assert a == poly_scale(_koszul(m1, m2), b)
 
 
 @given(polys, polys, polys)
