@@ -80,9 +80,10 @@ class CochainComplex:
 
 
 class ChainMap:
-    """Degree-preserving map of cochain complexes commuting with d."""
+    """Degree-preserving map of cochain complexes; commutation with d is
+    checked in check_degrees."""
 
-    def __init__(self, source, target, mats, check=True, check_degrees=None):
+    def __init__(self, source, target, mats, check_degrees=()):
         self.source = source
         self.target = target
         self.mats = {}
@@ -92,17 +93,11 @@ class ChainMap:
             if m.rows != target.dim(n) or m.cols != source.dim(n):
                 raise ComplexError(f"chain map has wrong shape at degree {n}")
             self.mats[n] = m
-        if check:
-            to_check = (
-                check_degrees
-                if check_degrees is not None
-                else sorted(set(source.labels) | set(target.labels))
-            )
-            for n in to_check:
-                lhs = self.matrix(n + 1) @ source.d(n)
-                rhs = target.d(n) @ self.matrix(n)
-                if lhs != rhs:
-                    raise ConsistencyError(f"map does not commute with d at {n}")
+        for n in check_degrees:
+            lhs = self.matrix(n + 1) @ source.d(n)
+            rhs = target.d(n) @ self.matrix(n)
+            if lhs != rhs:
+                raise ConsistencyError(f"map does not commute with d at {n}")
 
     def matrix(self, n):
         return self.mats.get(
@@ -137,7 +132,7 @@ def label_inclusion(sub, amb):
                 raise ComplexError(f"label {lab!r} missing in ambient at {n}")
             entries[(amb_index[lab], j)] = Fraction(1)
         mats[n] = SparseMatrix(amb.dim(n), sub.dim(n), entries)
-    return ChainMap(sub, amb, mats, check=False)
+    return ChainMap(sub, amb, mats)
 
 
 def label_projection(amb, quot):
@@ -150,7 +145,7 @@ def label_projection(amb, quot):
             if lab in quot_index:
                 entries[(quot_index[lab], j)] = Fraction(1)
         mats[n] = SparseMatrix(quot.dim(n), amb.dim(n), entries)
-    return ChainMap(amb, quot, mats, check=False)
+    return ChainMap(amb, quot, mats)
 
 
 class MixedComplex:
@@ -448,31 +443,28 @@ def mapping_cone(f):
     for n in c2.degrees:
         entries = {(i, i): Fraction(1) for i in range(c2.dim(n))}
         inc_mats[n] = SparseMatrix(cone.dim(n), c2.dim(n), entries)
-    include = ChainMap(c2, cone, inc_mats, check=False)
+    include = ChainMap(c2, cone, inc_mats)
     proj_mats = {}
     for n in degrees:
         entries = {
             (i, c2.dim(n) + i): Fraction(1) for i in range(c1.dim(n + 1))
         }
         proj_mats[n] = SparseMatrix(c1.dim(n + 1), cone.dim(n), entries)
-    project = ChainMap(cone, shifted, proj_mats, check=False)
+    project = ChainMap(cone, shifted, proj_mats)
     return cone, include, project
 
 
 class ShortExactSequence:
     """0 -> A -> B -> C -> 0 of cochain complexes, verified degreewise."""
 
-    def __init__(self, incl, proj, degrees=None):
+    def __init__(self, incl, proj, degrees):
         if incl.target is not proj.source:
             raise ComplexError("inclusion target differs from projection source")
         self.incl = incl
         self.proj = proj
         a, b, c = incl.source, incl.target, proj.target
         self.a, self.b, self.c = a, b, c
-        if degrees is None:
-            degrees = sorted(set(a.degrees) | set(b.degrees) | set(c.degrees))
-        self.degrees = list(degrees)
-        for n in self.degrees:
+        for n in degrees:
             comp = proj.matrix(n) @ incl.matrix(n)
             if not comp.is_zero():
                 raise ConsistencyError(f"proj.incl != 0 at degree {n}")

@@ -6,9 +6,10 @@ SH the cohomology of the cone over the zero-weight comparison map into
 the periodic complex of the base.  All computations are organized by
 effective weight, where each derived complex is an honest finite complex,
 and come with certification flags recording when a reported number is
-provably unaffected by the degree cutoff.  Every table and audit reads
-the loop complex only through degree cutoff + 1; the independent
-cross-check PH_periodic alone reads further.
+provably unaffected by the degree cutoff.  Every functor and audit
+takes one LoopContext, which fixes the algebra and both cutoffs.  Every
+table and audit reads the loop complex only through degree cutoff + 1;
+the independent cross-check PH_periodic alone reads further.
 """
 
 from fractions import Fraction
@@ -30,6 +31,7 @@ from cdgacyc.complexes import (
 from cdgacyc.free_loop import base_cochain, free_loop
 from cdgacyc.gralg import FreeCDGA
 from cdgacyc.linalg import SparseMatrix
+from cdgacyc.minimal_model import FiniteCDGA, build_minimal_model
 
 
 class FunctorError(Exception):
@@ -86,8 +88,15 @@ class CohomologyTable:
 
 
 class LoopContext:
-    """Shared caches for one algebra: the loop mixed complex, the base
-    complex, +complexes and bands.
+    """The one handle every functor and audit takes.  It owns the free
+    algebra, the degree cutoff and the weight cutoff (on ``loop``), and
+    caches the loop mixed complex, the base complex, +complexes and bands.
+
+    A finite input is replaced by its minimal model, built here with the
+    builder's seed.  The loop complex through degree cutoff + 1 reads
+    every generator of degree <= cutoff + 2 (its barred partner lies in
+    degree cutoff + 1), and the builder at cutoff c adjoins generators
+    through degree c - 1, so the model is built at cutoff + 3.
 
     The mixed complex is built once, through max(top, cutoff + 1), which
     covers every degree HH, CH, PH, SH, euler and check read; only
@@ -99,9 +108,11 @@ class LoopContext:
     <= r.
     """
 
-    def __init__(self, algebra, cutoff, weight_cutoff=None):
+    def __init__(self, algebra, cutoff, weight_cutoff=None, seed=None):
+        if isinstance(algebra, FiniteCDGA):
+            algebra, _ = build_minimal_model(algebra, cutoff + 3, seed=seed)
         if not isinstance(algebra, FreeCDGA):
-            raise FunctorError("expected a free CDGA")
+            raise FunctorError("expected a free or finite CDGA")
         self.algebra = algebra
         self.cutoff = cutoff
         self.loop = free_loop(algebra, weight_cutoff=weight_cutoff)
@@ -150,12 +161,6 @@ class LoopContext:
         return bound, certified
 
 
-def _context(a, cutoff, weight_cutoff=None):
-    if isinstance(a, LoopContext):
-        return a
-    return LoopContext(a, cutoff, weight_cutoff=weight_cutoff)
-
-
 def hh_weight_range(n):
     """Weights that can occur in loop degree n (weight <= degree)."""
     return range(0, n + 1)
@@ -167,7 +172,7 @@ def ch_weight_range(n):
     return range(-(n // 2), n + 1)
 
 
-def HH(a, cutoff, weight_cutoff=None):
+def HH(ctx):
     """Loop-complex cohomology with its weight decomposition.
 
     Totals come from the full complex, per-weight dimensions from the
@@ -175,7 +180,7 @@ def HH(a, cutoff, weight_cutoff=None):
     complex and the differential preserves weight).  Row n is certified
     when the weight cutoff drops no monomial through degree n + 1.
     """
-    ctx = _context(a, cutoff, weight_cutoff)
+    cutoff = ctx.cutoff
     C = ctx.mixed(cutoff + 1).cochain()
     table = CohomologyTable("HH")
     for n in range(cutoff + 1):
@@ -192,11 +197,11 @@ def HH(a, cutoff, weight_cutoff=None):
     return table
 
 
-def CH(a, cutoff, weight_cutoff=None):
+def CH(ctx):
     """+complex cohomology, decomposed by effective weight (an integer:
     the unit tower contributes negative weights).  Row n is certified when
     the weight cutoff drops no monomial through degree n + 1."""
-    ctx = _context(a, cutoff, weight_cutoff)
+    cutoff = ctx.cutoff
     top = cutoff + 1
     table = CohomologyTable("CH")
     for n in range(cutoff + 1):
@@ -211,11 +216,11 @@ def CH(a, cutoff, weight_cutoff=None):
     return table
 
 
-def reduced_CH(a, cutoff, weight_cutoff=None):
+def reduced_CH(ctx):
     """CH modulo the image of the one-point algebra: the unit tower class
     at effective weight -n/2 is removed wherever it survives."""
-    ctx = _context(a, cutoff, weight_cutoff)
-    table = CH(ctx, cutoff)
+    cutoff = ctx.cutoff
+    table = CH(ctx)
     out = CohomologyTable("CH~")
     for n in table.degrees:
         weights = dict(table.weights(n))
@@ -235,13 +240,13 @@ def reduced_CH(a, cutoff, weight_cutoff=None):
     return out
 
 
-def K_groups(a, cutoff, weight_cutoff=None):
+def K_groups(ctx):
     """The even/odd products of base cohomology, with per-slot breakdown.
 
     K^r sums dim H^m(base) over m of the parity of r; finiteness rests on
     the vanishing-window certificate of the base cohomology.
     """
-    ctx = _context(a, cutoff, weight_cutoff)
+    cutoff = ctx.cutoff
     base = ctx.base(cutoff + 1)
     betti = {n: base.betti(n) for n in range(cutoff + 1)}
     bound, certified = ctx.base_bound()
@@ -258,7 +263,7 @@ def K_groups(a, cutoff, weight_cutoff=None):
     }
 
 
-def PH(a, cutoff, weight_cutoff=None):
+def PH(ctx):
     """Colimit of CH^{r+2k} along S, read off the CH table.
 
     S includes the +band of weight w + 1 in degree n - 2 into the +band
@@ -289,7 +294,8 @@ def PH(a, cutoff, weight_cutoff=None):
 
     Row r is certified when every CH row it reads is certified.
     """
-    ch = CH(_context(a, cutoff, weight_cutoff), cutoff)
+    cutoff = ctx.cutoff
+    ch = CH(ctx)
     table = CohomologyTable("PH")
     for r in range(cutoff + 1):
         reads = {w: (r + 2 * max(w, 0), w - max(w, 0))
@@ -300,7 +306,7 @@ def PH(a, cutoff, weight_cutoff=None):
     return table
 
 
-def PH_periodic(a, cutoff, weight_cutoff=None):
+def PH_periodic(ctx):
     """PH via the direct-sum periodic complex, weight by weight.
 
     PC splits as the direct sum of the finite effective-weight bands of
@@ -310,7 +316,7 @@ def PH_periodic(a, cutoff, weight_cutoff=None):
     reaches weight cutoff + 5 first; certification additionally needs the
     base vanishing-window certificate.
     """
-    ctx = _context(a, cutoff, weight_cutoff)
+    cutoff = ctx.cutoff
     bound, base_cert = ctx.base_bound()
     table = CohomologyTable("PHper")
     for r in range(cutoff + 1):
@@ -387,8 +393,7 @@ def _ibar_map(ctx, w, top, project_weight_zero=True):
                 key = ("b", loop.lower(mono))
                 entries[(tgt_index[key], j)] = Fraction(1)
         mats[r] = SparseMatrix(target.dim(r), source.dim(r), entries)
-    f = ChainMap(source, target, mats, check=True,
-                 check_degrees=range(0, top))
+    f = ChainMap(source, target, mats, check_degrees=range(0, top))
     return f, source, target
 
 
@@ -401,7 +406,7 @@ def _sh_band(ctx, r, w, project_weight_zero=True):
     return cone.cohomology(r).dim
 
 
-def SH(a, cutoff, weight_cutoff=None, project_weight_zero=True):
+def SH(ctx, project_weight_zero=True):
     """Cohomology of the cone over the zero-weight comparison map.
 
     Per weight w the cone pairs the base block in degree r+2w with the
@@ -412,7 +417,7 @@ def SH(a, cutoff, weight_cutoff=None, project_weight_zero=True):
     cutoff drops no monomial through degree cutoff + 1, the top degree the
     bands read.
     """
-    ctx = _context(a, cutoff, weight_cutoff)
+    cutoff = ctx.cutoff
     bound, base_cert = ctx.base_bound()
     rows = {}
     for r in range(cutoff + 1):
@@ -437,13 +442,14 @@ def SH(a, cutoff, weight_cutoff=None, project_weight_zero=True):
     return table
 
 
-def theorem2_check(a, cutoff, weight_cutoff=None):
+def theorem2_check(ctx):
     """dim SH^r = dim K~^r + dim CH~^{r-1} in every certified degree,
-    where ~ marks reduction by the one-point algebra."""
-    ctx = _context(a, cutoff, weight_cutoff)
-    sh = SH(ctx, cutoff)
-    k = K_groups(ctx, cutoff)
-    chr_ = reduced_CH(ctx, cutoff)
+    where ~ marks reduction by the one-point algebra.  With no certified
+    degree the report passes None and says why it skipped."""
+    cutoff = ctx.cutoff
+    sh = SH(ctx)
+    k = K_groups(ctx)
+    chr_ = reduced_CH(ctx)
     report = {"pass": True, "degrees": {}}
     for r in range(1, cutoff + 1):
         if not (sh.certified(r) and k["certified"] and chr_.certified(r - 1)):
@@ -460,19 +466,24 @@ def theorem2_check(a, cutoff, weight_cutoff=None):
             "CH_reduced_prev": chr_.total(r - 1),
         }
         report["pass"] = report["pass"] and ok
+    if all(row["status"] == "skipped" for row in report["degrees"].values()):
+        report["pass"] = None
+        report["skipped"] = ("no degree from 1 to the cutoff has certified "
+                             "SH, K and CH rows")
     return report
 
 
-def fig2_audit(a, cutoff, weight_cutoff=None):
+def fig2_audit(ctx):
     """Exactness and commutativity audit of the two standard long exact
     sequences of the loop mixed complex, per effective weight.
 
     Row 1: 0 -> +C^{*-2}(w+1) -> +C^*(w) -> C^*(w) -> 0.
     Row 2: 0 -> +C^{*-2}(w+1) -> PC^*(w) -> -C^*(w) -> 0.
     Also checks the vertical comparison maps between the rows, and the
-    intertwining of S with the power maps on the total +complex.
+    intertwining of S with the power maps on the total +complex.  Below
+    cutoff 2 no degree is compared, and the report passes None.
     """
-    ctx = _context(a, cutoff, weight_cutoff)
+    cutoff = ctx.cutoff
     top = cutoff + 1
     M = ctx.mixed(top)
     report = {"pass": True, "weights": {}}
@@ -523,6 +534,11 @@ def fig2_audit(a, cutoff, weight_cutoff=None):
         entry["pass"] = a1["pass"] and a2["pass"] and squares
         report["weights"][w] = entry
         report["pass"] = report["pass"] and entry["pass"]
+    if not report["weights"]:
+        # cutoff < 2: then S meets no degree 2..cutoff either
+        report["pass"] = None
+        report["skipped"] = f"cutoff {cutoff} leaves no degree to compare"
+        return report
 
     # intertwining on the total +complex: S . +Psi_k = k . +Psi_k . S,
     # where S: +C^{*-2} -> +C^* is the slotwise inclusion
@@ -544,7 +560,7 @@ def fig2_audit(a, cutoff, weight_cutoff=None):
     return report
 
 
-def fig7_audit(a, cutoff, weight_cutoff=None):
+def fig7_audit(ctx):
     """Audit of the comparison diagram between the CH/HH sequence and the
     CH/K/SH sequence, per effective weight.
 
@@ -558,18 +574,18 @@ def fig7_audit(a, cutoff, weight_cutoff=None):
     identities, and the triangle identity T^r . S^{r-2} = H(Ibar) ties the
     rows to the colimit defining PH.
     """
-    ctx = _context(a, cutoff, weight_cutoff)
+    cutoff = ctx.cutoff
     bound, _ = ctx.base_bound()
     report = {"pass": True, "weights": {}}
     for w in range(-(cutoff // 2) - 1, max(2, bound // 2 + 1) + 1):
-        entry = _fig7_weight(ctx, w, cutoff)
+        entry = _fig7_weight(ctx, w)
         report["weights"][w] = entry
         report["pass"] = report["pass"] and entry["pass"]
     return report
 
 
-def _fig7_weight(ctx, w, cutoff):
-    r_hi = cutoff - 1
+def _fig7_weight(ctx, w):
+    r_hi = ctx.cutoff - 1
     band_w = ctx.band(w, "plus", r_hi + 2)
     band_w1 = shift_complex(ctx.band(w + 1, "plus", r_hi), 2)
     slice_w = ctx.band(w, "slice", r_hi + 2)
@@ -587,8 +603,7 @@ def _fig7_weight(ctx, w, cutoff):
             if lab[0] == 0 and lab[1][0] == r:  # top slot of the +band part
                 entries[(tgt_index[(r, lab[1][1])], j)] = Fraction(1)
         q_mats[r] = SparseMatrix(slice_w.dim(r), cone1.dim(r), entries)
-    q = ChainMap(cone1, slice_w, q_mats, check=True,
-                 check_degrees=range(0, r_hi + 2))
+    q = ChainMap(cone1, slice_w, q_mats, check_degrees=range(0, r_hi + 2))
     quasi_iso = True
     q_ind = {}
     for r in range(1, r_hi + 1):
@@ -616,8 +631,7 @@ def _fig7_weight(ctx, w, cutoff):
             if m == r + 2 * w and loop.weight(mono) == 0:
                 entries[(tgt_index[("b", loop.lower(mono))], j)] = Fraction(1)
         t_mats[r] = SparseMatrix(tgt2.dim(r), band_w.dim(r), entries)
-    t = ChainMap(band_w, tgt2, t_mats, check=True,
-                 check_degrees=range(0, r_hi + 1))
+    t = ChainMap(band_w, tgt2, t_mats, check_degrees=range(0, r_hi + 1))
     cone_mats = {}
     for r in range(0, r_hi + 2):
         tgt_index = {lab: i for i, lab in enumerate(cone2.labels.get(r, []))}
@@ -630,7 +644,7 @@ def _fig7_weight(ctx, w, cutoff):
             if lab[0] == 1:
                 entries[(tgt_index[lab], j)] = Fraction(1)
         cone_mats[r] = SparseMatrix(cone2.dim(r), cone1.dim(r), entries)
-    vcone = ChainMap(cone1, cone2, cone_mats, check=True,
+    vcone = ChainMap(cone1, cone2, cone_mats,
                      check_degrees=range(0, r_hi + 1))
 
     squares = True
@@ -670,7 +684,7 @@ def _fig7_weight(ctx, w, cutoff):
     return entry
 
 
-def t4_audit(a, cutoff, weight_cutoff=None):
+def t4_audit(ctx):
     """Eigenstructure audit of the induced power maps.
 
     (a) the induced matrices on HH^n and CH^n are annihilated by the
@@ -680,12 +694,12 @@ def t4_audit(a, cutoff, weight_cutoff=None):
     the base cohomology; (c) slices with weight above the degree vanish;
     (d) the per-weight totals obey the (dim V)^w bound.
     """
-    ctx = _context(a, cutoff, weight_cutoff)
+    cutoff = ctx.cutoff
     M = ctx.mixed(cutoff + 1)
     C = M.cochain()
     plus = ctx.plus(cutoff + 1)
-    hh = HH(ctx, cutoff)
-    ch = CH(ctx, cutoff)
+    hh = HH(ctx)
+    ch = CH(ctx)
     base = ctx.base(cutoff + 1)
     report = {"pass": True, "findings": []}
 
@@ -746,9 +760,7 @@ def t4_audit(a, cutoff, weight_cutoff=None):
         )
         check(f"HH^{n}(p) = CH^{n}(p) = 0 for p > {n}", vanish)
 
-    dim_v = len(a.algebra.generators) if isinstance(a, FreeCDGA) else len(
-        ctx.algebra.algebra.generators
-    )
+    dim_v = len(ctx.algebra.algebra.generators)
     h_total = sum(base.betti(n) for n in range(cutoff + 1))
     for w in range(0, cutoff + 1):
         partial = sum(hh.weight(n, w) for n in range(cutoff + 1))
@@ -770,7 +782,7 @@ def _eigenspace_dim(m, lam):
     return linalg.nullity(m - SparseMatrix.scalar(m.rows, lam))
 
 
-def euler_series(a, cutoff, weight_cutoff=None):
+def euler_series(ctx):
     """Per-weight Euler characteristics of HH and CH.
 
     chiH(w) = sum over i of (-1)^i dim HH^i(w); a coefficient is certified
@@ -779,9 +791,9 @@ def euler_series(a, cutoff, weight_cutoff=None):
     can contribute).  chiC is indexed by the integer effective weight;
     the unit tower contributes to negative weights.
     """
-    ctx = _context(a, cutoff, weight_cutoff)
-    hh = HH(ctx, cutoff)
-    ch = CH(ctx, cutoff)
+    cutoff = ctx.cutoff
+    hh = HH(ctx)
+    ch = CH(ctx)
     g = ctx.algebra.max_generator_degree()
     window = range(max(0, cutoff - g), cutoff + 1)
     rows = range(cutoff + 1)

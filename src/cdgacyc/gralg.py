@@ -6,16 +6,15 @@ signs follow the Koszul rule: moving a factor of degree p past one of
 degree q costs (-1)^(p*q), and odd generators square to zero.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 
 class AlgebraError(Exception):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class Generator:
+class Generator(NamedTuple):
     """Algebra generator; uid fixes the declaration (and sort) order."""
 
     uid: int

@@ -535,26 +535,3 @@ def build_minimal_model(B, cutoff, seed=None):
     if problems:
         raise ModelError(f"builder produced a bad morphism: {problems}")
     return A, theta
-
-
-def functor_on_cdga(B, which, cutoff, seed=None, weight_cutoff=None):
-    """Evaluate a loop functor on a finite CDGA through its minimal model."""
-    from cdgacyc import functors
-
-    table_fns = {
-        "HH": functors.HH,
-        "CH": functors.CH,
-        "PH": functors.PH,
-        "SH": functors.SH,
-    }
-    if which not in table_fns:
-        raise ModelError(f"unknown functor {which!r}")
-    A, theta = build_minimal_model(B, cutoff, seed=seed)
-    ctx = functors.LoopContext(A, cutoff, weight_cutoff=weight_cutoff)
-    table = table_fns[which](ctx, cutoff)
-    return {
-        "model_generators": [
-            (g.name, g.degree) for g in A.algebra.generators
-        ],
-        "table": table,
-    }

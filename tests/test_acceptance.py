@@ -14,7 +14,6 @@ from cdgacyc.free_loop import free_loop, ideals, u_model
 from cdgacyc.linalg import SparseMatrix
 from cdgacyc.minimal_model import (
     build_minimal_model,
-    functor_on_cdga,
     is_quasi_iso,
     verify_minimal,
 )
@@ -37,10 +36,10 @@ def fixture(name):
 _ctx_cache = {}
 
 
-def ctx(name):
-    if name not in _ctx_cache:
-        _ctx_cache[name] = F.LoopContext(fixture(name), N)
-    return _ctx_cache[name]
+def ctx(name, cutoff=N):
+    if (name, cutoff) not in _ctx_cache:
+        _ctx_cache[name, cutoff] = F.LoopContext(fixture(name), cutoff)
+    return _ctx_cache[name, cutoff]
 
 
 class _Budget:
@@ -76,7 +75,7 @@ def test_criterion_2_power_map_eigenstructure():
     budget = _Budget()
     ok = True
     for name in ("sphere2", "sphere3", "sphereEven4"):
-        rep = F.t4_audit(ctx(name), N)
+        rep = F.t4_audit(ctx(name))
         ok = ok and rep["pass"]
         budget.lap(name)
     report(2, "power map eigenstructure and vanishing bounds", ok)
@@ -86,11 +85,13 @@ def test_criterion_3_exact_sequences():
     budget = _Budget()
     ok = True
     for name in ("sphere2", "sphere3"):
-        ok = ok and F.fig2_audit(ctx(name), 10)["pass"]
-        ok = ok and F.fig7_audit(ctx(name), 10)["pass"]
+        ok = ok and F.fig2_audit(ctx(name, 10))["pass"]
+        ok = ok and F.fig7_audit(ctx(name, 10))["pass"]
         budget.lap(name)
+    # at cutoff 10 no sphereEven4 degree is certified, so the identity
+    # is compared at cutoff 12
     for name in ("sphere2", "sphere3", "sphereEven4", "product_s2_s3"):
-        ok = ok and F.theorem2_check(ctx(name), 10)["pass"]
+        ok = ok and F.theorem2_check(ctx(name))["pass"]
         budget.lap(name)
     report(3, "long exact sequences and the SH dimension identity", ok)
 
@@ -103,9 +104,9 @@ def test_criterion_4_cross_pipelines():
     for name in FREE:
         c = ctx(name)
         um = u_model(c.loop, N + 1)
-        ch = F.CH(c, N)
+        ch = F.CH(c)
         ok = ok and all(um.betti(n) == ch.total(n) for n in range(N + 1))
-        hh = F.HH(c, N)
+        hh = F.HH(c)
         ok = ok and all(
             sum(hh.weights(n).values()) == hh.total(n) for n in range(N + 1)
         )
@@ -117,8 +118,8 @@ def test_criterion_4_cross_pipelines():
     # (c) stabilized PH equals the periodic complex
     for name in ("trivial", "sphere2", "sphere3", "product_s2_s3"):
         c = ctx(name)
-        ph = F.PH(c, N)
-        php = F.PH_periodic(c, N)
+        ph = F.PH(c)
+        php = F.PH_periodic(c)
         for n in range(N + 1):
             if ph.certified(n) and php.certified(n):
                 ok = ok and ph.total(n) == php.total(n)
@@ -132,8 +133,8 @@ def test_criterion_5_betti_oracle():
     expect2 = [1] * 13
     o3 = oracles.hh_sphere3(N + 1)
     o2 = oracles.hh_sphere2(N + 1)
-    hh3 = F.HH(ctx("sphere3"), N)
-    hh2 = F.HH(ctx("sphere2"), N)
+    hh3 = F.HH(ctx("sphere3"))
+    hh2 = F.HH(ctx("sphere2"))
     ok = (
         o3 == expect3 and o2 == expect2
         and [hh3.total(n) for n in range(N + 1)] == o3
@@ -156,8 +157,8 @@ def test_criterion_6_minimal_models():
     ok = ok and [g.degree for g in a3.algebra.generators] == [3]
     ok = ok and verify_minimal(a3, N)["pass"] and is_quasi_iso(theta3, N)[0]
     budget.lap("s3_cohomology")
-    via_builder = functor_on_cdga(b2, "HH", N)["table"]
-    direct = F.HH(ctx("sphere2"), N)
+    via_builder = F.HH(F.LoopContext(b2, N))
+    direct = F.HH(ctx("sphere2"))
     ok = ok and all(
         via_builder.total(n) == direct.total(n) for n in range(N + 1)
     )
@@ -168,7 +169,7 @@ def test_criterion_6_minimal_models():
 def test_criterion_7_euler_characteristics():
     budget = _Budget()
     ok = True
-    s3 = F.euler_series(ctx("sphere3"), N)
+    s3 = F.euler_series(ctx("sphere3"))
     ok = ok and any(row["certified"] for row in s3["chiH"].values())
     for row in s3["chiH"].values():
         if row["certified"]:
@@ -178,12 +179,12 @@ def test_criterion_7_euler_characteristics():
                 "sphereEven4": 2, "product_s2_s3": 0}
     series = {}
     for name in FREE:
-        series[name] = F.euler_series(ctx(name), N)
+        series[name] = F.euler_series(ctx(name))
         row = series[name]["chiH"][0]
         ok = ok and row["certified"] and row["value"] == chi_base[name]
         budget.lap(name)
     for name in FREE:
-        s10 = F.euler_series(ctx(name), 10)
+        s10 = F.euler_series(ctx(name, 10))
         for w, row in s10["chiH"].items():
             r12 = series[name]["chiH"].get(w)
             if row["certified"] and r12 and r12["certified"]:
@@ -244,10 +245,10 @@ def test_criterion_8_negative_controls():
     budget.lap("connecting map")
 
     # (c) drop the weight-zero projection: the dimension identity breaks
-    c3 = ctx("sphere3")
-    sh_bad = F.SH(c3, 10, project_weight_zero=False)
-    k = F.K_groups(c3, 10)
-    rch = F.reduced_CH(c3, 10)
+    c3 = ctx("sphere3", 10)
+    sh_bad = F.SH(c3, project_weight_zero=False)
+    k = F.K_groups(c3)
+    rch = F.reduced_CH(c3)
     broken = [
         r for r in range(1, 11)
         if sh_bad.total(r) != (

@@ -15,6 +15,8 @@ S2 = str(FIXTURES / "sphere2.json")
 S3 = str(FIXTURES / "sphere3.json")
 S2H = str(FIXTURES / "s2_cohomology.json")
 TRIV = str(FIXTURES / "trivial.json")
+SH_SKIP = ("SKIP  SH dimension identity  (no degree from 1 to the cutoff has "
+           "certified SH, K and CH rows)")
 
 
 def run(argv, capsys):
@@ -75,12 +77,18 @@ def test_check_passes(capsys):
     ("sphere2", 0), ("sphere3", 1), ("sphereEven4", 2), ("product_s2_s3", 0),
 ])
 def test_check_skips_audit_that_does_not_apply(fixture, cutoff, capsys):
-    # below the lowest generator degree - 1, beta vanishes on the ideal
+    # below the lowest generator degree - 1, beta vanishes on the ideal;
+    # below cutoff 2 the long exact sequences have no degree to compare,
+    # and below the base vanishing window no SH degree is certified
     path = str(FIXTURES / f"{fixture}.json")
     code, out, _ = run(["check", path, "--cutoff", str(cutoff)], capsys)
     assert code == 0
     lines = out.splitlines()
-    assert [ln for ln in lines if ln.startswith("SKIP")] == [
+    les = ("SKIP  long exact sequences (rows and verticals)  "
+           f"(cutoff {cutoff} leaves no degree to compare)")
+    assert [ln for ln in lines if ln.startswith("SKIP")] == [les] * (
+        cutoff < 2) + [
+        SH_SKIP,
         "SKIP  interior-acyclicity lemma on the ideal  "
         "(beta is identically zero on a nonzero complex)"]
     assert not [ln for ln in lines if ln.startswith("FAIL")]
@@ -128,10 +136,20 @@ def test_check_skips_audits_under_weight_cutoff(torus, capsys):
     lines = out.splitlines()
     assert [ln for ln in lines if not ln.startswith("PASS")] == [
         "SKIP  power map eigenstructure" + reason,
+        SH_SKIP,
         "SKIP  circle model agrees with CH" + reason,
         "SKIP  interior-acyclicity lemma on the ideal" + reason,
     ]
     assert len(lines) == 7
+
+
+def test_check_skips_identity_with_no_certified_degree(capsys):
+    # the weight cutoff 3 leaves every SH row of sphere3 uncertified
+    code, out, _ = run(["check", S3, "--cutoff", "6", "--weight-max", "3"],
+                       capsys)
+    assert code == 0
+    assert SH_SKIP in out.splitlines()
+    assert "PASS  SH dimension identity" not in out
 
 
 def test_weight_cutoff_above_the_window_changes_nothing(capsys):
@@ -189,6 +207,26 @@ def test_finite_input_goes_through_model(capsys):
     code, out, _ = run(["hh", S2H, "--cutoff", "8"], capsys)
     assert code == 0
     assert "model generators" in out
+
+
+@pytest.mark.parametrize("cutoff", range(7))
+@pytest.mark.parametrize("command", ["hh", "ch", "ph", "sh", "euler", "check"])
+def test_finite_input_model_deep_enough(command, cutoff, capsys):
+    # the loop complex through degree cutoff + 1 reads the generators of
+    # degree <= cutoff + 2, so a shallower model changes low rows
+    for finite, free in (("s2_cohomology", "sphere2"),
+                         ("s3_cohomology", "sphere3")):
+        outs = []
+        for stem in (finite, free):
+            code, out, _ = run([command, str(FIXTURES / f"{stem}.json"),
+                                "--cutoff", str(cutoff)], capsys)
+            assert code == 0
+            outs.append(out)
+        got, want = outs
+        if command not in ("euler", "check"):
+            model_line, _, got = got.partition("\n")
+            assert model_line.startswith("model generators: ")
+        assert got == want, finite
 
 
 def test_minimal_model_emit_roundtrip(tmp_path, capsys):

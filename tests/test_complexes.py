@@ -255,5 +255,5 @@ def test_chain_map_commuting_enforced():
     c = CochainComplex({0: ["a"], 1: ["b"]}, {0: M_([[1]])})
     d = CochainComplex({0: ["a"], 1: ["b"]}, {0: M_([[0]])})
     with pytest.raises(ComplexError):
-        ChainMap(c, d, {0: M_([[1]]), 1: M_([[1]])}, check=True,
+        ChainMap(c, d, {0: M_([[1]]), 1: M_([[1]])},
                  check_degrees=range(0, 1))

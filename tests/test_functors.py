@@ -40,24 +40,34 @@ def ctx2():
     return F.LoopContext(sphere2(), 12)
 
 
+@pytest.fixture(scope="module")
+def ctx3_10():
+    return F.LoopContext(sphere3(), 10)
+
+
+@pytest.fixture(scope="module")
+def ctx2_10():
+    return F.LoopContext(sphere2(), 10)
+
+
 def test_hh_sphere3_matches_oracle(ctx3):
-    hh = F.HH(ctx3, 12)
+    hh = F.HH(ctx3)
     assert [hh.total(n) for n in range(13)] == oracles.hh_sphere3(13)
 
 
 def test_hh_sphere2_matches_oracle(ctx2):
-    hh = F.HH(ctx2, 12)
+    hh = F.HH(ctx2)
     assert [hh.total(n) for n in range(13)] == oracles.hh_sphere2(13)
 
 
 def test_hh_weights_sum_to_totals(ctx2):
-    hh = F.HH(ctx2, 12)
+    hh = F.HH(ctx2)
     for n in range(13):
         assert sum(hh.weights(n).values()) == hh.total(n)
 
 
 def test_ch_sphere3(ctx3):
-    ch = F.CH(ctx3, 12)
+    ch = F.CH(ctx3)
     for n in range(13):
         if n == 0:
             assert ch.total(n) == 1 and ch.weights(n) == {0: 1}
@@ -69,23 +79,23 @@ def test_ch_sphere3(ctx3):
 
 
 def test_reduced_ch_sphere3(ctx3):
-    rch = F.reduced_CH(ctx3, 12)
+    rch = F.reduced_CH(ctx3)
     for n in range(13):
         assert rch.total(n) == (1 if n % 2 == 0 and n > 0 else 0)
 
 
 def test_k_groups(ctx3, ctx2):
-    k3 = F.K_groups(ctx3, 12)
+    k3 = F.K_groups(ctx3)
     assert (k3["even"], k3["odd"]) == (1, 1)
     assert (k3["reduced_even"], k3["reduced_odd"]) == (0, 1)
     assert k3["certified"]
-    k2 = F.K_groups(ctx2, 12)
+    k2 = F.K_groups(ctx2)
     assert (k2["even"], k2["odd"]) == (2, 0)
     assert k2["certified"]
 
 
 def test_sh_sphere3(ctx3):
-    sh = F.SH(ctx3, 12)
+    sh = F.SH(ctx3)
     assert sh.total(0) == 1
     assert sh.total(1) == 1
     for n in range(2, 13):
@@ -94,13 +104,13 @@ def test_sh_sphere3(ctx3):
 
 def test_theorem2(ctx3, ctx2):
     for ctx in (ctx3, ctx2):
-        rep = F.theorem2_check(ctx, 12)
+        rep = F.theorem2_check(ctx)
         assert rep["pass"]
         assert any(v.get("status") == "pass" for v in rep["degrees"].values())
 
 
 def test_ph_stabilizes(ctx3):
-    ph = F.PH(ctx3, 12)
+    ph = F.PH(ctx3)
     for n in range(13):
         assert ph.certified(n)
         assert ph.total(n) == (1 if n % 2 == 0 else 0)
@@ -111,41 +121,41 @@ def test_ph_agrees_with_periodic():
     for name in ("trivial", "sphere2", "sphere3", "sphereEven4",
                  "product_s2_s3"):
         ctx = F.LoopContext(load_algebra(str(FIXTURES / f"{name}.json")), 12)
-        ph = F.PH(ctx, 12)
-        php = F.PH_periodic(ctx, 12)
+        ph = F.PH(ctx)
+        php = F.PH_periodic(ctx)
         for n in range(13):
             assert ph.certified(n) and php.certified(n)
             assert ph.weights(n) == php.weights(n), (name, n)
 
 
-def test_fig2_audit_passes(ctx3, ctx2):
-    for ctx in (ctx3, ctx2):
-        rep = F.fig2_audit(ctx, 10)
+def test_fig2_audit_passes(ctx3_10, ctx2_10):
+    for ctx in (ctx3_10, ctx2_10):
+        rep = F.fig2_audit(ctx)
         assert rep["pass"]
         assert rep["intertwining"]
 
 
-def test_fig7_audit_passes(ctx3, ctx2):
-    for ctx in (ctx3, ctx2):
-        rep = F.fig7_audit(ctx, 10)
+def test_fig7_audit_passes(ctx3_10, ctx2_10):
+    for ctx in (ctx3_10, ctx2_10):
+        rep = F.fig7_audit(ctx)
         assert rep["pass"]
         assert all(w["quasi_iso"] for w in rep["weights"].values())
 
 
-def test_t4_audit_passes(ctx3, ctx2):
-    for ctx in (ctx3, ctx2):
-        rep = F.t4_audit(ctx, 10)
+def test_t4_audit_passes(ctx3_10, ctx2_10):
+    for ctx in (ctx3_10, ctx2_10):
+        rep = F.t4_audit(ctx)
         assert rep["pass"]
 
 
 def test_t4_even_sphere():
     ctx = F.LoopContext(sphere_even4(), 12)
-    assert F.t4_audit(ctx, 12)["pass"]
-    assert F.theorem2_check(ctx, 12)["pass"]
+    assert F.t4_audit(ctx)["pass"]
+    assert F.theorem2_check(ctx)["pass"]
 
 
 def test_euler_sphere3(ctx3):
-    series = F.euler_series(ctx3, 12)
+    series = F.euler_series(ctx3)
     for w, row in series["chiH"].items():
         if row["certified"]:
             assert row["value"] == 0
@@ -153,28 +163,28 @@ def test_euler_sphere3(ctx3):
 
 def test_euler_weight0_is_base_characteristic(ctx3, ctx2):
     for ctx, chi in ((ctx3, 0), (ctx2, 2)):
-        series = F.euler_series(ctx, 12)
+        series = F.euler_series(ctx)
         row = series["chiH"][0]
         assert row["certified"]
         assert row["value"] == chi
 
 
-def test_euler_stable_under_cutoff(ctx3):
-    s10 = F.euler_series(ctx3, 10)
-    s12 = F.euler_series(ctx3, 12)
+def test_euler_stable_under_cutoff(ctx3, ctx3_10):
+    s10 = F.euler_series(ctx3_10)
+    s12 = F.euler_series(ctx3)
     for w, row in s10["chiH"].items():
         if row["certified"] and s12["chiH"].get(w, {}).get("certified"):
             assert row["value"] == s12["chiH"][w]["value"]
 
 
-def test_dropping_weight_projection_breaks_theorem2(ctx3):
-    sh_good = F.SH(ctx3, 10)
-    sh_bad = F.SH(ctx3, 10, project_weight_zero=False)
+def test_dropping_weight_projection_breaks_theorem2(ctx3_10):
+    sh_good = F.SH(ctx3_10)
+    sh_bad = F.SH(ctx3_10, project_weight_zero=False)
     assert any(
         sh_good.total(n) != sh_bad.total(n) for n in range(11)
     )
-    k = F.K_groups(ctx3, 10)
-    rch = F.reduced_CH(ctx3, 10)
+    k = F.K_groups(ctx3_10)
+    rch = F.reduced_CH(ctx3_10)
     broken = []
     for r in range(1, 11):
         kbar = k["reduced_even"] if r % 2 == 0 else k["reduced_odd"]
@@ -189,13 +199,13 @@ def test_quasi_iso_invariance_of_functors():
     # builder path indirectly: rename generators (an isomorphism)
     a = sphere3()
     b = FreeCDGA([Generator(0, "z", 3)], {})
-    ta = F.HH(a, 10)
-    tb = F.HH(b, 10)
+    ta = F.HH(F.LoopContext(a, 10))
+    tb = F.HH(F.LoopContext(b, 10))
     assert all(ta.total(n) == tb.total(n) for n in range(11))
 
 
-def test_table_json_schema(ctx3):
-    doc = F.HH(ctx3, 8).to_json()
+def test_table_json_schema():
+    doc = F.HH(F.LoopContext(sphere3(), 8)).to_json()
     assert set(doc) == {"degrees"}
     for row in doc["degrees"]:
         assert set(row) == {"n", "total", "weights", "certified"}

@@ -11,7 +11,6 @@ from cdgacyc.minimal_model import (
     FiniteCDGA,
     ModelError,
     build_minimal_model,
-    functor_on_cdga,
     is_quasi_iso,
     verify_minimal,
 )
@@ -163,19 +162,20 @@ def test_generator_counts_agree_across_quasi_isomorphic_models():
 def test_seed_invariance():
     tables = []
     for seed in (None, 1, 2, 12345):
-        r = functor_on_cdga(h_cp2(), "HH", 10, seed=seed)
-        tables.append([r["table"].total(n) for n in range(11)])
+        table = F.HH(F.LoopContext(h_cp2(), 10, seed=seed))
+        tables.append([table.total(n) for n in range(11)])
     assert all(t == tables[0] for t in tables)
 
 
 def test_hh_through_builder_equals_free_model():
-    r = functor_on_cdga(h_s2(), "HH", 12)
-    hh = F.HH(free_s2(), 12)
+    via_model = F.HH(F.LoopContext(h_s2(), 12))
+    hh = F.HH(F.LoopContext(free_s2(), 12))
     assert all(
-        r["table"].total(n) == hh.total(n) for n in range(13)
+        via_model.total(n) == hh.total(n) for n in range(13)
     )
 
 
-def test_functor_on_cdga_records_model():
-    r = functor_on_cdga(h_s3(), "CH", 8)
-    assert r["model_generators"] == [("v3_0", 3)]
+def test_context_records_model():
+    ctx = F.LoopContext(h_s3(), 8)
+    assert [(g.name, g.degree) for g in ctx.algebra.algebra.generators] == [
+        ("v3_0", 3)]
