@@ -317,7 +317,7 @@ def cmd_check(ctx):
                     f2["pass"], f2.get("skipped")))
 
     f7 = functors.fig7_audit(ctx)
-    results.append(("comparison diagram", f7["pass"], ""))
+    results.append(("comparison diagram", f7["pass"], f7.get("skipped")))
 
     t2 = functors.theorem2_check(ctx)
     results.append(("SH dimension identity", t2["pass"], t2.get("skipped")))

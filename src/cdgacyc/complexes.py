@@ -28,6 +28,14 @@ degree whose Betti number, representatives or induced map is computed,
 so no complex is built with a check of degrees nobody reads.  The
 matrix-level mixed-complex axioms are MixedComplex.validate, run as an
 audit.
+
+Chain maps between labelled complexes come from one builder, label_map,
+which sends each label to a label or to zero; inclusions, projections
+and the canonical maps of a cone are label maps.  A diagram audit is
+ladder_audit: a morphism of short exact sequences checked as both long
+exact sequences plus the three squares.  Each induced map and each
+connecting map is computed once per degree and cached, as cohomology
+is, so the sequences and the squares share them.
 """
 
 from fractions import Fraction
@@ -98,6 +106,7 @@ class ChainMap:
             rhs = target.d(n) @ self.matrix(n)
             if lhs != rhs:
                 raise ConsistencyError(f"map does not commute with d at {n}")
+        self._induced = {}
 
     def matrix(self, n):
         return self.mats.get(
@@ -105,9 +114,11 @@ class ChainMap:
         )
 
     def induced(self, n):
-        return linalg.induced_map(
-            self.matrix(n), self.source.cohomology(n), self.target.cohomology(n)
-        )
+        if n not in self._induced:
+            self._induced[n] = linalg.induced_map(
+                self.matrix(n), self.source.cohomology(n),
+                self.target.cohomology(n))
+        return self._induced[n]
 
 
 def shift_complex(c, s):
@@ -121,31 +132,35 @@ def shift_complex(c, s):
     )
 
 
+def label_map(source, target, image, check_degrees=()):
+    """ChainMap sending the source label lab in degree n to the target label
+    image(n, lab), or to zero where image returns None.  An image label
+    missing from the target raises ComplexError."""
+    mats = {}
+    for n in source.degrees:
+        index = {lab: i for i, lab in enumerate(target.labels.get(n, []))}
+        entries = {}
+        for j, lab in enumerate(source.labels[n]):
+            t = image(n, lab)
+            if t is None:
+                continue
+            if t not in index:
+                raise ComplexError(f"label {t!r} missing in target at {n}")
+            entries[(index[t], j)] = Fraction(1)
+        mats[n] = SparseMatrix(target.dim(n), source.dim(n), entries)
+    return ChainMap(source, target, mats, check_degrees)
+
+
 def label_inclusion(sub, amb):
     """ChainMap including a complex whose labels are a subset of another's."""
-    mats = {}
-    for n in sub.degrees:
-        amb_index = {lab: i for i, lab in enumerate(amb.labels.get(n, []))}
-        entries = {}
-        for j, lab in enumerate(sub.labels[n]):
-            if lab not in amb_index:
-                raise ComplexError(f"label {lab!r} missing in ambient at {n}")
-            entries[(amb_index[lab], j)] = Fraction(1)
-        mats[n] = SparseMatrix(amb.dim(n), sub.dim(n), entries)
-    return ChainMap(sub, amb, mats)
+    return label_map(sub, amb, lambda n, lab: lab)
 
 
 def label_projection(amb, quot):
     """ChainMap projecting onto the labels retained by the quotient."""
-    mats = {}
-    for n in set(amb.degrees) | set(quot.degrees):
-        quot_index = {lab: i for i, lab in enumerate(quot.labels.get(n, []))}
-        entries = {}
-        for j, lab in enumerate(amb.labels.get(n, [])):
-            if lab in quot_index:
-                entries[(quot_index[lab], j)] = Fraction(1)
-        mats[n] = SparseMatrix(quot.dim(n), amb.dim(n), entries)
-    return ChainMap(amb, quot, mats)
+    kept = {n: set(v) for n, v in quot.labels.items()}
+    return label_map(amb, quot,
+                     lambda n, lab: lab if lab in kept.get(n, ()) else None)
 
 
 class MixedComplex:
@@ -405,10 +420,9 @@ def mapping_cone(f):
     """Cone of a chain map f: C1 -> C2, with the canonical maps.
 
     Cone^n = C2^n + C1^{n+1}, d = [[d2, f], [0, -d1]].  Returns
-    (cone, include: C2 -> cone, project: cone -> C1 shifted by +1),
-    where the shifted complex carries C1's labels at degree n+... the
-    degree-n piece of the shift is C1^{n+1} with differential -d1.
-    Labels are tagged (0, label2) and (1, label1).
+    (cone, include: C2 -> cone, project: cone -> C1[1]), where the
+    degree-n piece of C1[1] is C1^{n+1} with differential -d1.  Labels
+    are tagged (0, label2) and (1, label1), so both maps are label maps.
     """
     c1, c2 = f.source, f.target
     degrees = sorted(set(c1.degrees) | set(c2.degrees) | {n - 1 for n in c1.degrees})
@@ -439,18 +453,9 @@ def mapping_cone(f):
         {n - 1: [(1, lab) for lab in c1.labels[n]] for n in c1.degrees},
         {n - 1: c1.d(n).scale(-1) for n in c1.degrees},
     )
-    inc_mats = {}
-    for n in c2.degrees:
-        entries = {(i, i): Fraction(1) for i in range(c2.dim(n))}
-        inc_mats[n] = SparseMatrix(cone.dim(n), c2.dim(n), entries)
-    include = ChainMap(c2, cone, inc_mats)
-    proj_mats = {}
-    for n in degrees:
-        entries = {
-            (i, c2.dim(n) + i): Fraction(1) for i in range(c1.dim(n + 1))
-        }
-        proj_mats[n] = SparseMatrix(c1.dim(n + 1), cone.dim(n), entries)
-    project = ChainMap(cone, shifted, proj_mats)
+    include = label_map(c2, cone, lambda n, lab: (0, lab))
+    project = label_map(cone, shifted,
+                        lambda n, lab: lab if lab[0] == 1 else None)
     return cone, include, project
 
 
@@ -476,10 +481,13 @@ class ShortExactSequence:
                 raise ConsistencyError(f"projection not surjective at {n}")
             if a.dim(n) + c.dim(n) != b.dim(n):
                 raise ConsistencyError(f"dimensions do not add up at {n}")
+        self._connecting = {}
 
     def connecting(self, r):
         """H^r(C) -> H^{r+1}(A) by the zig-zag lift: lift a C-cocycle to B,
         apply d, pull back along the inclusion."""
+        if r in self._connecting:
+            return self._connecting[r]
         hc = self.c.cohomology(r)
         ha = self.a.cohomology(r + 1)
         lifts = linalg.solve(self.proj.matrix(r), hc.representatives)
@@ -493,7 +501,8 @@ class ShortExactSequence:
         cols = ha.coordinates(pulled)
         if None in cols:
             raise ConsistencyError(f"connecting image not a cocycle at {r}")
-        return SparseMatrix.from_columns(ha.dim, cols)
+        self._connecting[r] = SparseMatrix.from_columns(ha.dim, cols)
+        return self._connecting[r]
 
     def les(self, r_min, r_max):
         """The long exact sequence as (node names, dims, maps).
@@ -523,23 +532,21 @@ def les_audit(names, dims, maps):
 
     Checks, at each interior node, that consecutive composites vanish and
     rank(incoming) + rank(outgoing) equals the node dimension.  Endpoint
-    nodes are reported as skipped (their exactness is not determined by
-    the data).  Returns a dict with pass/fail and per-node findings.
+    nodes are not checked (their exactness is not determined by the
+    data).  Returns a dict with pass/fail and per-node findings.
     """
+    ranks = [linalg.rank(m) for m in maps]
     findings = []
     ok = True
     for i in range(1, len(dims) - 1):
-        f_in, f_out = maps[i - 1], maps[i]
-        comp_zero = (f_out @ f_in).is_zero()
-        exact = comp_zero and (
-            linalg.rank(f_in) + linalg.rank(f_out) == dims[i]
-        )
+        comp_zero = (maps[i] @ maps[i - 1]).is_zero()
+        exact = comp_zero and ranks[i - 1] + ranks[i] == dims[i]
         findings.append(
             {
                 "node": names[i],
                 "dim": dims[i],
-                "rank_in": linalg.rank(f_in),
-                "rank_out": linalg.rank(f_out),
+                "rank_in": ranks[i - 1],
+                "rank_out": ranks[i],
                 "composite_zero": comp_zero,
                 "exact": exact,
             }
@@ -548,7 +555,39 @@ def les_audit(names, dims, maps):
     return {"pass": ok, "nodes": findings}
 
 
-def beta_acyclic_check(M, r_max=None):
+def ladder_audit(top, bottom, verticals, r_hi):
+    """Audit a morphism of short exact sequences over degrees 1..r_hi.
+
+    top and bottom are the rows 0 -> A_i -> B_i -> C_i -> 0; verticals is
+    the triple of chain maps (va, vb, vc) from the top row to the bottom
+    one.  Both long exact sequences go through les_audit, and the three
+    squares vb.i1 = i2.va, vc.p1 = p2.vb and va.delta1 = delta2.vc are
+    checked as identities of induced matrices in every degree.
+    """
+    va, vb, vc = verticals
+    row1 = les_audit(*top.les(1, r_hi))
+    row2 = les_audit(*bottom.les(1, r_hi))
+    squares = True
+    for r in range(1, r_hi + 1):
+        pairs = [
+            (vb.induced(r) @ top.incl.induced(r),
+             bottom.incl.induced(r) @ va.induced(r)),
+            (vc.induced(r) @ top.proj.induced(r),
+             bottom.proj.induced(r) @ vb.induced(r)),
+        ]
+        if r < r_hi:
+            pairs.append((va.induced(r + 1) @ top.connecting(r),
+                          bottom.connecting(r) @ vc.induced(r)))
+        squares = squares and all(lhs == rhs for lhs, rhs in pairs)
+    return {
+        "row1": row1,
+        "row2": row2,
+        "squares": squares,
+        "pass": row1["pass"] and row2["pass"] and squares,
+    }
+
+
+def beta_acyclic_check(M):
     """Check beta-acyclicity and the resulting +cohomology identification.
 
     A mixed complex is beta-acyclic when beta: C^1 -> C^0 is surjective
@@ -556,8 +595,6 @@ def beta_acyclic_check(M, r_max=None):
     (Im beta, delta) computes the +cohomology; the report compares both
     sides dimensionwise in the window where each is exact.
     """
-    if r_max is None:
-        r_max = M.top - 2
     report = {"beta_acyclic": True, "degrees": {}, "dims_match": None}
     if all(M.beta_m(n).is_zero() for n in range(1, M.top + 1)) and any(
         M.dim(n) for n in M.labels
@@ -594,7 +631,7 @@ def beta_acyclic_check(M, r_max=None):
     im_complex = CochainComplex(im_labels, im_diff)
 
     plus = plus_complex(M)
-    window = range(0, max(0, r_max + 1))
+    window = range(0, max(0, M.top - 1))
     pairs = {
         r: (im_complex.betti(r), plus.betti(r)) for r in window
     }

@@ -245,17 +245,3 @@ def u_model(loop, top):
         diff[n] = SparseMatrix(len(labels[n + 1]), len(labels[n]), entries)
     return CochainComplex(labels, diff)
 
-
-def u_power_matrix(loop, umodel, k, n):
-    """Psi_k on degree n of the u-model: diagonal k^(weight - u-power)."""
-    if k == 0:
-        raise gralg.AlgebraError("Psi_0 is not defined")
-    labs = umodel.labels.get(n, [])
-    return SparseMatrix(
-        len(labs),
-        len(labs),
-        {
-            (i, i): Fraction(k) ** (loop.weight(mono) - r)
-            for i, (mono, r) in enumerate(labs)
-        },
-    )

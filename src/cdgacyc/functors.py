@@ -16,12 +16,12 @@ from fractions import Fraction
 
 from cdgacyc import linalg
 from cdgacyc.complexes import (
-    ChainMap,
     CochainComplex,
     band_complex,
     label_inclusion,
+    label_map,
     label_projection,
-    les_audit,
+    ladder_audit,
     mapping_cone,
     plus_complex,
     plus_power_matrix,
@@ -39,19 +39,17 @@ class FunctorError(Exception):
 
 
 class CohomologyTable:
-    """Per-degree totals with optional per-weight breakdown."""
+    """Per-degree totals with their per-weight breakdown."""
 
     def __init__(self, name=""):
         self.name = name
         self.rows = {}
 
-    def set_row(self, n, total, weights=None, certified=True):
-        if weights is not None:
-            weights = {w: d for w, d in weights.items() if d}
-            if sum(weights.values()) != total:
-                raise FunctorError(
-                    f"{self.name} degree {n}: total {total} != weight sum"
-                )
+    def set_row(self, n, total, weights, certified):
+        weights = {w: d for w, d in weights.items() if d}
+        if sum(weights.values()) != total:
+            raise FunctorError(
+                f"{self.name} degree {n}: total {total} != weight sum")
         self.rows[n] = {"total": total, "weights": weights, "certified": certified}
 
     @property
@@ -62,7 +60,7 @@ class CohomologyTable:
         return self.rows[n]["total"]
 
     def weights(self, n):
-        return self.rows[n]["weights"] or {}
+        return self.rows[n]["weights"]
 
     def weight(self, n, w):
         return self.weights(n).get(w, 0)
@@ -75,12 +73,9 @@ class CohomologyTable:
             "degrees": [
                 {
                     "n": n,
-                    "total": self.rows[n]["total"],
-                    "weights": {
-                        str(w): d
-                        for w, d in (self.rows[n]["weights"] or {}).items()
-                    },
-                    "certified": self.rows[n]["certified"],
+                    "total": self.total(n),
+                    "weights": {str(w): d for w, d in self.weights(n).items()},
+                    "certified": self.certified(n),
                 }
                 for n in self.degrees
             ]
@@ -368,6 +363,22 @@ def _base_block(ctx, w, top):
     return CochainComplex(labels, diff)
 
 
+def _top_slot(ctx, w):
+    """The comparison rule at effective weight w: a +band label (m, mono)
+    in degree r goes to the base block label ("b", lower(mono)) when it
+    sits in the top slot m = r + 2w and has weight 0, and to zero
+    otherwise."""
+    loop = ctx.loop
+
+    def image(r, lab):
+        m, mono = lab
+        if m == r + 2 * w and loop.weight(mono) == 0:
+            return ("b", loop.lower(mono))
+        return None
+
+    return image
+
+
 def _ibar_map(ctx, w, top, project_weight_zero=True):
     """The comparison map into the periodic base complex at weight w.
 
@@ -381,27 +392,15 @@ def _ibar_map(ctx, w, top, project_weight_zero=True):
     if not project_weight_zero:
         M = ctx.mixed(max(top + 2, top + 2 + 2 * w))
         target = band_complex(M, w, "periodic", 0, top + 1)
-        return label_inclusion(source, target), source, target
-    target = _base_block(ctx, w, top + 1)
-    loop = ctx.loop
-    mats = {}
-    for r in source.degrees:
-        tgt_index = {lab: i for i, lab in enumerate(target.labels.get(r, []))}
-        entries = {}
-        for j, (m, mono) in enumerate(source.labels[r]):
-            if m == r + 2 * w and loop.weight(mono) == 0:
-                key = ("b", loop.lower(mono))
-                entries[(tgt_index[key], j)] = Fraction(1)
-        mats[r] = SparseMatrix(target.dim(r), source.dim(r), entries)
-    f = ChainMap(source, target, mats, check_degrees=range(0, top))
-    return f, source, target
+        return label_inclusion(source, target)
+    return label_map(source, _base_block(ctx, w, top + 1), _top_slot(ctx, w),
+                     check_degrees=range(0, top))
 
 
 def _sh_band(ctx, r, w, project_weight_zero=True):
     """dim SH^r at effective weight w, with the cone built honestly: its
     degrees r - 1..r + 1 read the source +band only through degree r."""
-    f, _, _ = _ibar_map(ctx, w, r + 1,
-                        project_weight_zero=project_weight_zero)
+    f = _ibar_map(ctx, w, r + 1, project_weight_zero=project_weight_zero)
     cone, _, _ = mapping_cone(f)
     return cone.cohomology(r).dim
 
@@ -473,17 +472,28 @@ def theorem2_check(ctx):
     return report
 
 
+def _nothing_to_compare(cutoff):
+    """Report of a diagram audit below cutoff 2: its sequences run over
+    degrees 1..cutoff - 1, so no node, square or triangle is compared."""
+    return {"pass": None, "weights": {},
+            "skipped": f"cutoff {cutoff} leaves no degree to compare"}
+
+
 def fig2_audit(ctx):
     """Exactness and commutativity audit of the two standard long exact
     sequences of the loop mixed complex, per effective weight.
 
     Row 1: 0 -> +C^{*-2}(w+1) -> +C^*(w) -> C^*(w) -> 0.
     Row 2: 0 -> +C^{*-2}(w+1) -> PC^*(w) -> -C^*(w) -> 0.
-    Also checks the vertical comparison maps between the rows, and the
-    intertwining of S with the power maps on the total +complex.  Below
-    cutoff 2 no degree is compared, and the report passes None.
+    The verticals between the rows are the identity on the first node,
+    the inclusion +C -> PC and the top-slot inclusion C -> -C; the rows
+    and squares are one ladder_audit.  Also checks the intertwining of S
+    with the power maps on the total +complex.  Below cutoff 2 no degree
+    is compared, and the report passes None.
     """
     cutoff = ctx.cutoff
+    if cutoff < 2:
+        return _nothing_to_compare(cutoff)
     top = cutoff + 1
     M = ctx.mixed(top)
     report = {"pass": True, "weights": {}}
@@ -508,37 +518,12 @@ def fig2_audit(ctx):
             label_projection(per_w, minus_w),
             degrees=range(0, r_hi + 2),
         )
-        a1 = les_audit(*row1.les(1, r_hi))
-        a2 = les_audit(*row2.les(1, r_hi))
-
-        # verticals: id on A, inclusion +C -> PC on B, top-slot on C
-        vb = label_inclusion(plus_w, per_w)
-        vc = label_inclusion(slice_w, minus_w)
-        squares = True
-        for r in range(1, r_hi + 1):
-            lhs = vb.induced(r) @ row1.incl.induced(r)
-            rhs = row2.incl.induced(r)
-            squares = squares and lhs == rhs
-            lhs = vc.induced(r) @ row1.proj.induced(r)
-            rhs = row2.proj.induced(r) @ vb.induced(r)
-            squares = squares and lhs == rhs
-            if r < r_hi:
-                lhs = row2.connecting(r) @ vc.induced(r)
-                rhs = row1.connecting(r)
-                squares = squares and lhs == rhs
-        entry = {
-            "row1": a1,
-            "row2": a2,
-            "squares": squares,
-        }
-        entry["pass"] = a1["pass"] and a2["pass"] and squares
+        verticals = (label_inclusion(plus_w1, plus_w1),
+                     label_inclusion(plus_w, per_w),
+                     label_inclusion(slice_w, minus_w))
+        entry = ladder_audit(row1, row2, verticals, r_hi)
         report["weights"][w] = entry
         report["pass"] = report["pass"] and entry["pass"]
-    if not report["weights"]:
-        # cutoff < 2: then S meets no degree 2..cutoff either
-        report["pass"] = None
-        report["skipped"] = f"cutoff {cutoff} leaves no degree to compare"
-        return report
 
     # intertwining on the total +complex: S . +Psi_k = k . +Psi_k . S,
     # where S: +C^{*-2} -> +C^* is the slotwise inclusion
@@ -570,11 +555,14 @@ def fig7_audit(ctx):
     projection), whose induced matrices are checked invertible.  Row 2 is
     the long exact sequence of the cone over the zero-weight comparison
     map; its middle node is the periodic base complex, i.e. the K-groups
-    per weight.  The verticals and all squares are checked as matrix
-    identities, and the triangle identity T^r . S^{r-2} = H(Ibar) ties the
-    rows to the colimit defining PH.
+    per weight.  The rows and squares are one ladder_audit, and the
+    triangle identity T^r . S^{r-2} = H(Ibar) ties the rows to the
+    colimit defining PH.  Below cutoff 2 no degree is compared, and the
+    report passes None.
     """
     cutoff = ctx.cutoff
+    if cutoff < 2:
+        return _nothing_to_compare(cutoff)
     bound, _ = ctx.base_bound()
     report = {"pass": True, "weights": {}}
     for w in range(-(cutoff // 2) - 1, max(2, bound // 2 + 1) + 1):
@@ -591,96 +579,44 @@ def _fig7_weight(ctx, w):
     slice_w = ctx.band(w, "slice", r_hi + 2)
 
     # row 1: cone over the inclusion, plus the quasi-isomorphism onto the
-    # loop-cohomology slice
+    # loop-cohomology slice (the top slot of the +band part)
     incl = label_inclusion(band_w1, band_w)
     cone1, inc1, proj1 = mapping_cone(incl)
     ses1 = ShortExactSequence(inc1, proj1, degrees=range(0, r_hi + 2))
-    q_mats = {}
-    for r in range(0, r_hi + 3):
-        tgt_index = {lab: i for i, lab in enumerate(slice_w.labels.get(r, []))}
-        entries = {}
-        for j, lab in enumerate(cone1.labels.get(r, [])):
-            if lab[0] == 0 and lab[1][0] == r:  # top slot of the +band part
-                entries[(tgt_index[(r, lab[1][1])], j)] = Fraction(1)
-        q_mats[r] = SparseMatrix(slice_w.dim(r), cone1.dim(r), entries)
-    q = ChainMap(cone1, slice_w, q_mats, check_degrees=range(0, r_hi + 2))
-    quasi_iso = True
-    q_ind = {}
-    for r in range(1, r_hi + 1):
-        m = q.induced(r)
-        q_ind[r] = m
-        if m.rows != m.cols or linalg.rank(m) != m.rows:
-            quasi_iso = False
+    q = label_map(cone1, slice_w,
+                  lambda r, lab: lab[1] if lab[0] == 0 and lab[1][0] == r
+                  else None,
+                  check_degrees=range(0, r_hi + 2))
+    quasi_iso = all(m.rows == m.cols and linalg.rank(m) == m.rows
+                    for m in map(q.induced, range(1, r_hi + 1)))
 
     # row 2: cone over the zero-weight comparison map
-    f2, src2, tgt2 = _ibar_map(ctx, w, r_hi + 2)
+    f2 = _ibar_map(ctx, w, r_hi + 2)
     cone2, inc2, proj2 = mapping_cone(f2)
     ses2 = ShortExactSequence(inc2, proj2, degrees=range(0, r_hi + 2))
 
-    a1 = les_audit(*ses1.les(1, r_hi))
-    a2 = les_audit(*ses2.les(1, r_hi))
+    # verticals: T (the top-slot rule) on the CH node, the functorial cone
+    # map on the middle node, the identity on the shifted CH node
+    top_slot = _top_slot(ctx, w)
+    t = label_map(band_w, f2.target, top_slot, check_degrees=range(0, r_hi + 1))
 
-    # verticals: T (top-slot weight-zero projection) on the CH node, the
-    # functorial cone map on the middle node, id on the shifted CH node
-    loop = ctx.loop
-    t_mats = {}
-    for r in range(0, r_hi + 2):
-        tgt_index = {lab: i for i, lab in enumerate(tgt2.labels.get(r, []))}
-        entries = {}
-        for j, (m, mono) in enumerate(band_w.labels.get(r, [])):
-            if m == r + 2 * w and loop.weight(mono) == 0:
-                entries[(tgt_index[("b", loop.lower(mono))], j)] = Fraction(1)
-        t_mats[r] = SparseMatrix(tgt2.dim(r), band_w.dim(r), entries)
-    t = ChainMap(band_w, tgt2, t_mats, check_degrees=range(0, r_hi + 1))
-    cone_mats = {}
-    for r in range(0, r_hi + 2):
-        tgt_index = {lab: i for i, lab in enumerate(cone2.labels.get(r, []))}
-        # cone1^r starts with band_w^r, in order: T acts there as itself
-        entries = {
-            (tgt_index[(0, tgt2.labels[r][i])], j): v
-            for (i, j), v in t.matrix(r).entries.items()
-        }
-        for j, lab in enumerate(cone1.labels.get(r, [])):
-            if lab[0] == 1:
-                entries[(tgt_index[lab], j)] = Fraction(1)
-        cone_mats[r] = SparseMatrix(cone2.dim(r), cone1.dim(r), entries)
-    vcone = ChainMap(cone1, cone2, cone_mats,
-                     check_degrees=range(0, r_hi + 1))
+    def cone_image(r, lab):
+        if lab[0] == 1:
+            return lab
+        image = top_slot(r, lab[1])
+        return None if image is None else (0, image)
 
-    squares = True
-    for r in range(1, r_hi + 1):
-        lhs = vcone.induced(r) @ inc1.induced(r)
-        rhs = inc2.induced(r) @ t.induced(r)
-        squares = squares and lhs == rhs
-        lhs = proj2.induced(r) @ vcone.induced(r)
-        rhs = proj1.induced(r)
-        squares = squares and lhs == rhs
-        if r < r_hi:
-            # the quotient rows agree, so the connecting square reads
-            # conn2 = T . conn1 directly
-            lhs = ses2.connecting(r)
-            rhs = t.induced(r + 1) @ ses1.connecting(r)
-            squares = squares and lhs == rhs
+    vcone = label_map(cone1, cone2, cone_image,
+                      check_degrees=range(0, r_hi + 1))
+    entry = ladder_audit(
+        ses1, ses2, (t, vcone, label_inclusion(proj1.target, proj2.target)),
+        r_hi)
 
     # triangle: T^r . S^{r-2} equals the chain-level comparison H(Ibar)
-    triangle = True
-    s_incl = label_inclusion(band_w1, band_w)
-    for r in range(1, r_hi + 1):
-        lhs_mat = t.matrix(r) @ s_incl.matrix(r)
-        rhs_mat = f2.matrix(r)
-        if lhs_mat != rhs_mat:
-            triangle = False
-
-    entry = {
-        "row1": a1,
-        "row2": a2,
-        "quasi_iso": quasi_iso,
-        "squares": squares,
-        "triangle": triangle,
-    }
-    entry["pass"] = (
-        a1["pass"] and a2["pass"] and quasi_iso and squares and triangle
-    )
+    entry["triangle"] = all(t.matrix(r) @ incl.matrix(r) == f2.matrix(r)
+                            for r in range(1, r_hi + 1))
+    entry["quasi_iso"] = quasi_iso
+    entry["pass"] = entry["pass"] and quasi_iso and entry["triangle"]
     return entry
 
 
@@ -709,45 +645,23 @@ def t4_audit(ctx):
 
     for k in (2, 3):
         for n in range(cutoff + 1):
-            psi = linalg.induced_map(
-                M.power_matrix(k, n), C.cohomology(n), C.cohomology(n)
-            )
-            ws = sorted(hh.weights(n))
-            check(
-                f"HH^{n} Psi_{k} annihilated by weight spectrum",
-                _annihilated(psi, [Fraction(k) ** w for w in ws]),
-            )
-            eig_ok = True
-            total_eig = 0
-            for w in ws:
-                dim_w = _eigenspace_dim(psi, Fraction(k) ** w)
-                total_eig += dim_w
-                eig_ok = eig_ok and dim_w == hh.weight(n, w)
-            check(
-                f"HH^{n} Psi_{k} eigenspaces match weight slices",
-                eig_ok and total_eig == psi.rows,
-            )
-
-            cpsi = linalg.induced_map(
-                plus_power_matrix(M, plus, k, n),
-                plus.cohomology(n),
-                plus.cohomology(n),
-            )
-            cws = sorted(ch.weights(n))
-            check(
-                f"CH^{n} Psi_{k} annihilated by weight spectrum",
-                _annihilated(cpsi, [Fraction(k) ** w for w in cws]),
-            )
-            eig_ok = True
-            total_eig = 0
-            for w in cws:
-                dim_w = _eigenspace_dim(cpsi, Fraction(k) ** w)
-                total_eig += dim_w
-                eig_ok = eig_ok and dim_w == ch.weight(n, w)
-            check(
-                f"CH^{n} Psi_{k} eigenspaces match weight slices",
-                eig_ok and total_eig == cpsi.rows,
-            )
+            for name, cx, power, table in (
+                ("HH", C, M.power_matrix(k, n), hh),
+                ("CH", plus, plus_power_matrix(M, plus, k, n), ch),
+            ):
+                psi = linalg.induced_map(power, cx.cohomology(n),
+                                         cx.cohomology(n))
+                ws = sorted(table.weights(n))
+                check(
+                    f"{name}^{n} Psi_{k} annihilated by weight spectrum",
+                    _annihilated(psi, [Fraction(k) ** w for w in ws]),
+                )
+                dims = [_eigenspace_dim(psi, Fraction(k) ** w) for w in ws]
+                check(
+                    f"{name}^{n} Psi_{k} eigenspaces match weight slices",
+                    dims == [table.weight(n, w) for w in ws]
+                    and sum(dims) == psi.rows,
+                )
 
     for n in range(cutoff + 1):
         check(

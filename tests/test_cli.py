@@ -84,9 +84,10 @@ def test_check_skips_audit_that_does_not_apply(fixture, cutoff, capsys):
     code, out, _ = run(["check", path, "--cutoff", str(cutoff)], capsys)
     assert code == 0
     lines = out.splitlines()
-    les = ("SKIP  long exact sequences (rows and verticals)  "
-           f"(cutoff {cutoff} leaves no degree to compare)")
-    assert [ln for ln in lines if ln.startswith("SKIP")] == [les] * (
+    reason = f"(cutoff {cutoff} leaves no degree to compare)"
+    diagrams = [f"SKIP  long exact sequences (rows and verticals)  {reason}",
+                f"SKIP  comparison diagram  {reason}"]
+    assert [ln for ln in lines if ln.startswith("SKIP")] == diagrams * (
         cutoff < 2) + [
         SH_SKIP,
         "SKIP  interior-acyclicity lemma on the ideal  "

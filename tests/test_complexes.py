@@ -16,6 +16,7 @@ from cdgacyc.complexes import (
     beta_acyclic_check,
     label_inclusion,
     label_projection,
+    ladder_audit,
     les_audit,
     mapping_cone,
     plus_complex,
@@ -223,6 +224,51 @@ def test_label_projection_and_inclusion():
     quot = CochainComplex({1: ["c"]}, {})
     proj = label_projection(c, quot)
     assert proj.matrix(1) == M_([[1]])
+
+
+def test_label_inclusion_rejects_missing_label():
+    amb = CochainComplex({0: ["a", "b"]}, {})
+    sub = CochainComplex({0: ["c"]}, {})
+    with pytest.raises(ComplexError, match="missing"):
+        label_inclusion(sub, amb)
+
+
+def sphere3_weight0_ladder():
+    """fig2's ladder for sphere3 at effective weight 0 and cutoff 8."""
+    M = free_loop(sphere3()).mixed_complex(9)
+    plus_w = band_complex(M, 0, "plus", 0, 9)
+    plus_w1 = shift_complex(band_complex(M, 1, "plus", 0, 7), 2)
+    slice_w = band_complex(M, 0, "slice", 0, 9)
+    per_w = band_complex(M, 0, "periodic", 0, 9)
+    minus_w = band_complex(M, 0, "minus", 0, 9)
+    row1 = ShortExactSequence(label_inclusion(plus_w1, plus_w),
+                              label_projection(plus_w, slice_w),
+                              degrees=range(0, 9))
+    row2 = ShortExactSequence(label_inclusion(plus_w1, per_w),
+                              label_projection(per_w, minus_w),
+                              degrees=range(0, 9))
+    verticals = (label_inclusion(plus_w1, plus_w1),
+                 label_inclusion(plus_w, per_w),
+                 label_inclusion(slice_w, minus_w))
+    return row1, row2, verticals
+
+
+def test_ladder_audit_passes_with_true_verticals():
+    row1, row2, verticals = sphere3_weight0_ladder()
+    report = ladder_audit(row1, row2, verticals, 7)
+    assert report["row1"]["pass"] and report["row2"]["pass"]
+    assert report["squares"] is True
+    assert report["pass"]
+
+
+def test_ladder_audit_fails_with_scaled_vertical():
+    row1, row2, (va, vb, vc) = sphere3_weight0_ladder()
+    doubled = ChainMap(vc.source, vc.target,
+                       {n: m.scale(2) for n, m in vc.mats.items()})
+    report = ladder_audit(row1, row2, (va, vb, doubled), 7)
+    assert report["row1"]["pass"] and report["row2"]["pass"]
+    assert report["squares"] is False
+    assert not report["pass"]
 
 
 def test_coordinate_subcomplex_closure_check():

@@ -11,7 +11,6 @@ from cdgacyc.free_loop import (
     base_cochain,
     free_loop,
     u_model,
-    u_power_matrix,
 )
 from cdgacyc.gralg import FreeCDGA, Generator
 
@@ -122,15 +121,6 @@ def test_u_model_dims():
             len(loop.basis(n - 2 * r)) for r in range(n // 2 + 1)
         )
         assert um.dim(n) == expect
-
-
-def test_u_power_matrix_weights():
-    loop = free_loop(sphere3())
-    um = u_model(loop, 6)
-    m = u_power_matrix(loop, um, 2, 4)
-    for i, (mono, r) in enumerate(um.labels[4]):
-        assert m.entries.get((i, i), 0) == \
-            Fraction(2) ** (loop.weight(mono) - r)
 
 
 def test_lift_lower_roundtrip():
