@@ -225,10 +225,9 @@ def reduced_CH(ctx):
             band = ctx.band(w0, "plus", cutoff + 1)
             labs = band.labels.get(n, [])
             if (0, ()) in labs:
-                e = [Fraction(0)] * len(labs)
-                e[labs.index((0, ()))] = Fraction(1)
-                [coords] = band.cohomology(n).coordinates([tuple(e)])
-                if coords is not None and any(coords):
+                [coords] = band.cohomology(n).coordinates(
+                    [{labs.index((0, ())): Fraction(1)}])
+                if coords:
                     weights[w0] = weights.get(w0, 0) - 1
                     total -= 1
         out.set_row(n, total, weights, certified=table.certified(n))

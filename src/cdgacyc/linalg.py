@@ -8,6 +8,11 @@ echelon of [image | kernel], and ``solve`` appends a whole batch of
 right-hand sides to the matrix, so coordinates, lifts and induced maps
 never eliminate once per vector.  All arithmetic is exact; matrices are
 immutable after construction.
+
+A vector is a sparse dict ``{index: Fraction}`` with no stored zeros and
+every index in range of its ambient space; the zero vector is ``{}``.
+Kernel and image bases, representatives, right-hand sides, solutions,
+coordinates and matrix-vector products all take and give this form.
 """
 
 from fractions import Fraction
@@ -67,26 +72,9 @@ class SparseMatrix:
         return cls(n, n, {(i, i): c for i in range(n)})
 
     @classmethod
-    def from_dense(cls, dense):
-        rows = len(dense)
-        cols = len(dense[0]) if rows else 0
-        entries = {}
-        for i, row in enumerate(dense):
-            if len(row) != cols:
-                raise LinalgError("ragged dense matrix")
-            for j, v in enumerate(row):
-                entries[(i, j)] = _frac(v)
-        return cls(rows, cols, entries)
-
-    @classmethod
     def from_columns(cls, ambient, columns):
-        entries = {}
-        for j, v in enumerate(columns):
-            if len(v) != ambient:
-                raise LinalgError("column of wrong length")
-            for i, x in enumerate(v):
-                entries[(i, j)] = _frac(x)
-        return cls(ambient, len(columns), entries)
+        return cls(ambient, len(columns), {
+            (i, j): x for j, v in enumerate(columns) for i, x in v.items()})
 
     def __eq__(self, other):
         return (
@@ -95,9 +83,6 @@ class SparseMatrix:
             and self.cols == other.cols
             and self.entries == other.entries
         )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, frozenset(self.entries.items())))
 
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols}, {len(self.entries)} entries)"
@@ -147,27 +132,21 @@ class SparseMatrix:
         return SparseMatrix(self.rows, other.cols, entries)
 
     def apply(self, vec):
-        """Matrix times column vector (tuple of rationals)."""
-        if len(vec) != self.cols:
-            raise LinalgError("vector of wrong length")
-        out = [Fraction(0)] * self.rows
+        """Matrix times a column vector, both {index: Fraction} dicts."""
+        out = {}
         for (i, j), v in self.entries.items():
-            x = vec[j]
-            if x:
-                out[i] += v * x
-        return tuple(out)
-
-    def column(self, j):
-        col = [Fraction(0)] * self.rows
-        for (i, jj), v in self.entries.items():
-            if jj == j:
-                col[i] = v
-        return tuple(col)
+            x = vec.get(j)
+            if x is not None:
+                out[i] = out.get(i, 0) + v * x
+        return {i: x for i, x in out.items() if x}
 
     def echelon(self):
         """Reduced row echelon form, cached: (nonzero rows as {col: Fraction}
-        dicts in pivot order, ascending pivot columns)."""
-        if self._echelon is None:
+        dicts in pivot order, ascending pivot columns).  A matrix with no
+        entries is not eliminated."""
+        if self._echelon is None and not self.entries:
+            self._echelon = ([], [])
+        elif self._echelon is None:
             rows = [[] for _ in range(self.rows)]
             for (i, j), v in self.entries.items():
                 rows[i].append((j, v))
@@ -188,54 +167,49 @@ def kernel_basis(m):
     """Exact basis of Ker m, one vector per free column, ascending."""
     rows, pivots = m.echelon()
     pivot_set = set(pivots)
-    basis = {}
-    for free in range(m.cols):
-        if free not in pivot_set:
-            basis[free] = [Fraction(0)] * m.cols
-            basis[free][free] = Fraction(1)
+    basis = {free: {free: Fraction(1)}
+             for free in range(m.cols) if free not in pivot_set}
     for p, row in zip(pivots, rows):
         for j, x in row.items():
             if j != p:
                 basis[j][p] = -x
-    return [tuple(v) for v in basis.values()]
+    return list(basis.values())
 
 
 def image_basis(m):
     """Columns of m forming a basis of its column space (pivot columns)."""
     _, pivots = m.echelon()
-    cols = {j: [Fraction(0)] * m.rows for j in pivots}
+    cols = {j: {} for j in pivots}
     for (i, j), v in m.entries.items():
         if j in cols:
             cols[j][i] = v
-    return [tuple(c) for c in cols.values()]
+    return list(cols.values())
 
 
 def solve(m, rhs):
     """Solutions of m x = b for every b in rhs, from one elimination.
 
-    Each answer is the solution whose free coordinates are zero, or None
-    when b is not in the column space of m.
+    Each b and each answer is an {index: Fraction} vector.  The answer is
+    the solution whose free coordinates are zero, or None when b is not
+    in the column space of m.
     """
     if not rhs:
         return []
     n = m.cols
     entries = dict(m.entries)
     for k, b in enumerate(rhs):
-        if len(b) != m.rows:
-            raise LinalgError("rhs of wrong length")
-        entries.update({(i, n + k): x for i, x in enumerate(b) if x})
+        entries.update({(i, n + k): x for i, x in b.items()})
     rows, pivots = SparseMatrix(m.rows, n + len(rhs), entries).echelon()
     r = sum(p < n for p in pivots)
     # b is outside the column space exactly when a row past rank(m) has
     # an entry in its column.
     outside = set().union(*rows[r:])
-    out = [None if n + k in outside else [Fraction(0)] * n
-           for k in range(len(rhs))]
+    out = [None if n + k in outside else {} for k in range(len(rhs))]
     for p, row in zip(pivots[:r], rows):
         for c, x in row.items():
             if c >= n and out[c - n] is not None:
                 out[c - n][p] = x
-    return [None if x is None else tuple(x) for x in out]
+    return out
 
 
 class SubquotientBasis:
@@ -254,11 +228,12 @@ class SubquotientBasis:
 
     def coordinates(self, vectors):
         """Coordinates of each [v] on the representatives, or None where v
-        is not in the kernel span."""
-        m = SparseMatrix.from_columns(
-            self.ambient, list(self.representatives) + list(self.image)
-        )
-        return [None if x is None else x[: self.dim]
+        is not in the kernel span.  Vectors and coordinates are {index:
+        Fraction} dicts; a class that is zero has coordinates {}."""
+        m = SparseMatrix.from_columns(self.ambient,
+                                      self.representatives + self.image)
+        return [None if x is None
+                else {j: c for j, c in x.items() if j < self.dim}
                 for x in solve(m, vectors)]
 
     def __repr__(self):
@@ -281,6 +256,9 @@ def cohomology_at(d_in, d_out):
     ambient = d_in.rows
     kern = kernel_basis(d_out)
     img = image_basis(d_in)
+    if not img:
+        # a kernel basis is independent: with no image, all of it
+        return SubquotientBasis(ambient, img, kern)
     _, pivots = SparseMatrix.from_columns(ambient, img + kern).echelon()
     reps = [kern[j - len(img)] for j in pivots if j >= len(img)]
     return SubquotientBasis(ambient, img, reps)
@@ -300,7 +278,8 @@ def induced_map(f, source, target):
     first failing vector (image vectors first) otherwise.  One batch of
     target coordinates decides both: the columns [representatives |
     image] are independent, so an image vector lands in the target image
-    exactly when its representative coordinates exist and are zero.
+    exactly when its representative coordinates exist and are the empty
+    {index: Fraction} dict.
     """
     if f.cols != source.ambient or f.rows != target.ambient:
         raise LinalgError("shape mismatch for induced map")
@@ -309,7 +288,7 @@ def induced_map(f, source, target):
         [f.apply(v) for v in source.image + source.representatives]
     )
     for v, x in zip(source.image, coords[:k]):
-        if x is None or any(x):
+        if x is None or x:
             raise NotChainCompatible("image not carried into image", v)
     cols = coords[k:]
     for v, x in zip(source.representatives, cols):

@@ -235,13 +235,9 @@ def _side(a):
 
 
 def _vector(side, e, n):
-    """Coordinates of a degree-n element on side.basis_of(n)."""
-    basis = side.basis_of(n)
-    pos = {m: i for i, m in enumerate(basis)}
-    v = [Fraction(0)] * len(basis)
-    for m, c in e.items():
-        v[pos[m]] = c
-    return tuple(v)
+    """{index: Fraction} coordinates of e on side.basis_of(n)."""
+    pos = {m: i for i, m in enumerate(side.basis_of(n))}
+    return {pos[m]: c for m, c in e.items() if c}
 
 
 class CDGAMorphism:
@@ -418,14 +414,14 @@ def is_quasi_iso(f, cutoff):
 
 def _mix(rng, vectors):
     """Random unimodular recombination of a list of coordinate vectors."""
-    vecs = [list(v) for v in vectors]
+    vecs = list(vectors)
     rng.shuffle(vecs)
     for i in range(len(vecs)):
         for j in range(len(vecs)):
             if i != j and rng.random() < 0.5:
                 c = rng.randint(-2, 2)
-                vecs[i] = [a + c * b for a, b in zip(vecs[i], vecs[j])]
-    return [tuple(v) for v in vecs]
+                vecs[i] = gralg.poly_add(vecs[i], gralg.poly_scale(c, vecs[j]))
+    return vecs
 
 
 def build_minimal_model(B, cutoff, seed=None):
@@ -463,19 +459,15 @@ def build_minimal_model(B, cutoff, seed=None):
         _, pivots = SparseMatrix(
             d, m.cols + d, m.entries | {(i, m.cols + i): 1 for i in range(d)}
         ).echelon()
-        missing = [tuple(Fraction(int(i == j - m.cols)) for i in range(d))
-                   for j in pivots if j >= m.cols]
+        missing = [{j - m.cols: Fraction(1)} for j in pivots if j >= m.cols]
         if rng and len(missing) > 1:
             missing = _mix(rng, missing)
         for coords in missing:
-            cocycle = {}
-            for i, c in enumerate(coords):
-                if c:
-                    rep = hn_tgt.representatives[i]
-                    for pos, v in enumerate(rep):
-                        if v:
-                            name = B.basis_of(n)[pos]
-                            cocycle[name] = cocycle.get(name, Fraction(0)) + c * v
+            vec = {}
+            for i, c in coords.items():
+                vec = gralg.poly_add(
+                    vec, gralg.poly_scale(c, hn_tgt.representatives[i]))
+            cocycle = {B.basis_of(n)[pos]: v for pos, v in vec.items()}
             name = f"v{n}_{counter}"
             counter += 1
             gens.append(Generator(uid, name, n))
@@ -495,13 +487,12 @@ def build_minimal_model(B, cutoff, seed=None):
         z_polys = []
         for coords in kernel:
             # cocycle z in Lambda[V]^{n+1} representing the killed class
-            z_vec = [Fraction(0)] * src_c.dim(n + 1)
-            for i, c in enumerate(coords):
-                if c:
-                    for pos, v in enumerate(h_src.representatives[i]):
-                        z_vec[pos] += c * v
+            z_vec = {}
+            for i, c in coords.items():
+                z_vec = gralg.poly_add(
+                    z_vec, gralg.poly_scale(c, h_src.representatives[i]))
             z_polys.append({src_c.labels[n + 1][pos]: v
-                            for pos, v in enumerate(z_vec) if v})
+                            for pos, v in z_vec.items()})
         # primitives b in B^n with d(b) = theta(z)
         sols = linalg.solve(
             B.d_matrix(n),
@@ -518,10 +509,8 @@ def build_minimal_model(B, cutoff, seed=None):
                 for rep in hb.representatives:
                     if rng.random() < 0.5:
                         c = rng.randint(-2, 2)
-                        sol = tuple(a + c * b for a, b in zip(sol, rep))
-            primitive = {
-                B.basis_of(n)[i]: c for i, c in enumerate(sol) if c
-            }
+                        sol = gralg.poly_add(sol, gralg.poly_scale(c, rep))
+            primitive = {B.basis_of(n)[i]: c for i, c in sol.items()}
             name = f"w{n}_{counter}"
             counter += 1
             gens.append(Generator(uid, name, n))

@@ -42,7 +42,9 @@ def sphere3():
 
 
 def M_(rows):
-    return SparseMatrix.from_dense([[Fraction(v) for v in r] for r in rows])
+    """The matrix with these dense rows."""
+    return SparseMatrix(len(rows), len(rows[0]) if rows else 0, {
+        (i, j): v for i, r in enumerate(rows) for j, v in enumerate(r)})
 
 
 def test_cochain_requires_d_squared_zero():

@@ -13,7 +13,30 @@ from oracles import rref_rank
 
 
 def M(rows):
-    return SparseMatrix.from_dense([[Fraction(v) for v in r] for r in rows])
+    """The matrix with these dense rows."""
+    return SparseMatrix(len(rows), len(rows[0]) if rows else 0, {
+        (i, j): v for i, r in enumerate(rows) for j, v in enumerate(r)})
+
+
+def to_dense(v, n):
+    """A {index: Fraction} vector as a dense list of length n, for the
+    oracle."""
+    return [v.get(i, Fraction(0)) for i in range(n)]
+
+
+def to_sparse(v):
+    """A dense sequence as an {index: Fraction} vector."""
+    return {i: Fraction(x) for i, x in enumerate(v) if x}
+
+
+def column(m, j):
+    return {i: v for (i, jj), v in m.entries.items() if jj == j}
+
+
+def assert_sparse(v, n):
+    """No stored zero and no index outside range(n)."""
+    assert all(isinstance(x, Fraction) and x for x in v.values()), v
+    assert all(0 <= i < n for i in v), v
 
 
 dense = st.integers(1, 5).flatmap(
@@ -40,7 +63,8 @@ def test_kernel_vectors_annihilate(rows):
     basis = linalg.kernel_basis(m)
     assert len(basis) == m.cols - linalg.rank(m)
     for v in basis:
-        assert not any(m.apply(v))
+        assert_sparse(v, m.cols)
+        assert m.apply(v) == {}
 
 
 @given(dense)
@@ -49,15 +73,18 @@ def test_solve_consistency(rows):
     m = M(rows)
     # image vectors are solvable, and solutions reproduce them
     for j in range(m.cols):
-        b = m.column(j)
+        b = column(m, j)
         x = linalg.solve(m, [b])[0]
         assert x is not None
-        assert tuple(m.apply(x)) == tuple(b)
+        assert_sparse(x, m.cols)
+        y = m.apply(x)
+        assert_sparse(y, m.rows)
+        assert y == b
 
 
 def test_solve_inconsistent():
     m = M([[1, 0], [0, 0]])
-    assert linalg.solve(m, [(Fraction(0), Fraction(1))]) == [None]
+    assert linalg.solve(m, [{1: Fraction(1)}]) == [None]
 
 
 def test_image_basis_spans_columns():
@@ -66,7 +93,7 @@ def test_image_basis_spans_columns():
     assert len(basis) == linalg.rank(m)
     span = SparseMatrix.from_columns(m.rows, basis)
     for j in range(m.cols):
-        assert linalg.solve(span, [m.column(j)])[0] is not None
+        assert linalg.solve(span, [column(m, j)])[0] is not None
 
 
 def test_matrix_algebra():
@@ -85,7 +112,7 @@ def test_cohomology_at_simple():
     h = linalg.cohomology_at(d_in, d_out)
     assert h.dim == 1
     v = h.representatives[0]
-    assert not any(d_out.apply(v))
+    assert d_out.apply(v) == {}
 
 
 def test_cohomology_at_with_image():
@@ -108,9 +135,10 @@ def test_coordinates_of_classes():
     d_out = SparseMatrix.zero(0, 2)
     h = linalg.cohomology_at(d_in, d_out)
     assert h.dim == 2
-    coords = h.coordinates([(Fraction(2), Fraction(3))])[0]
+    coords = h.coordinates([{0: Fraction(2), 1: Fraction(3)}])[0]
     rebuilt = [Fraction(0), Fraction(0)]
-    for c, rep in zip(coords, h.representatives):
+    for i, c in coords.items():
+        rep = to_dense(h.representatives[i], 2)
         rebuilt = [a + c * b for a, b in zip(rebuilt, rep)]
     assert rebuilt == [Fraction(2), Fraction(3)]
 
@@ -161,13 +189,14 @@ def system(draw):
 def test_batched_solve_matches_columnwise(case):
     rows, rhs = case
     m = M(rows)
-    xs = linalg.solve(m, rhs)
-    assert xs == [linalg.solve(m, [b])[0] for b in rhs]
+    xs = linalg.solve(m, [to_sparse(b) for b in rhs])
+    assert xs == [linalg.solve(m, [to_sparse(b)])[0] for b in rhs]
     for b, x in zip(rhs, xs):
         assert (x is None) == (rref_rank([list(r) + [y] for r, y in
                                           zip(rows, b)]) > rref_rank(rows))
         if x is not None:
-            assert m.apply(x) == tuple(b)
+            assert_sparse(x, m.cols)
+            assert m.apply(x) == to_sparse(b)
 
 
 @st.composite
@@ -186,18 +215,19 @@ def complex_at(draw):
     for i in range(q):
         cs = draw(st.lists(ints, min_size=len(left), max_size=len(left)))
         for j in range(n):
-            out[(i, j)] = sum(c * v[j] for c, v in zip(cs, left))
+            out[(i, j)] = sum(c * v.get(j, 0) for c, v in zip(cs, left))
     return d_in, SparseMatrix(q, n, out)
 
 
 def _greedy_representatives(d_in, d_out):
     """Kernel vectors that raise the rank of the image and those before."""
-    seen = linalg.image_basis(d_in)
+    n = d_in.rows
+    seen = [to_dense(v, n) for v in linalg.image_basis(d_in)]
     reps = []
     for v in linalg.kernel_basis(d_out):
-        if rref_rank(seen + [v]) > rref_rank(seen):
+        if rref_rank(seen + [to_dense(v, n)]) > rref_rank(seen):
             reps.append(v)
-            seen = seen + [v]
+            seen = seen + [to_dense(v, n)]
     return reps
 
 
@@ -208,10 +238,21 @@ def test_cohomology_representatives_are_the_greedy_ones(case):
     h = linalg.cohomology_at(d_in, d_out)
     assert h.representatives == _greedy_representatives(d_in, d_out)
     assert h.dim == (linalg.nullity(d_out) - linalg.rank(d_in))
+    for v in linalg.kernel_basis(d_out):
+        assert_sparse(v, d_out.cols)
+    for v in linalg.image_basis(d_in):
+        assert_sparse(v, d_in.rows)
+    # a representative has one unit coordinate, an image vector none
+    coords = h.coordinates(h.representatives + h.image)
+    for x in coords:
+        assert_sparse(x, h.dim)
+    assert coords == ([{i: 1} for i in range(h.dim)]
+                      + [{} for _ in h.image])
 
 
-def _in_span(vectors, v):
-    return rref_rank(list(vectors) + [v]) == rref_rank(list(vectors))
+def _in_span(vectors, v, n):
+    rows = [to_dense(u, n) for u in vectors]
+    return rref_rank(rows + [to_dense(v, n)]) == rref_rank(rows)
 
 
 @given(complex_at(), complex_at(), st.data())
@@ -223,10 +264,11 @@ def test_not_chain_compatible_witness_order(src, tgt, data):
         (i, j): data.draw(st.integers(-1, 1))
         for i in range(target.ambient) for j in range(source.ambient)})
     ker_span = list(target.representatives) + list(target.image)
+    n = target.ambient
     bad_image = [v for v in source.image
-                 if not _in_span(target.image, f.apply(v))]
+                 if not _in_span(target.image, f.apply(v), n)]
     bad_kernel = [v for v in source.representatives
-                  if not _in_span(ker_span, f.apply(v))]
+                  if not _in_span(ker_span, f.apply(v), n)]
     if not bad_image and not bad_kernel:
         m = linalg.induced_map(f, source, target)
         assert (m.rows, m.cols) == (target.dim, source.dim)
@@ -256,3 +298,47 @@ def test_not_chain_compatible_names_first_failure():
     with pytest.raises(linalg.NotChainCompatible) as err:
         linalg.induced_map(SparseMatrix.identity(3), free, target)
     assert err.value.witness == free.representatives[1]
+
+
+def test_empty_matrix_is_not_eliminated(monkeypatch):
+    calls = []
+    bareiss = linalg.bareiss
+
+    def counted(rows, ncols):
+        calls.append((len(rows), ncols))
+        return bareiss(rows, ncols)
+
+    monkeypatch.setattr(linalg, "bareiss", counted)
+    zeros = {shape: SparseMatrix.zero(*shape)
+             for shape in [(0, 3), (3, 0), (2, 2)]}
+    for (r, c), m in zeros.items():
+        rank = rref_rank([[0] * c for _ in range(r)])
+        assert linalg.rank(m) == rank
+        basis = linalg.kernel_basis(m)
+        assert len(basis) == c - rank
+        assert rref_rank([to_dense(v, c) for v in basis]) == c - rank
+    for d_in, d_out in [((3, 0), (0, 3)), ((0, 3), (3, 0)), ((2, 2), (2, 2))]:
+        h = linalg.cohomology_at(zeros[d_in], zeros[d_out])
+        # both maps are zero, so every vector of the ambient Q^n is a class
+        n = d_in[0]
+        assert h.dim == n
+        assert rref_rank([to_dense(v, n) for v in h.representatives]) == n
+    assert calls == []
+
+
+def test_image_vector_on_representative_zero_is_not_in_image():
+    # the image e0 of the source lands on representative 0 of the target,
+    # whose coordinates {0: 1} are nonzero although their only key is 0
+    source = linalg.cohomology_at(M([[1]]), SparseMatrix.zero(0, 1))
+    target = linalg.cohomology_at(SparseMatrix.zero(1, 0),
+                                  SparseMatrix.zero(0, 1))
+    assert target.coordinates(source.image) == [{0: 1}]
+    with pytest.raises(linalg.NotChainCompatible,
+                       match="image not carried into image") as err:
+        linalg.induced_map(SparseMatrix.identity(1), source, target)
+    assert err.value.witness == {0: 1}
+
+
+def test_coordinates_of_zero_vector_are_zero_not_none():
+    h = linalg.cohomology_at(SparseMatrix.zero(2, 0), M([[1, 0]]))
+    assert h.coordinates([{}]) == [{}]
