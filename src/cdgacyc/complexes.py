@@ -249,7 +249,7 @@ class MixedComplex:
             self.dim(n),
             self.dim(n),
             {
-                (i, i): Fraction(k) ** self.weight_of(n, i)
+                (i, i): _power(k, self.weight_of(n, i))
                 for i in range(self.dim(n))
             },
         )
@@ -299,6 +299,11 @@ class MixedComplex:
             if keep.get(n)
         }
         return MixedComplex(labels, delta, beta, weights=weights)
+
+
+def _power(k, e):
+    """k**e as an exact Fraction, from integer powers (k a nonzero int)."""
+    return Fraction(k ** e) if e >= 0 else Fraction(1, k ** -e)
 
 
 def _columns(mat):
@@ -411,8 +416,7 @@ def plus_power_matrix(M, plus, k, r):
         if m not in index:
             index[m] = {label: i for i, label in enumerate(M.labels[m])}
         i = index[m][lab]
-        scale = Fraction(k) ** ((m - r) // 2) * Fraction(k) ** M.weight_of(m, i)
-        entries[(j, j)] = scale
+        entries[(j, j)] = _power(k, (m - r) // 2 + M.weight_of(m, i))
     return SparseMatrix(plus.dim(r), plus.dim(r), entries)
 
 

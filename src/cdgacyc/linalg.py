@@ -13,6 +13,15 @@ A vector is a sparse dict ``{index: Fraction}`` with no stored zeros and
 every index in range of its ambient space; the zero vector is ``{}``.
 Kernel and image bases, representatives, right-hand sides, solutions,
 coordinates and matrix-vector products all take and give this form.
+
+A matrix holds the same invariant: its entries map ``(row, col)`` in
+range of its shape to nonzero ``Fraction``s.  The constructor trusts its
+caller, since every matrix the package builds is made from exact
+entries; the arithmetic here drops the zeros it creates.  Entries from
+outside (structure constants of a finite algebra, matrices written by
+hand) go through ``SparseMatrix.validated``, which converts them,
+checks the shape and the indices, drops zeros and raises
+``LinalgError`` on anything else.
 """
 
 from fractions import Fraction
@@ -28,35 +37,40 @@ class PreconditionError(LinalgError):
     """A stated precondition (e.g. d_out . d_in = 0) fails."""
 
 
-def _frac(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise LinalgError(f"non-rational entry {x!r}")
-
-
 class SparseMatrix:
     """Immutable sparse matrix over Q, entries indexed (row, col)."""
 
     __slots__ = ("rows", "cols", "entries", "_echelon")
 
-    def __init__(self, rows, cols, entries=None):
-        if rows < 0 or cols < 0:
-            raise LinalgError("negative dimension")
+    def __init__(self, rows, cols, entries):
+        """A matrix of shape rows x cols with these entries, taken as
+        they are: a fresh {(row, col): Fraction} dict, indices in range
+        and no stored zero."""
         self.rows = rows
         self.cols = cols
+        self.entries = entries
+        self._echelon = None
+
+    @classmethod
+    def validated(cls, rows, cols, entries):
+        """A matrix from entries that are not known to be exact: ints,
+        Fractions or rational strings, zeros dropped.  Raises LinalgError
+        on a negative shape, an index out of range or any other value."""
+        if rows < 0 or cols < 0:
+            raise LinalgError("negative dimension")
         clean = {}
-        for (i, j), v in (entries or {}).items():
+        for (i, j), v in entries.items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise LinalgError(f"index ({i},{j}) out of range {rows}x{cols}")
-            v = _frac(v)
+            if not isinstance(v, (Fraction, int, str)):
+                raise LinalgError(f"non-rational entry {v!r}")
+            try:
+                v = Fraction(v)
+            except (ValueError, ZeroDivisionError):
+                raise LinalgError(f"non-rational entry {v!r}") from None
             if v:
                 clean[(i, j)] = v
-        self.entries = clean
-        self._echelon = None
+        return cls(rows, cols, clean)
 
     @classmethod
     def zero(cls, rows, cols):
@@ -68,8 +82,8 @@ class SparseMatrix:
 
     @classmethod
     def scalar(cls, n, c):
-        c = _frac(c)
-        return cls(n, n, {(i, i): c for i in range(n)})
+        """c times the identity, for a Fraction c."""
+        return cls(n, n, {(i, i): c for i in range(n)} if c else {})
 
     @classmethod
     def from_columns(cls, ambient, columns):
@@ -95,7 +109,13 @@ class SparseMatrix:
             raise LinalgError("shape mismatch in +")
         entries = dict(self.entries)
         for k, v in other.entries.items():
-            entries[k] = entries.get(k, Fraction(0)) + v
+            x = entries.get(k)
+            if x is not None:
+                v = x + v
+                if not v:
+                    del entries[k]
+                    continue
+            entries[k] = v
         return SparseMatrix(self.rows, self.cols, entries)
 
     def __sub__(self, other):
@@ -105,7 +125,9 @@ class SparseMatrix:
         return self.scale(-1)
 
     def scale(self, c):
-        c = _frac(c)
+        """c times the matrix, for an int or Fraction c."""
+        if not c:
+            return SparseMatrix(self.rows, self.cols, {})
         return SparseMatrix(
             self.rows, self.cols, {k: c * v for k, v in self.entries.items()}
         )
@@ -125,7 +147,8 @@ class SparseMatrix:
             acc = {}
             for j, v in terms:
                 for k, w in by_col.get(j, {}).items():
-                    acc[k] = acc.get(k, Fraction(0)) + v * w
+                    x = acc.get(k)
+                    acc[k] = v * w if x is None else x + v * w
             for k, x in acc.items():
                 if x:
                     entries[(i, k)] = x
@@ -137,7 +160,8 @@ class SparseMatrix:
         for (i, j), v in self.entries.items():
             x = vec.get(j)
             if x is not None:
-                out[i] = out.get(i, 0) + v * x
+                y = out.get(i)
+                out[i] = v * x if y is None else y + v * x
         return {i: x for i, x in out.items() if x}
 
     def echelon(self):

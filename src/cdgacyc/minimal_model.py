@@ -176,7 +176,7 @@ class FiniteCDGA:
         for j, a in enumerate(src):
             for m, c in self.differential.get(a, {}).items():
                 entries[(pos[m], j)] = c
-        return SparseMatrix(len(tgt), len(src), entries)
+        return SparseMatrix.validated(len(tgt), len(src), entries)
 
     def cohomology(self, n):
         return linalg.cohomology_at(
@@ -456,9 +456,8 @@ def build_minimal_model(B, cutoff, seed=None):
         m = linalg.induced_map(theta.matrix(n), hn_src, hn_tgt)
         # unit vectors outside the image: pivot columns of [image | units]
         d = m.rows
-        _, pivots = SparseMatrix(
-            d, m.cols + d, m.entries | {(i, m.cols + i): 1 for i in range(d)}
-        ).echelon()
+        units = {(i, m.cols + i): Fraction(1) for i in range(d)}
+        _, pivots = SparseMatrix(d, m.cols + d, m.entries | units).echelon()
         missing = [{j - m.cols: Fraction(1)} for j in pivots if j >= m.cols]
         if rng and len(missing) > 1:
             missing = _mix(rng, missing)

@@ -43,7 +43,7 @@ def sphere3():
 
 def M_(rows):
     """The matrix with these dense rows."""
-    return SparseMatrix(len(rows), len(rows[0]) if rows else 0, {
+    return SparseMatrix.validated(len(rows), len(rows[0]) if rows else 0, {
         (i, j): v for i, r in enumerate(rows) for j, v in enumerate(r)})
 
 
@@ -87,7 +87,7 @@ def test_mixed_complex_validation_catches_corruption():
     entries = dict(b3.entries)
     (i0, j0), v0 = next(iter(entries.items()))
     entries[(i0, j0)] = v0 + 1
-    beta[3] = SparseMatrix(b3.rows, b3.cols, entries)
+    beta[3] = SparseMatrix.validated(b3.rows, b3.cols, entries)
     bad = MixedComplex(M.labels, M.delta, beta, weights=M.weights)
     assert bad.validate(ks=[2]) != []
 
@@ -102,7 +102,7 @@ def test_corrupted_beta_cannot_produce_a_number():
     entries = dict(b3.entries)
     (i0, j0), v0 = next(iter(entries.items()))
     entries[(i0, j0)] = v0 + 1
-    beta[3] = SparseMatrix(b3.rows, b3.cols, entries)
+    beta[3] = SparseMatrix.validated(b3.rows, b3.cols, entries)
     bad = MixedComplex(M.labels, M.delta, beta, weights=M.weights)
     # the plus band whose degree-3 top slot holds the corrupted column
     band = band_complex(bad, bad.weight_of(3, j0), "plus", 0, 8)

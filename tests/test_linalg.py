@@ -1,20 +1,27 @@
 """Exact sparse linear algebra over Q."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdgacyc import linalg
+from cdgacyc.cli import load_algebra
+from cdgacyc.complexes import (band_complex, label_inclusion, mapping_cone,
+                               plus_complex, plus_power_matrix, shift_complex)
+from cdgacyc.free_loop import free_loop
 from cdgacyc.linalg import SparseMatrix
 
 from oracles import rref_rank
 
+FIXTURES = Path(__file__).resolve().parent.parent / "src" / "cdgacyc" / "fixtures"
+
 
 def M(rows):
     """The matrix with these dense rows."""
-    return SparseMatrix(len(rows), len(rows[0]) if rows else 0, {
+    return SparseMatrix.validated(len(rows), len(rows[0]) if rows else 0, {
         (i, j): v for i, r in enumerate(rows) for j, v in enumerate(r)})
 
 
@@ -205,7 +212,7 @@ def complex_at(draw):
     n = draw(st.integers(1, 5))
     ints = st.integers(-2, 2)
     p = draw(st.integers(0, 4))
-    d_in = SparseMatrix(n, p, {
+    d_in = SparseMatrix.validated(n, p, {
         (i, j): draw(ints) for i in range(n) for j in range(p)})
     # rows of d_out: combinations of the left kernel of d_in
     left = linalg.kernel_basis(SparseMatrix(
@@ -216,7 +223,7 @@ def complex_at(draw):
         cs = draw(st.lists(ints, min_size=len(left), max_size=len(left)))
         for j in range(n):
             out[(i, j)] = sum(c * v.get(j, 0) for c, v in zip(cs, left))
-    return d_in, SparseMatrix(q, n, out)
+    return d_in, SparseMatrix.validated(q, n, out)
 
 
 def _greedy_representatives(d_in, d_out):
@@ -260,7 +267,7 @@ def _in_span(vectors, v, n):
 def test_not_chain_compatible_witness_order(src, tgt, data):
     source = linalg.cohomology_at(*src)
     target = linalg.cohomology_at(*tgt)
-    f = SparseMatrix(target.ambient, source.ambient, {
+    f = SparseMatrix.validated(target.ambient, source.ambient, {
         (i, j): data.draw(st.integers(-1, 1))
         for i in range(target.ambient) for j in range(source.ambient)})
     ker_span = list(target.representatives) + list(target.image)
@@ -342,3 +349,93 @@ def test_image_vector_on_representative_zero_is_not_in_image():
 def test_coordinates_of_zero_vector_are_zero_not_none():
     h = linalg.cohomology_at(SparseMatrix.zero(2, 0), M([[1, 0]]))
     assert h.coordinates([{}]) == [{}]
+
+
+def assert_matrix(m):
+    """The matrix invariant: every entry a nonzero Fraction at an index in
+    range of the shape."""
+    for (i, j), v in m.entries.items():
+        assert type(v) is Fraction and v, (i, j, v)
+        assert 0 <= i < m.rows and 0 <= j < m.cols, (i, j, m)
+
+
+small = st.integers(-2, 2)
+
+
+@st.composite
+def matrix_triple(draw):
+    """a and b of one shape, c composable with them; small entries, so
+    that sums, differences and products cancel often."""
+    r, k, n = (draw(st.integers(0, 4)) for _ in range(3))
+
+    def mat(rows, cols):
+        return M([draw(st.lists(small, min_size=cols, max_size=cols))
+                  for _ in range(rows)]) if rows else SparseMatrix.zero(0, cols)
+    return mat(r, k), mat(r, k), mat(k, n)
+
+
+@given(matrix_triple(), st.one_of(small, st.fractions(-3, 3, max_denominator=5)))
+@settings(max_examples=150, deadline=None)
+def test_arithmetic_keeps_the_matrix_invariant(mats, c):
+    a, b, m = mats
+    for out in (a @ m, a + b, a - b, a - a, a + a.scale(-1), -a, a.scale(c),
+                a.scale(0)):
+        assert_matrix(out)
+    assert a.scale(0).entries == {}
+    assert (a - a).entries == {}
+
+
+@given(dense)
+@settings(max_examples=100, deadline=None)
+def test_from_columns_and_solve_keep_the_invariant(rows):
+    m = M(rows)
+    kern = linalg.kernel_basis(m)
+    assert_matrix(SparseMatrix.from_columns(m.cols, kern))
+    xs = linalg.solve(m, [column(m, j) for j in range(m.cols)])
+    for x in xs:
+        assert_sparse(x, m.cols)
+    assert_matrix(SparseMatrix.from_columns(m.cols, xs))
+
+
+def test_complexes_of_a_fixture_keep_the_invariant():
+    mixed = free_loop(load_algebra(FIXTURES / "product_s2_s3.json")) \
+        .mixed_complex(8)
+    mats = [mixed.delta_m(n) for n in range(8)] + \
+        [mixed.beta_m(n) for n in range(1, 9)] + \
+        [mixed.power_matrix(k, n) for k in (-1, 2, 3) for n in range(9)]
+    plus = plus_complex(mixed, 0, 8)
+    mats += [plus.d(n) for n in range(8)]
+    mats += [plus_power_matrix(mixed, plus, k, n)
+             for k in (-1, 2) for n in range(8)]
+    for w in range(3):
+        amb = band_complex(mixed, w, "plus", 0, 8)
+        sub = shift_complex(band_complex(mixed, w + 1, "plus", 0, 6), 2)
+        slc = band_complex(mixed, w, "slice", 0, 8)
+        cone, include, project = mapping_cone(label_inclusion(sub, amb))
+        for c in (amb, sub, slc, cone):
+            mats += [c.d(n) for n in range(-1, 8)]
+        for f in (include, project):
+            mats += [f.matrix(n) for n in range(-1, 8)]
+    assert sum(len(m.entries) for m in mats) > 1000
+    for m in mats:
+        assert_matrix(m)
+
+
+@pytest.mark.parametrize("rows, cols, entries", [
+    (1, 1, {(0, 0): 0.5}),
+    (1, 1, {(0, 0): "1/x"}),
+    (1, 1, {(0, 0): "1/0"}),
+    (2, 2, {(2, 0): 1}),
+    (2, 2, {(0, -1): 1}),
+    (-1, 2, {}),
+])
+def test_validated_rejects_what_is_not_a_rational_matrix(rows, cols, entries):
+    with pytest.raises(linalg.LinalgError):
+        SparseMatrix.validated(rows, cols, entries)
+
+
+def test_validated_converts_and_drops_zeros():
+    m = SparseMatrix.validated(2, 2, {(0, 0): 2, (0, 1): "-1/3",
+                                      (1, 0): Fraction(0), (1, 1): "0"})
+    assert m.entries == {(0, 0): 2, (0, 1): Fraction(-1, 3)}
+    assert_matrix(m)
