@@ -76,7 +76,9 @@ class CochainComplex:
         return len(self.labels.get(n, ()))
 
     def d(self, n):
-        return self.diff.get(n, SparseMatrix.zero(self.dim(n + 1), self.dim(n)))
+        if n in self.diff:
+            return self.diff[n]
+        return SparseMatrix.zero(self.dim(n + 1), self.dim(n))
 
     def cohomology(self, n):
         if n not in self._cohomology:
@@ -97,7 +99,8 @@ class ChainMap:
         self.mats = {}
         degrees = set(source.labels) | set(mats)
         for n in degrees:
-            m = mats.get(n, SparseMatrix.zero(target.dim(n), source.dim(n)))
+            m = mats[n] if n in mats else SparseMatrix.zero(
+                target.dim(n), source.dim(n))
             if m.rows != target.dim(n) or m.cols != source.dim(n):
                 raise ComplexError(f"chain map has wrong shape at degree {n}")
             self.mats[n] = m
@@ -109,9 +112,9 @@ class ChainMap:
         self._induced = {}
 
     def matrix(self, n):
-        return self.mats.get(
-            n, SparseMatrix.zero(self.target.dim(n), self.source.dim(n))
-        )
+        if n in self.mats:
+            return self.mats[n]
+        return SparseMatrix.zero(self.target.dim(n), self.source.dim(n))
 
     def induced(self, n):
         if n not in self._induced:
@@ -164,42 +167,43 @@ def label_projection(amb, quot):
 
 
 class MixedComplex:
-    """(C, delta, beta) on degrees 0..top with optional weights and power maps.
+    """(C, delta, beta) on degrees 0..top with weights and power maps.
 
     labels: dict degree -> list of labels.
     delta: dict degree n -> matrix C^n -> C^{n+1} (n in 0..top-1).
     beta: dict degree n -> matrix C^n -> C^{n-1} (n in 1..top).
-    weights: optional dict degree -> list of nonnegative ints per label.
+    weights: dict degree -> list of nonnegative ints per label.
     Construction checks shapes only; validate() checks the axioms.
     """
 
-    def __init__(self, labels, delta, beta, weights=None):
+    def __init__(self, labels, delta, beta, weights):
         self.labels = {n: list(v) for n, v in labels.items()}
         self.top = max(self.labels, default=0)
         self.delta = dict(delta)
         self.beta = dict(beta)
-        self.weights = (
-            {n: list(v) for n, v in weights.items()} if weights is not None else None
-        )
+        self.weights = {n: list(v) for n, v in weights.items()}
         for n, m in self.delta.items():
             if m.rows != self.dim(n + 1) or m.cols != self.dim(n):
                 raise ComplexError(f"delta at {n} has wrong shape")
         for n, m in self.beta.items():
             if m.rows != self.dim(n - 1) or m.cols != self.dim(n):
                 raise ComplexError(f"beta at {n} has wrong shape")
-        if self.weights is not None:
-            for n, v in self.labels.items():
-                if len(self.weights.get(n, [])) != len(v):
-                    raise ComplexError(f"weight list at {n} has wrong length")
+        for n, v in self.labels.items():
+            if len(self.weights.get(n, [])) != len(v):
+                raise ComplexError(f"weight list at {n} has wrong length")
 
     def dim(self, n):
         return len(self.labels.get(n, ()))
 
     def delta_m(self, n):
-        return self.delta.get(n, SparseMatrix.zero(self.dim(n + 1), self.dim(n)))
+        if n in self.delta:
+            return self.delta[n]
+        return SparseMatrix.zero(self.dim(n + 1), self.dim(n))
 
     def beta_m(self, n):
-        return self.beta.get(n, SparseMatrix.zero(self.dim(n - 1), self.dim(n)))
+        if n in self.beta:
+            return self.beta[n]
+        return SparseMatrix.zero(self.dim(n - 1), self.dim(n))
 
     def validate(self, ks=()):
         """Axiom failures (empty list = all pass): delta^2 = 0, beta^2 = 0,
@@ -232,17 +236,13 @@ class MixedComplex:
         return bad
 
     def weight_of(self, n, i):
-        if self.weights is None:
-            raise UnsupportedConfiguration("mixed complex carries no weights")
         return self.weights[n][i]
 
     def weight_indices(self, n, p):
-        if self.weights is None:
-            raise UnsupportedConfiguration("mixed complex carries no weights")
         return [i for i, q in enumerate(self.weights.get(n, [])) if q == p]
 
     def power_matrix(self, k, n):
-        """Psi_k on C^n: diagonal k^weight (weights required)."""
+        """Psi_k on C^n: diagonal k^weight."""
         if k == 0:
             raise ComplexError("Psi_0 is not defined")
         return SparseMatrix(
@@ -267,11 +267,7 @@ class MixedComplex:
         beta carries a kept element outside the kept span.
         """
         labels = {n: [self.labels[n][i] for i in idx] for n, idx in keep.items()}
-        weights = (
-            {n: [self.weights[n][i] for i in idx] for n, idx in keep.items()}
-            if self.weights is not None
-            else None
-        )
+        weights = {n: [self.weights[n][i] for i in idx] for n, idx in keep.items()}
 
         def restrict(mat, n, n_out):
             kept_in = keep.get(n, [])

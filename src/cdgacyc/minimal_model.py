@@ -2,9 +2,12 @@
 
 A FiniteCDGA is a finite-dimensional CDGA given by structure constants;
 all axioms (associativity, graded commutativity, unit, Leibniz, d^2 = 0)
-are verified on construction.  build_minimal_model produces, degree by
-degree, a free CDGA with decomposable differential together with a
-quasi-isomorphism onto a homologically 1-connected finite input.
+are verified on construction, and then its one cochain complex is built
+(FiniteCDGA.complex, whose cohomology is cached).  CDGAMorphism is the
+classifying map of a free CDGA into a finite one.  build_minimal_model
+produces, degree by degree, a free CDGA with decomposable differential
+together with a quasi-isomorphism onto a homologically 1-connected finite
+input.
 """
 
 import random
@@ -60,6 +63,14 @@ class FiniteCDGA:
             for n, e in differential.items()
         }
         self._check_axioms()
+        # built only now: d_matrix relies on the degree checks above
+        top = max(self.degree.values())
+        self.complex = CochainComplex(
+            {n: self.basis_of(n) for n in range(top + 1)},
+            {n: self.d_matrix(n) for n in range(top)},
+        )
+        if self.betti(0) != 1:
+            raise ModelError("H^0 is not one-dimensional")
 
     def _fill_unit(self, a):
         for pair, value in (((self.unit, a), {a: Fraction(1)}),
@@ -81,19 +92,6 @@ class FiniteCDGA:
             self.products[(a, b)] = {n: sign * c for n, c in ba.items()}
         elif ba is None:
             self.products[(b, a)] = {n: sign * c for n, c in ab.items()}
-
-    # element arithmetic (elements are dicts name -> Fraction)
-    def add(self, e1, e2):
-        out = dict(e1)
-        for n, c in e2.items():
-            out[n] = out.get(n, Fraction(0)) + c
-            if not out[n]:
-                del out[n]
-        return out
-
-    def scale(self, c, e):
-        c = Fraction(c)
-        return {n: c * v for n, v in e.items()} if c else {}
 
     def mul(self, e1, e2):
         out = {}
@@ -133,7 +131,7 @@ class FiniteCDGA:
             for b in self.names:
                 sign = -1 if (self.degree[a] % 2 and self.degree[b] % 2) else 1
                 ab = self.products[(a, b)]
-                ba = self.scale(sign, self.products[(b, a)])
+                ba = gralg.poly_scale(sign, self.products[(b, a)])
                 if ab != ba:
                     raise ModelError(f"graded commutativity fails on {a},{b}")
         for a in self.names:
@@ -152,21 +150,16 @@ class FiniteCDGA:
             for b in self.names:
                 lhs = self.d(self.products[(a, b)])
                 sign = -1 if self.degree[a] % 2 else 1
-                rhs = self.add(
+                rhs = gralg.poly_add(
                     self.mul(self.d({a: Fraction(1)}), {b: Fraction(1)}),
-                    self.scale(sign, self.mul({a: Fraction(1)},
-                                              self.d({b: Fraction(1)}))),
+                    gralg.poly_scale(sign, self.mul({a: Fraction(1)},
+                                                    self.d({b: Fraction(1)}))),
                 )
                 if lhs != rhs:
                     raise ModelError(f"Leibniz fails on {a},{b}")
-        if self.betti(0) != 1:
-            raise ModelError("H^0 is not one-dimensional")
 
     def basis_of(self, n):
         return self.by_degree.get(n, [])
-
-    def unit_element(self):
-        return {self.unit: Fraction(1)}
 
     def d_matrix(self, n):
         src = self.basis_of(n)
@@ -178,178 +171,77 @@ class FiniteCDGA:
                 entries[(pos[m], j)] = c
         return SparseMatrix.validated(len(tgt), len(src), entries)
 
-    def cohomology(self, n):
-        return linalg.cohomology_at(
-            self.d_matrix(n - 1) if n >= 1 else SparseMatrix.zero(
-                len(self.basis_of(n)), 0),
-            self.d_matrix(n),
-        )
-
     def betti(self, n):
-        return self.cohomology(n).dim
+        return self.complex.betti(n)
 
     def is_homologically_1_connected(self):
         return self.betti(0) == 1 and self.betti(1) == 0
 
-    def cochain(self, top):
-        labels = {n: list(self.basis_of(n)) for n in range(top + 1)}
-        diff = {n: self.d_matrix(n) for n in range(top)}
-        return CochainComplex(labels, diff)
 
-
-class _FreeSide:
-    """The element interface of FiniteCDGA over a free CDGA."""
-
-    def __init__(self, a):
-        self.cdga = a
-
-    def basis_of(self, n):
-        return self.cdga.algebra.basis(n)
-
-    def unit_element(self):
-        return {gralg.ONE: Fraction(1)}
-
-    def mul(self, e1, e2):
-        return gralg.poly_mul(e1, e2)
-
-    def add(self, e1, e2):
-        return gralg.poly_add(e1, e2)
-
-    def scale(self, c, e):
-        return gralg.poly_scale(c, e)
-
-    def d(self, e):
-        return self.cdga.differential.apply(e)
-
-    def cochain(self, top):
-        return base_cochain(self.cdga, top)
-
-
-def _side(a):
-    """The element interface of an algebra: a FiniteCDGA is its own."""
-    if isinstance(a, FreeCDGA):
-        return _FreeSide(a)
-    if isinstance(a, FiniteCDGA):
-        return a
-    raise ModelError(f"unsupported algebra type {type(a).__name__}")
-
-
-def _vector(side, e, n):
-    """{index: Fraction} coordinates of e on side.basis_of(n)."""
-    pos = {m: i for i, m in enumerate(side.basis_of(n))}
+def _vector(B, e, n):
+    """{index: Fraction} coordinates of an element e of B on B.basis_of(n)."""
+    pos = {m: i for i, m in enumerate(B.basis_of(n))}
     return {pos[m]: c for m, c in e.items() if c}
 
 
 class CDGAMorphism:
-    """Degree-preserving multiplicative chain map.
+    """The classifying map theta: Lambda[V] -> B of a free CDGA into a
+    finite one.
 
-    For a free source, values maps generator names to target elements
-    and multiplicativity is automatic; for a finite source, values maps
-    every basis name to a target element and multiplicativity is checked
-    pairwise by verify().
+    values maps each generator name to an element of B; theta is
+    multiplicative by construction, so verify() checks degrees and the
+    chain condition on generators only.
     """
 
     def __init__(self, source, target, values):
+        if not (isinstance(source, FreeCDGA) and isinstance(target, FiniteCDGA)):
+            raise ModelError(
+                f"a CDGAMorphism maps a FreeCDGA to a FiniteCDGA, not "
+                f"{type(source).__name__} to {type(target).__name__}")
         self.source = source
         self.target = target
-        self.src = _side(source)
-        self.tgt = _side(target)
         self.values = values
         self._memo = {}
 
-    def _image_of_generator(self, g):
-        if g.name not in self.values:
-            raise ModelError(f"no value for generator {g.name}")
-        return self.values[g.name]
-
     def apply(self, e):
-        """Image of a source element (poly for free, dict for finite)."""
-        if isinstance(self.source, FiniteCDGA):
-            out = {}
-            for name, c in e.items():
-                img = self.values.get(name)
-                if img is None:
-                    raise ModelError(f"no value for basis element {name}")
-                out = self.tgt.add(out, self.tgt.scale(c, img))
-            return out
+        """Image in B of a polynomial of the source."""
         out = {}
         for mono, c in e.items():
-            out = self.tgt.add(out, self.tgt.scale(c, self._image_mono(mono)))
+            out = gralg.poly_add(out, gralg.poly_scale(c, self._image_mono(mono)))
         return out
 
     def _image_mono(self, mono):
         if mono in self._memo:
             return self._memo[mono]
-        img = self.tgt.unit_element()
+        img = {self.target.unit: Fraction(1)}
         for g, e in mono:
-            base = self._image_of_generator(g)
+            if g.name not in self.values:
+                raise ModelError(f"no value for generator {g.name}")
             for _ in range(e):
-                img = self.tgt.mul(img, base)
+                img = self.target.mul(img, self.values[g.name])
         self._memo[mono] = img
         return img
 
     def matrix(self, n):
-        src_basis = self.src.basis_of(n)
-        cols = []
-        for key in src_basis:
-            if isinstance(self.source, FiniteCDGA):
-                img = self.apply({key: Fraction(1)})
-            else:
-                img = self._image_mono(key)
-            cols.append(_vector(self.tgt, img, n))
-        return SparseMatrix.from_columns(len(self.tgt.basis_of(n)), cols)
+        cols = [_vector(self.target, self._image_mono(mono), n)
+                for mono in self.source.algebra.basis(n)]
+        return SparseMatrix.from_columns(len(self.target.basis_of(n)), cols)
 
-    def verify(self, top):
-        """Failure strings for degree, chain and multiplicativity checks."""
+    def verify(self):
+        """Failure strings for the degree and chain checks on generators."""
         problems = []
-        if isinstance(self.source, FiniteCDGA):
-            B = self.source
-            for name in B.names:
-                img = self.values.get(name)
-                if img is None:
-                    problems.append(f"missing value for {name}")
-                    continue
-                degs = self._degrees_of(img)
-                if degs and degs != {B.degree[name]}:
-                    problems.append(f"value of {name} not degree-preserving")
-            unit = self.values.get(B.unit)
-            if unit != self.tgt.unit_element():
-                problems.append("unit not preserved")
-            for a in B.names:
-                lhs = self.apply(B.d({a: Fraction(1)}))
-                rhs = self.tgt.d(self.apply({a: Fraction(1)}))
-                if lhs != rhs:
-                    problems.append(f"chain condition fails on {a}")
-            for a in B.names:
-                for b in B.names:
-                    if B.degree[a] + B.degree[b] > top:
-                        continue
-                    lhs = self.apply(B.products[(a, b)])
-                    rhs = self.tgt.mul(self.apply({a: Fraction(1)}),
-                                       self.apply({b: Fraction(1)}))
-                    if lhs != rhs:
-                        problems.append(f"multiplicativity fails on {a},{b}")
-        else:
-            for g in self.source.algebra.generators:
-                img = self.values.get(g.name)
-                if img is None:
-                    problems.append(f"missing value for {g.name}")
-                    continue
-                degs = self._degrees_of(img)
-                if degs and degs != {g.degree}:
-                    problems.append(f"value of {g.name} not degree-preserving")
-                lhs = self.apply(
-                    self.source.differential.apply(
-                        self.source.algebra.gen_poly(g.name)))
-                rhs = self.tgt.d(self.values.get(g.name, {}))
-                if lhs != rhs:
-                    problems.append(f"chain condition fails on {g.name}")
+        for g in self.source.algebra.generators:
+            img = self.values.get(g.name)
+            if img is None:
+                problems.append(f"missing value for {g.name}")
+                continue
+            degs = {self.target.degree[n] for n in img}
+            if degs and degs != {g.degree}:
+                problems.append(f"value of {g.name} not degree-preserving")
+            lhs = self.apply(self.source.differential.on_generator(g))
+            if lhs != self.target.d(img):
+                problems.append(f"chain condition fails on {g.name}")
         return problems
-
-    def _degrees_of(self, e):
-        if isinstance(self.target, FiniteCDGA):
-            return {self.target.degree[n] for n in e}
-        return {gralg.monomial_degree(m) for m in e}
 
 
 def verify_minimal(A, cutoff):
@@ -392,8 +284,8 @@ def verify_minimal(A, cutoff):
 
 def is_quasi_iso(f, cutoff):
     """(bool, table): H^n(f) bijective for every n <= cutoff - 1."""
-    src_c = f.src.cochain(cutoff)
-    tgt_c = f.tgt.cochain(cutoff)
+    src_c = base_cochain(f.source, cutoff)
+    tgt_c = f.target.complex
     table = []
     ok = True
     for n in range(cutoff):
@@ -442,12 +334,12 @@ def build_minimal_model(B, cutoff, seed=None):
     theta_values = {}
     uid = 0
     counter = 0
+    tgt_c = B.complex
 
     for n in range(2, cutoff):
         A = FreeCDGA(gens, diff_values)
         theta = CDGAMorphism(A, B, dict(theta_values))
         src_c = base_cochain(A, n + 2)
-        tgt_c = B.cochain(n + 2)
 
         # surjectivity in degree n: adjoin closed generators for a
         # complement of the image of H^n(theta)
@@ -494,7 +386,7 @@ def build_minimal_model(B, cutoff, seed=None):
                             for pos, v in z_vec.items()})
         # primitives b in B^n with d(b) = theta(z)
         sols = linalg.solve(
-            B.d_matrix(n),
+            tgt_c.d(n),
             [_vector(B, theta.apply(z), n + 1) for z in z_polys],
         )
         if None in sols:
@@ -502,10 +394,9 @@ def build_minimal_model(B, cutoff, seed=None):
                 f"no primitive for a killed class in degree {n + 1}"
             )
         for z_poly, sol in zip(z_polys, sols):
-            if rng and h_tgt is not None:
+            if rng:
                 # primitive ambiguity: shift by a random cocycle
-                hb = tgt_c.cohomology(n)
-                for rep in hb.representatives:
+                for rep in hn_tgt.representatives:
                     if rng.random() < 0.5:
                         c = rng.randint(-2, 2)
                         sol = gralg.poly_add(sol, gralg.poly_scale(c, rep))
@@ -519,7 +410,7 @@ def build_minimal_model(B, cutoff, seed=None):
 
     A = FreeCDGA(gens, diff_values)
     theta = CDGAMorphism(A, B, dict(theta_values))
-    problems = theta.verify(cutoff)
+    problems = theta.verify()
     if problems:
         raise ModelError(f"builder produced a bad morphism: {problems}")
     return A, theta

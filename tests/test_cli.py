@@ -347,6 +347,19 @@ def test_broken_d_squared_rejected(tmp_path, capsys):
     assert code == 2
 
 
+def test_finite_differential_of_wrong_degree_rejected(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "basis": [{"name": "1", "degree": 0}, {"name": "a", "degree": 2},
+                  {"name": "b", "degree": 4}],
+        "products": [],
+        "differential": {"a": [{"coeff": "1", "monomial": [["b", 1]]}]},
+    }))
+    code, _, err = run(["hh", str(bad), "--cutoff", "4"], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "d(a) has wrong degree" in err
+
+
 X2_Y3 = [{"name": "x", "degree": 2}, {"name": "y", "degree": 3}]
 
 

@@ -57,6 +57,11 @@ def test_finite_cdga_axioms_enforced():
     with pytest.raises(ModelError):
         # two degree-0 elements
         FiniteCDGA([("1", 0), ("e", 0)], {}, {})
+    # wrong degrees are caught before the cochain complex is built
+    with pytest.raises(ModelError, match="d\\(a\\) has wrong degree"):
+        FiniteCDGA([("1", 0), ("a", 2), ("b", 4)], {}, {"a": {"b": 1}})
+    with pytest.raises(ModelError, match="product a\\*a has wrong degree"):
+        FiniteCDGA([("1", 0), ("a", 2), ("b", 3)], {("a", "a"): {"b": 1}}, {})
 
 
 def test_finite_cohomology():
@@ -66,21 +71,27 @@ def test_finite_cohomology():
 
 
 def test_morphism_verification():
+    a = free_s2()
+    zero = CDGAMorphism(a, h_s2(), {"x": {}, "y": {}})
+    assert zero.verify() == []  # the zero map is a chain map ...
+    ok, _ = is_quasi_iso(zero, 6)
+    assert not ok  # ... but misses the class of a
+    # x -> a in H(CP^2): theta(dy) = a*a = a2, while d(theta(y)) = 0
+    broken = CDGAMorphism(a, h_cp2(), {"x": {"a": Fraction(1)}, "y": {}})
+    assert broken.verify() == ["chain condition fails on y"]
+    wrong = CDGAMorphism(a, h_cp2(), {"x": {"a2": Fraction(1)}})
+    assert wrong.verify() == ["value of x not degree-preserving",
+                              "missing value for y"]
     b = h_s2()
-    good = CDGAMorphism(b, b, {"1": {"1": Fraction(1)},
-                               "a": {"a": Fraction(1)}})
-    assert good.verify(10) == []
-    bad = CDGAMorphism(b, b, {"1": {"1": Fraction(1)}, "a": {}})
-    assert bad.verify(10) == []  # zero on a is still a morphism here
-    ok, _ = is_quasi_iso(bad, 6)
-    assert not ok
+    with pytest.raises(ModelError, match="FreeCDGA to a FiniteCDGA"):
+        CDGAMorphism(b, b, {"1": {"1": Fraction(1)}, "a": {"a": Fraction(1)}})
 
 
 def test_classifying_map_is_quasi_iso():
     a = free_s2()
     b = h_s2()
     theta = CDGAMorphism(a, b, {"x": {"a": Fraction(1)}, "y": {}})
-    assert theta.verify(10) == []
+    assert theta.verify() == []
     ok, table = is_quasi_iso(theta, 10)
     assert ok
     assert all(row["iso"] for row in table)
@@ -159,11 +170,19 @@ def test_generator_counts_agree_across_quasi_isomorphic_models():
     assert count1 == count2
 
 
-def test_seed_invariance():
+@pytest.mark.parametrize("finite", [h_s2, h_s3, h_cp2],
+                         ids=["s2", "s3", "cp2"])
+def test_seed_invariance(finite):
+    cutoff = 8
     tables = []
     for seed in (None, 1, 2, 12345):
-        table = F.HH(F.LoopContext(h_cp2(), 10, seed=seed))
-        tables.append([table.total(n) for n in range(11)])
+        if seed is not None:
+            _, theta = build_minimal_model(finite(), cutoff, seed=seed)
+            assert is_quasi_iso(theta, cutoff)[0]
+        ctx = F.LoopContext(finite(), cutoff, seed=seed)
+        hh, sh = F.HH(ctx), F.SH(ctx)
+        tables.append([(hh.weights(n), sh.weights(n))
+                       for n in range(cutoff + 1)])
     assert all(t == tables[0] for t in tables)
 
 
