@@ -223,17 +223,27 @@ class MixedComplex:
             if not anti.is_zero():
                 bad.append(f"delta.beta + beta.delta != 0 at degree {n}")
         for k in ks:
+            if k == 0:
+                raise ComplexError("Psi_0 is not defined")
             for n in range(0, self.top):
-                lhs = self.power_matrix(k, n + 1) @ self.delta_m(n)
-                rhs = self.delta_m(n) @ self.power_matrix(k, n)
-                if lhs != rhs:
+                if not self._scales_by(k, 1, n + 1, n, self.delta.get(n)):
                     bad.append(f"Psi_{k}.delta != delta.Psi_{k} at degree {n}")
             for n in range(1, self.top + 1):
-                lhs = self.power_matrix(k, n - 1) @ self.beta_m(n)
-                rhs = self.beta_m(n).scale(k) @ self.power_matrix(k, n)
-                if lhs != rhs:
+                if not self._scales_by(k, k, n - 1, n, self.beta.get(n)):
                     bad.append(f"Psi_{k}.beta != k.beta.Psi_{k} at degree {n}")
         return bad
+
+    def _scales_by(self, k, c, n_out, n_in, mat):
+        """Whether Psi_k . mat = c . mat . Psi_k for mat: C^n_in -> C^n_out.
+
+        The (i, j) entries of the two sides are k^{w_i} v and c v k^{w_j};
+        a stored entry v is nonzero, so they agree iff k^{w_i} = c k^{w_j}.
+        """
+        if mat is None or not mat.entries:
+            return True
+        left = [_power(k, w) for w in self.weights[n_out]]
+        right = [c * _power(k, w) for w in self.weights[n_in]]
+        return all(left[i] == right[j] for i, j in mat.entries)
 
     def weight_of(self, n, i):
         return self.weights[n][i]
@@ -272,7 +282,7 @@ class MixedComplex:
         def restrict(mat, n, n_out):
             kept_in = keep.get(n, [])
             kept_out = {i: r for r, i in enumerate(keep.get(n_out, []))}
-            cols = _columns(mat)
+            cols = mat.columns()
             entries = {}
             for c, i in enumerate(kept_in):
                 for row, v in cols.get(i, ()):
@@ -302,14 +312,6 @@ def _power(k, e):
     return Fraction(k ** e) if e >= 0 else Fraction(1, k ** -e)
 
 
-def _columns(mat):
-    """Column j -> [(row, value)] of a matrix, in one pass over its entries."""
-    cols = {}
-    for (i, j), v in mat.entries.items():
-        cols.setdefault(j, []).append((i, v))
-    return cols
-
-
 def _slot_complex(M, slot_table):
     """delta + beta of M restricted to a table of slots.
 
@@ -323,7 +325,6 @@ def _slot_complex(M, slot_table):
         r: [(m, M.labels[m][i]) for m, idx in slots for i in idx]
         for r, slots in slot_table.items()
     }
-    columns = {}
     diff = {}
     for r in sorted(slot_table)[:-1]:
         tgt_pos, rows = {}, 0
@@ -337,10 +338,9 @@ def _slot_complex(M, slot_table):
                 pos = tgt_pos.get(m_out)
                 if pos is None:
                     continue
-                if (name, m) not in columns:
-                    columns[(name, m)] = _columns(mat(m))
+                columns = mat(m).columns()
                 for c, i in enumerate(idx):
-                    for row, v in columns[(name, m)].get(i, ()):
+                    for row, v in columns.get(i, ()):
                         if row not in pos:
                             raise ConsistencyError(
                                 f"{name} breaks the weight grading at degree {m}"

@@ -2,12 +2,16 @@
 
 Everything downstream (cohomology of every complex, induced maps, audits)
 reduces to the operations here: rank, kernel, image, subquotient bases and
-maps induced on subquotients.  Each is read off one sparse reduced row
-echelon form over Q: a subquotient picks its representatives from one
-echelon of [image | kernel], and ``solve`` appends a whole batch of
-right-hand sides to the matrix, so coordinates, lifts and induced maps
-never eliminate once per vector.  All arithmetic is exact; matrices are
-immutable after construction.
+maps induced on subquotients.  Each is read off a sparse reduced row
+echelon form over Q, computed once per matrix and cached on it.  A
+subquotient Ker(d_out)/Im(d_in) works in kernel coordinates, the entries
+of a cocycle on the free columns of RREF(d_out): its dimension is
+nullity(d_out) - rank(d_in), and its representatives and the coordinates
+of a class come from one elimination of the image in those coordinates,
+made on first use, so no coordinate lookup or induced map eliminates
+anything.  ``solve`` appends a whole batch of right-hand sides to the
+matrix, so lifts never eliminate once per vector.  All arithmetic is
+exact; matrices are immutable after construction.
 
 A vector is a sparse dict ``{index: Fraction}`` with no stored zeros and
 every index in range of its ambient space; the zero vector is ``{}``.
@@ -40,7 +44,7 @@ class PreconditionError(LinalgError):
 class SparseMatrix:
     """Immutable sparse matrix over Q, entries indexed (row, col)."""
 
-    __slots__ = ("rows", "cols", "entries", "_echelon")
+    __slots__ = ("rows", "cols", "entries", "_echelon", "_columns")
 
     def __init__(self, rows, cols, entries):
         """A matrix of shape rows x cols with these entries, taken as
@@ -50,6 +54,7 @@ class SparseMatrix:
         self.cols = cols
         self.entries = entries
         self._echelon = None
+        self._columns = None
 
     @classmethod
     def validated(cls, rows, cols, entries):
@@ -154,12 +159,22 @@ class SparseMatrix:
                     entries[(i, k)] = x
         return SparseMatrix(self.rows, other.cols, entries)
 
+    def columns(self):
+        """Column j -> [(row, value)] of the nonzero entries, built once
+        per matrix; columns with no entry are absent."""
+        if self._columns is None:
+            self._columns = {}
+            for (i, j), v in self.entries.items():
+                self._columns.setdefault(j, []).append((i, v))
+        return self._columns
+
     def apply(self, vec):
-        """Matrix times a column vector, both {index: Fraction} dicts."""
+        """Matrix times a column vector, both {index: Fraction} dicts,
+        read through the column index."""
+        cols = self.columns()
         out = {}
-        for (i, j), v in self.entries.items():
-            x = vec.get(j)
-            if x is not None:
+        for j, x in vec.items():
+            for i, v in cols.get(j, ()):
                 y = out.get(i)
                 out[i] = v * x if y is None else y + v * x
         return {i: x for i, x in out.items() if x}
@@ -189,13 +204,18 @@ def nullity(m):
 
 def kernel_basis(m):
     """Exact basis of Ker m, one vector per free column, ascending."""
+    pivots = set(m.echelon()[1])
+    return _kernel_vectors(m, [j for j in range(m.cols) if j not in pivots])
+
+
+def _kernel_vectors(m, frees):
+    """The kernel vectors k_f of m for the free columns f listed: 1 at f,
+    0 at every other free column."""
     rows, pivots = m.echelon()
-    pivot_set = set(pivots)
-    basis = {free: {free: Fraction(1)}
-             for free in range(m.cols) if free not in pivot_set}
+    basis = {f: {f: Fraction(1)} for f in frees}
     for p, row in zip(pivots, rows):
         for j, x in row.items():
-            if j != p:
+            if j in basis:
                 basis[j][p] = -x
     return list(basis.values())
 
@@ -237,35 +257,102 @@ def solve(m, rhs):
 
 
 class SubquotientBasis:
-    """Concrete model of Ker(d_out) / Im(d_in) inside an ambient Q^n."""
+    """Ker(d_out) / Im(d_in) inside an ambient Q^n, read off RREF(d_out).
 
-    __slots__ = ("ambient", "image", "representatives")
+    Let F be the free columns of RREF(d_out).  The kernel vector k_f is 1
+    at f and 0 at every other free column, so a cocycle is determined by
+    its entries on F: they are its coordinates on the kernel basis.  The
+    dimension is nullity(d_out) - rank(d_in).  The image basis, the
+    representatives and the pivot table of the image on F are built on
+    first use: the image restricted to F is eliminated once, with the
+    free columns in descending order, so a pivot t is the highest free
+    index of an image vector.  The representatives are the k_f whose f is
+    not such a pivot: each is independent of the image and of the kernel
+    vectors before it.
+    """
 
-    def __init__(self, ambient, image, representatives):
-        self.ambient = ambient
-        self.image = image
-        self.representatives = representatives
+    __slots__ = ("ambient", "dim", "_d_in", "_d_out", "_image", "_table",
+                 "_representatives")
+
+    def __init__(self, d_in, d_out):
+        self.ambient = d_out.cols
+        self.dim = nullity(d_out) - rank(d_in)
+        self._d_in = d_in
+        self._d_out = d_out
+        self._image = None
+        self._table = None
+        self._representatives = None
 
     @property
-    def dim(self):
-        return len(self.representatives)
+    def image(self):
+        if self._image is None:
+            self._image = image_basis(self._d_in)
+        return self._image
+
+    def _pivot_table(self):
+        """({pivot t: its RREF row on F less the leading 1 at t},
+        {free column of a representative: its index})."""
+        if self._table is None:
+            pivots = set(self._d_out.echelon()[1])
+            free = [j for j in range(self.ambient) if j not in pivots]
+            table = {}
+            if self.image:
+                # column c of the eliminated matrix is free[last - c]
+                last = len(free) - 1
+                pos = {f: last - c for c, f in enumerate(free)}
+                rows = [[(pos[j], x) for j, x in v.items() if j in pos]
+                        for v in self.image]
+                echelon, leads = bareiss(rows, len(free))
+                for c, row in zip(leads, echelon):
+                    table[free[last - c]] = {free[last - j]: x
+                                             for j, x in row.items() if j != c}
+            reps = {f: i for i, f in enumerate(
+                [f for f in free if f not in table])}
+            self._table = (table, reps)
+        return self._table
+
+    @property
+    def representatives(self):
+        if self._representatives is None:
+            self._representatives = _kernel_vectors(
+                self._d_out, list(self._pivot_table()[1])) if self.dim else []
+        return self._representatives
 
     def coordinates(self, vectors):
         """Coordinates of each [v] on the representatives, or None where v
-        is not in the kernel span.  Vectors and coordinates are {index:
-        Fraction} dicts; a class that is zero has coordinates {}."""
-        m = SparseMatrix.from_columns(self.ambient,
-                                      self.representatives + self.image)
-        return [None if x is None
-                else {j: c for j, c in x.items() if j < self.dim}
-                for x in solve(m, vectors)]
+        is not a cocycle.  Vectors and coordinates are {index: Fraction}
+        dicts; a class that is zero has coordinates {}.
+
+        [representatives | image] is a basis of Ker(d_out).  A cocycle's
+        entries on F, less x_t times the pivot row of each pivot t, lie on
+        the representatives' columns, and they are its coordinates."""
+        d_out = self._d_out
+        if not self.dim:
+            return [None if d_out.apply(v) else {} for v in vectors]
+        table, reps = self._pivot_table()
+        out = []
+        for v in vectors:
+            if d_out.apply(v):
+                out.append(None)
+                continue
+            x = {j: c for j, c in v.items() if j in reps}
+            for t in [t for t in v if t in table]:
+                c = v[t]
+                for j, y in table[t].items():
+                    z = x.get(j, 0) - c * y
+                    if z:
+                        x[j] = z
+                    else:
+                        del x[j]
+            out.append({reps[j]: c for j, c in x.items()})
+        return out
 
     def __repr__(self):
         return f"SubquotientBasis(dim={self.dim}, ambient={self.ambient})"
 
 
 def cohomology_at(d_in, d_out):
-    """Subquotient Ker(d_out)/Im(d_in) with explicit representatives.
+    """Subquotient Ker(d_out)/Im(d_in), with representatives on demand.
 
     d_in has shape (n, p) and lands in the ambient Q^n; d_out has shape
     (q, n) and maps out of it.  Requires d_out . d_in = 0.  The
@@ -277,15 +364,7 @@ def cohomology_at(d_in, d_out):
         raise LinalgError("ambient dimension mismatch")
     if not (d_out @ d_in).is_zero():
         raise PreconditionError("d_out . d_in != 0")
-    ambient = d_in.rows
-    kern = kernel_basis(d_out)
-    img = image_basis(d_in)
-    if not img:
-        # a kernel basis is independent: with no image, all of it
-        return SubquotientBasis(ambient, img, kern)
-    _, pivots = SparseMatrix.from_columns(ambient, img + kern).echelon()
-    reps = [kern[j - len(img)] for j in pivots if j >= len(img)]
-    return SubquotientBasis(ambient, img, reps)
+    return SubquotientBasis(d_in, d_out)
 
 
 class NotChainCompatible(LinalgError):

@@ -27,17 +27,20 @@ class ModelError(Exception):
 class FiniteCDGA:
     """Finite-dimensional CDGA from structure constants.
 
-    basis: list of (name, degree) pairs; exactly one degree-0 element,
-    the unit.  products: dict (name, name) -> element, where an element
-    is a dict name -> Fraction; missing pairs mean zero, unit products
-    and graded-commutative partners are filled in.  differential: dict
-    name -> element.
+    basis: list of (name, degree) pairs of nonnegative degree; exactly
+    one degree-0 element, the unit.  products: dict (name, name) ->
+    element, where an element is a dict name -> Fraction; missing pairs
+    mean zero, unit products and graded-commutative partners are filled
+    in.  differential: dict name -> element.
     """
 
     def __init__(self, basis, products, differential):
         names = [n for n, _ in basis]
         if len(set(names)) != len(names):
             raise ModelError("duplicate basis name")
+        for n, d in basis:
+            if d < 0:
+                raise ModelError(f"basis element {n} has negative degree {d}")
         self.names = names
         self.degree = {n: d for n, d in basis}
         units = [n for n in names if self.degree[n] == 0]

@@ -360,6 +360,22 @@ def test_finite_differential_of_wrong_degree_rejected(tmp_path, capsys):
     assert err.startswith("error:") and "d(a) has wrong degree" in err
 
 
+@pytest.mark.parametrize("command", ["cohomology", "minimal-model"])
+def test_finite_basis_of_negative_degree_rejected(command, tmp_path, capsys):
+    # H^{-1} would be 1 here; it was ignored, not modelled
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "basis": [{"name": "1", "degree": 0}, {"name": "x", "degree": -1},
+                  {"name": "a", "degree": 2}],
+        "products": [],
+        "differential": {},
+    }))
+    code, out, err = run([command, str(bad), "--cutoff", "4"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "x has negative degree -1" in err
+
+
 X2_Y3 = [{"name": "x", "degree": 2}, {"name": "y", "degree": 3}]
 
 

@@ -92,6 +92,38 @@ def test_mixed_complex_validation_catches_corruption():
     assert bad.validate(ks=[2]) != []
 
 
+def _touches(mat, row=None, col=None):
+    return any(i == row or j == col for i, j in mat.entries)
+
+
+def test_wrong_weight_tag_fails_only_the_power_maps_that_touch_it():
+    M = free_loop(sphere2()).mixed_complex(8)
+    ks = [-1, 2, 3, 6]
+    # the degree-4 label with the most delta and beta entries
+    m = 4
+    i = max(range(M.dim(m)), key=lambda i: sum(
+        _touches(a, row=r, col=c) for a, r, c in (
+            (M.delta_m(m - 1), i, None), (M.delta_m(m), None, i),
+            (M.beta_m(m), None, i), (M.beta_m(m + 1), i, None))))
+    weights = {n: list(v) for n, v in M.weights.items()}
+    weights[m][i] += 1
+    bad = MixedComplex(M.labels, M.delta, M.beta, weights=weights)
+    delta_degrees = [n for n, hit in ((m - 1, _touches(M.delta_m(m - 1), row=i)),
+                                      (m, _touches(M.delta_m(m), col=i))) if hit]
+    beta_degrees = [n for n, hit in ((m, _touches(M.beta_m(m), col=i)),
+                                     (m + 1, _touches(M.beta_m(m + 1), row=i)))
+                    if hit]
+    assert delta_degrees and beta_degrees
+    expected = []
+    for k in ks:
+        expected += [f"Psi_{k}.delta != delta.Psi_{k} at degree {n}"
+                     for n in delta_degrees]
+        expected += [f"Psi_{k}.beta != k.beta.Psi_{k} at degree {n}"
+                     for n in beta_degrees]
+    assert bad.validate(ks=ks) == expected
+    assert bad.validate() == []
+
+
 def test_corrupted_beta_cannot_produce_a_number():
     # nothing but validate() checks the mixed axioms at construction, so a
     # corrupted beta block must still fail where cohomology is taken

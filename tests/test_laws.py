@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdgacyc.functors import HH, LoopContext
+from cdgacyc.functors import CH, HH, PH, SH, LoopContext
 
 from models import even_sphere, free_cdga, odd_sphere, rescaled, tensor
 
@@ -63,3 +63,44 @@ def test_hh_kunneth_per_weight(spheres, seed):
 @settings(max_examples=40, deadline=None)
 def test_hh_kunneth_per_weight_deep(spheres, seed):
     assert_kunneth(spheres, 10, seed)
+
+
+def rows(algebra, cutoff):
+    """{(functor, degree): (certified, total, weights)} of HH, CH, PH, SH."""
+    ctx = LoopContext(algebra, cutoff)
+    out = {}
+    for functor in (HH, CH, PH, SH):
+        table = functor(ctx)
+        for n in table.degrees:
+            out[(functor.__name__, n)] = (table.certified(n), table.total(n),
+                                          table.weights(n))
+    return out
+
+
+def assert_certified_rows_stable(spheres, cutoff, seed):
+    rng = random.Random(seed)
+    algebra = free_cdga(rescaled(tensor(*[
+        kind(degree, str(i)) for i, (kind, degree) in enumerate(spheres)]),
+        rng))
+    low, high = rows(algebra, cutoff), rows(algebra, cutoff + 2)
+    certified = [key for key, (ok, _, _) in low.items() if ok]
+    assert any(name == "HH" for name, _ in certified)
+    for key in certified:
+        assert high[key][1:] == low[key][1:], key
+
+
+@given(st.lists(st.sampled_from(SPHERES), min_size=2, max_size=2),
+       st.integers(0, 2**32 - 1), st.sampled_from([4, 6]))
+@settings(max_examples=12, deadline=None)
+def test_certified_rows_stable_under_a_larger_cutoff(spheres, seed, cutoff):
+    assert_certified_rows_stable(spheres, cutoff, seed)
+
+
+# SH rows of these products are first certified near cutoff 10 (the base
+# vanishing window of LoopContext.base_bound), so only the deep run sees them.
+@pytest.mark.slow
+@given(st.lists(st.sampled_from(SPHERES), min_size=3, max_size=3),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_certified_rows_stable_under_a_larger_cutoff_deep(spheres, seed):
+    assert_certified_rows_stable(spheres, 12, seed)

@@ -14,7 +14,7 @@ from cdgacyc.complexes import (band_complex, label_inclusion, mapping_cone,
 from cdgacyc.free_loop import free_loop
 from cdgacyc.linalg import SparseMatrix
 
-from oracles import rref_rank
+from oracles import rref, rref_rank
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "cdgacyc" / "fixtures"
 
@@ -439,3 +439,109 @@ def test_validated_converts_and_drops_zeros():
                                       (1, 0): Fraction(0), (1, 1): "0"})
     assert m.entries == {(0, 0): 2, (0, 1): Fraction(-1, 3)}
     assert_matrix(m)
+
+
+@st.composite
+def complex_and_vectors(draw):
+    """A complex_at case and vectors of its ambient space: cocycles (sums
+    of kernel vectors) and arbitrary ones."""
+    d_in, d_out = draw(complex_at())
+    n = d_out.cols
+    kernel = linalg.kernel_basis(d_out)
+    ints = st.integers(-2, 2)
+    vectors = []
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.booleans()):
+            cs = draw(st.lists(ints, min_size=len(kernel), max_size=len(kernel)))
+            v = [sum(c * k.get(i, 0) for c, k in zip(cs, kernel))
+                 for i in range(n)]
+        else:
+            v = draw(st.lists(ints, min_size=n, max_size=n))
+        vectors.append(to_sparse(v))
+    return d_in, d_out, vectors
+
+
+def _oracle_coordinates(h, d_out, v):
+    """None when the dense d_out . v is nonzero, else the solution of
+    [representatives | image] c = v by naive Gauss-Jordan, cut to the
+    representatives."""
+    n = h.ambient
+    dense_out = [[d_out.entries.get((i, j), 0) for j in range(n)]
+                 for i in range(d_out.rows)]
+    if any(sum(a * v.get(j, 0) for j, a in enumerate(row))
+           for row in dense_out):
+        return None
+    columns = [to_dense(u, n) for u in h.representatives + h.image]
+    rows, pivots = rref([[c[i] for c in columns] + [v.get(i, 0)]
+                         for i in range(n)])
+    assert len(columns) not in pivots, "a cocycle outside the kernel span"
+    return {p: row[-1] for p, row in zip(pivots, rows)
+            if p < h.dim and row[-1]}
+
+
+@given(complex_and_vectors())
+@settings(max_examples=150, deadline=None)
+def test_coordinates_match_the_oracle(case):
+    d_in, d_out, vectors = case
+    h = linalg.cohomology_at(d_in, d_out)
+    coords = h.coordinates(vectors)
+    assert coords == [_oracle_coordinates(h, d_out, v) for v in vectors]
+    for x in coords:
+        if x is not None:
+            assert_sparse(x, h.dim)
+
+
+def _count_bareiss(monkeypatch):
+    calls = []
+    bareiss = linalg.bareiss
+
+    def counted(rows, ncols):
+        calls.append((len(rows), ncols))
+        return bareiss(rows, ncols)
+
+    monkeypatch.setattr(linalg, "bareiss", counted)
+    return calls
+
+
+def _fixture_inclusion():
+    """S: the shifted +band of weight 2 into the +band of weight 1 of
+    product_s2_s3, whose induced maps fig2_audit reads."""
+    mixed = free_loop(load_algebra(FIXTURES / "product_s2_s3.json")) \
+        .mixed_complex(8)
+    amb = band_complex(mixed, 1, "plus", 0, 8)
+    sub = shift_complex(band_complex(mixed, 2, "plus", 0, 6), 2)
+    return label_inclusion(sub, amb)
+
+
+def test_coordinates_and_induced_maps_eliminate_nothing_once_built(
+        monkeypatch):
+    f = _fixture_inclusion()
+    pairs = [(f.matrix(n), f.source.cohomology(n), f.target.cohomology(n))
+             for n in range(8)]
+    for _, source, target in pairs:
+        for h in (source, target):
+            h.coordinates(h.representatives + h.image)
+    assert sum(source.dim for _, source, _ in pairs) > 0
+    calls = _count_bareiss(monkeypatch)
+    for m, source, target in pairs:
+        induced = linalg.induced_map(m, source, target)
+        assert (induced.rows, induced.cols) == (target.dim, source.dim)
+        target.coordinates([m.apply(v) for v in source.representatives]
+                           + target.image + [{}])
+    assert calls == []
+
+
+def test_betti_builds_no_kernel_basis(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("betti built a basis")
+
+    calls = _count_bareiss(monkeypatch)
+    for name in ("kernel_basis", "_kernel_vectors", "image_basis", "solve"):
+        monkeypatch.setattr(linalg, name, forbidden)
+    amb = _fixture_inclusion().target
+    dims = [amb.betti(n) for n in range(9)]
+    assert any(dims)
+    # each differential is eliminated at most once, and nothing else is
+    shapes = [(m.rows, m.cols) for m in amb.diff.values() if m.entries]
+    assert len(calls) <= len(shapes)
+    assert all((rows, ncols) in shapes for rows, ncols in calls)

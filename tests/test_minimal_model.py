@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cdgacyc import functors as F
+from cdgacyc import minimal_model
 from cdgacyc.gralg import FreeCDGA, Generator
 from cdgacyc.minimal_model import (
     CDGAMorphism,
@@ -183,6 +184,50 @@ def test_seed_invariance(finite):
         hh, sh = F.HH(ctx), F.SH(ctx)
         tables.append([(hh.weights(n), sh.weights(n))
                        for n in range(cutoff + 1)])
+    assert all(t == tables[0] for t in tables)
+
+
+def h_s2xs2():
+    """H(S^2 x S^2): H^2 has dimension 2, so the builder mixes."""
+    return FiniteCDGA([("1", 0), ("a", 2), ("b", 2), ("ab", 4)],
+                      {("a", "b"): {"ab": 1}}, {})
+
+
+def h_s2_wedge_s3():
+    """H(S^2 v S^3): at stage 3 the primitive of w with dw = v^2 is shifted
+    by a random multiple of the class x."""
+    return FiniteCDGA([("1", 0), ("a", 2), ("x", 3)], {}, {})
+
+
+@pytest.mark.parametrize("finite, generator", [(h_s2xs2, "v2_1"),
+                                               (h_s2_wedge_s3, "w3_2")],
+                         ids=["s2xs2-mix", "s2vs3-shift"])
+def test_seeded_branches_fire_and_change_no_table(finite, generator,
+                                                  monkeypatch):
+    mixed = []
+    mix = minimal_model._mix
+
+    def counted(rng, vectors):
+        mixed.append(len(vectors))
+        return mix(rng, vectors)
+
+    monkeypatch.setattr(minimal_model, "_mix", counted)
+    cutoff = 6
+    values, tables = [], []
+    for seed in (None, 1, 2, 3):
+        _, theta = build_minimal_model(finite(), cutoff + 3, seed=seed)
+        assert is_quasi_iso(theta, cutoff)[0]
+        values.append(theta.values[generator])
+        ctx = F.LoopContext(finite(), cutoff, seed=seed)
+        hh, sh = F.HH(ctx), F.SH(ctx)
+        tables.append([(hh.weights(n), sh.weights(n))
+                       for n in range(cutoff + 1)])
+    # the branch ran on some seed and changed the model it built
+    assert any(v != values[0] for v in values[1:])
+    if finite is h_s2xs2:
+        assert max(mixed) >= 2
+    else:
+        assert values[0] == {}   # d(w) = v^2 has the primitive 0 unshifted
     assert all(t == tables[0] for t in tables)
 
 
