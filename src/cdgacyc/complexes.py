@@ -29,6 +29,12 @@ so no complex is built with a check of degrees nobody reads.  The
 matrix-level mixed-complex axioms are MixedComplex.validate, run as an
 audit.
 
+A truncation to a smaller top and an even shift are built on the same
+matrices and share the cohomology cache of the complex they come from,
+in every degree whose two differentials they share: only a
+truncation's top degree, where its d is zero, is a subquotient of its
+own.
+
 Chain maps between labelled complexes come from one builder, label_map,
 which sends each label to a label or to zero; inclusions, projections
 and the canonical maps of a cone are label maps.  A diagram audit is
@@ -38,6 +44,7 @@ connecting map is computed once per degree and cached, as cohomology
 is, so the sequences and the squares share them.
 """
 
+import math
 from fractions import Fraction
 
 from cdgacyc import linalg
@@ -57,9 +64,14 @@ class ConsistencyError(ComplexError):
 
 
 class CochainComplex:
-    """Finitely supported cochain complex: labels and d^n: C^n -> C^{n+1}."""
+    """Finitely supported cochain complex: labels and d^n: C^n -> C^{n+1}.
 
-    def __init__(self, labels, diff):
+    shares=(c, s, below) declares that for every n < below this complex's
+    d^{n-1} and d^n are c's d^{n-s-1} and d^{n-s}, the same matrices, so
+    its H^n is c's H^{n-s} and is taken from c's cache.
+    """
+
+    def __init__(self, labels, diff, shares=None):
         self.labels = {n: list(v) for n, v in labels.items() if v}
         self.diff = {}
         for n, m in diff.items():
@@ -67,6 +79,7 @@ class CochainComplex:
                 raise ComplexError(f"differential at {n} has wrong shape")
             self.diff[n] = m
         self._cohomology = {}
+        self._shares = shares
 
     @property
     def degrees(self):
@@ -82,11 +95,25 @@ class CochainComplex:
 
     def cohomology(self, n):
         if n not in self._cohomology:
-            self._cohomology[n] = linalg.cohomology_at(self.d(n - 1), self.d(n))
+            if self._shares is not None and n < self._shares[2]:
+                c, s, _ = self._shares
+                self._cohomology[n] = c.cohomology(n - s)
+            else:
+                self._cohomology[n] = linalg.cohomology_at(self.d(n - 1),
+                                                           self.d(n))
         return self._cohomology[n]
 
     def betti(self, n):
         return self.cohomology(n).dim
+
+    def truncated(self, top):
+        """The complex on degrees <= top, with d^top = 0.  Below top it has
+        this complex's matrices and cohomology; only H^top is its own."""
+        return CochainComplex(
+            {n: v for n, v in self.labels.items() if n <= top},
+            {n: m for n, m in self.diff.items() if n < top},
+            shares=(self, 0, top),
+        )
 
 
 class ChainMap:
@@ -132,6 +159,7 @@ def shift_complex(c, s):
     return CochainComplex(
         {n + s: v for n, v in c.labels.items()},
         {n + s: m for n, m in c.diff.items()},
+        shares=(c, s, math.inf),
     )
 
 
@@ -237,12 +265,13 @@ class MixedComplex:
         """Whether Psi_k . mat = c . mat . Psi_k for mat: C^n_in -> C^n_out.
 
         The (i, j) entries of the two sides are k^{w_i} v and c v k^{w_j};
-        a stored entry v is nonzero, so they agree iff k^{w_i} = c k^{w_j}.
+        a stored entry v is nonzero, so they agree iff k^{w_i} = c k^{w_j},
+        an identity of integers (weights are nonnegative ints).
         """
         if mat is None or not mat.entries:
             return True
-        left = [_power(k, w) for w in self.weights[n_out]]
-        right = [c * _power(k, w) for w in self.weights[n_in]]
+        left = [k ** w for w in self.weights[n_out]]
+        right = [c * k ** w for w in self.weights[n_in]]
         return all(left[i] == right[j] for i, j in mat.entries)
 
     def weight_of(self, n, i):

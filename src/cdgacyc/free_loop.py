@@ -183,17 +183,26 @@ def free_loop(base, weight_cutoff=None):
     return LoopAlgebra(base, weight_cutoff=weight_cutoff)
 
 
-def base_cochain(base, top):
-    """(Lambda[V], d) as a cochain complex on degrees 0..top."""
-    labels = {n: base.algebra.basis(n) for n in range(top + 1)}
-    index = {n: {m: i for i, m in enumerate(v)} for n, v in labels.items()}
-    diff = {
-        n: derivation_matrix(
-            base.differential, labels[n], index[n + 1], len(labels[n + 1])
-        )
-        for n in range(top)
-    }
-    return CochainComplex(labels, diff)
+def base_cochain(base, top, grown=None):
+    """(Lambda[V], d) as a cochain complex on degrees 0..top.
+
+    grown, a complex this function built on degrees 0..t with t < top, is
+    grown by the new degrees only: the result keeps its matrices, builds
+    d^t..d^{top-1}, and takes its cohomology below degree t.
+    """
+    t, labels, diff, shares = 0, {}, {}, None
+    if grown is not None:
+        # a complex built here has one differential per degree below its top
+        t = len(grown.diff)
+        labels, diff = dict(grown.labels), dict(grown.diff)
+        shares = (grown, 0, t)
+    labels.update({n: base.algebra.basis(n) for n in range(t, top + 1)})
+    index = {n: {m: i for i, m in enumerate(labels[n])}
+             for n in range(t, top + 1)}
+    for n in range(t, top):
+        diff[n] = derivation_matrix(base.differential, labels[n],
+                                    index[n + 1], len(index[n + 1]))
+    return CochainComplex(labels, diff, shares=shares)
 
 
 def ideals(M):

@@ -85,7 +85,8 @@ class CohomologyTable:
 class LoopContext:
     """The one handle every functor and audit takes.  It owns the free
     algebra, the degree cutoff and the weight cutoff (on ``loop``), and
-    caches the loop mixed complex, the base complex, +complexes and bands.
+    builds each derived complex once: the loop mixed complex, the base
+    complex, the +complex, the bands and the comparison cones.
 
     A finite input is replaced by its minimal model, built here with the
     builder's seed.  The loop complex through degree cutoff + 1 reads
@@ -95,12 +96,12 @@ class LoopContext:
 
     The mixed complex is built once, through max(top, cutoff + 1), which
     covers every degree HH, CH, PH, SH, euler and check read; only
-    PH_periodic asks for more, and then it is rebuilt larger.  A band or
-    +complex over 0..top reads the mixed complex only in degrees <= top,
-    so it is the same whichever larger complex it is cut from: both are
-    cached under a key that includes top and never invalidated.  Bands
-    serve the kinds "plus" and "slice", whose degree-r piece reads degrees
-    <= r.
+    PH_periodic asks for more, and then it is rebuilt larger.  A "plus" or
+    "slice" band's degree-r piece reads the mixed complex only in degrees
+    <= r, so one band per (w, kind) is assembled, through cutoff + 1, and
+    a reader with a smaller top gets its truncation, which shares the
+    band's matrices and its cohomology below that top.  The base complex
+    grows by the new degrees only, keeping its matrices and cohomology.
     """
 
     def __init__(self, algebra, cutoff, weight_cutoff=None, seed=None):
@@ -112,20 +113,28 @@ class LoopContext:
         self.cutoff = cutoff
         self.loop = free_loop(algebra, weight_cutoff=weight_cutoff)
         self._mixed = None
+        self._cochain = None
         self._base = None
         self._base_top = -1
         self._plus = {}
         self._bands = {}
+        self._cones = {}
 
     def mixed(self, top):
         if self._mixed is None or self._mixed.top < top:
             self._mixed = self.loop.mixed_complex(max(top, self.cutoff + 1))
         return self._mixed
 
+    def cochain(self):
+        """(C, delta) of the loop mixed complex, for HH and t4_audit."""
+        if self._cochain is None:
+            self._cochain = self.mixed(self.cutoff + 1).cochain()
+        return self._cochain
+
     def base(self, top):
         # the complex drops empty degrees, so its labels do not record top
         if self._base_top < top:
-            self._base = base_cochain(self.algebra, top)
+            self._base = base_cochain(self.algebra, top, self._base)
             self._base_top = top
         return self._base
 
@@ -137,7 +146,12 @@ class LoopContext:
     def band(self, w, kind, top):
         key = (w, kind, top)
         if key not in self._bands:
-            self._bands[key] = band_complex(self.mixed(top), w, kind, 0, top)
+            full = max(top, self.cutoff + 1)
+            if top == full:
+                self._bands[key] = band_complex(self.mixed(top), w, kind, 0,
+                                                top)
+            else:
+                self._bands[key] = self.band(w, kind, full).truncated(top)
         return self._bands[key]
 
     def base_bound(self):
@@ -176,7 +190,7 @@ def HH(ctx):
     when the weight cutoff drops no monomial through degree n + 1.
     """
     cutoff = ctx.cutoff
-    C = ctx.mixed(cutoff + 1).cochain()
+    C = ctx.cochain()
     table = CohomologyTable("HH")
     for n in range(cutoff + 1):
         weights = {}
@@ -378,46 +392,54 @@ def _top_slot(ctx, w):
     return image
 
 
-def _ibar_map(ctx, w, top, project_weight_zero=True):
-    """The comparison map into the periodic base complex at weight w.
+def _sh_band(ctx, w, project_weight_zero=True):
+    """The comparison map Ibar at effective weight w and its cone, as
+    (Ibar, cone, include, project), built once per weight and flag.
 
-    Source: degree r piece is the +band of effective weight w+1 at level
-    r-2, for r <= top + 1.  Target: the base block (weight-0 projection of
-    the top slot) through degree top + 1.  With project_weight_zero=False
-    the projection is skipped and the full periodic band of the loop
-    complex is the target (negative control).
+    Source: the degree-r piece is the +band of effective weight w + 1 at
+    level r - 2, for r <= cutoff + 2.  Target: the base block (weight-0
+    projection of the top slot) through degree cutoff + 2.  With
+    project_weight_zero=False the projection is skipped and the full
+    periodic band of the loop complex is the target (negative control).
+
+    One cone serves every SH^r(w), r <= cutoff.  Its H^r reads cone
+    degrees r - 1..r + 1, that is the source +band through degree r and
+    the target through degree r + 1.  A +band's degree-r piece reads the
+    mixed complex only in degrees <= r, the base block's is base^{r+2w},
+    and the periodic target's reads degrees <= r + 2w, all of which the
+    larger top covers.  So the cone built at top cutoff + 1 has the same
+    degrees r - 1..r + 1 as one built at top r + 1, and the same H^r.
     """
-    source = shift_complex(ctx.band(w + 1, "plus", top - 1), 2)
-    if not project_weight_zero:
-        M = ctx.mixed(max(top + 2, top + 2 + 2 * w))
-        target = band_complex(M, w, "periodic", 0, top + 1)
-        return label_inclusion(source, target)
-    return label_map(source, _base_block(ctx, w, top + 1), _top_slot(ctx, w),
-                     check_degrees=range(0, top))
-
-
-def _sh_band(ctx, r, w, project_weight_zero=True):
-    """dim SH^r at effective weight w, with the cone built honestly: its
-    degrees r - 1..r + 1 read the source +band only through degree r."""
-    f = _ibar_map(ctx, w, r + 1, project_weight_zero=project_weight_zero)
-    cone, _, _ = mapping_cone(f)
-    return cone.cohomology(r).dim
+    key = (w, project_weight_zero)
+    if key not in ctx._cones:
+        top = ctx.cutoff + 1
+        source = shift_complex(ctx.band(w + 1, "plus", top - 1), 2)
+        if project_weight_zero:
+            f = label_map(source, _base_block(ctx, w, top + 1),
+                          _top_slot(ctx, w), check_degrees=range(0, top))
+        else:
+            M = ctx.mixed(max(top + 2, top + 2 + 2 * w))
+            f = label_inclusion(source,
+                                band_complex(M, w, "periodic", 0, top + 1))
+        ctx._cones[key] = (f, *mapping_cone(f))
+    return ctx._cones[key]
 
 
 def SH(ctx, project_weight_zero=True):
     """Cohomology of the cone over the zero-weight comparison map.
 
     Per weight w the cone pairs the base block in degree r+2w with the
-    +band of weight w+1 one level down.  Weights whose surrounding exact
-    sequence terms both vanish (base cohomology at r+2w and CH^{r-1} at
-    w+1) are skipped as zero; others are computed from the cone.  Rows are
-    certified by the base vanishing window, and only when the weight
-    cutoff drops no monomial through degree cutoff + 1, the top degree the
-    bands read.
+    +band of weight w+1 one level down; one cone per weight gives SH^r(w)
+    for every r (see _sh_band).  Weights whose surrounding exact sequence
+    terms both vanish (base cohomology at r+2w and CH^{r-1} at w+1) are
+    skipped as zero; others are read off the cone.  Rows are certified by
+    the base vanishing window, and only when the weight cutoff drops no
+    monomial through degree cutoff + 1, the top degree the bands read.
     """
     cutoff = ctx.cutoff
     bound, base_cert = ctx.base_bound()
-    rows = {}
+    certified = base_cert and cutoff + 1 <= ctx.loop.complete_through
+    table = CohomologyTable("SH")
     for r in range(cutoff + 1):
         weights = {}
         w_lo = -((r + 1) // 2) - 1
@@ -429,13 +451,9 @@ def SH(ctx, project_weight_zero=True):
             h_base = base.betti(mb) if mb >= 0 else 0
             if ch_next == 0 and h_base == 0:
                 continue
-            d = _sh_band(ctx, r, w, project_weight_zero=project_weight_zero)
+            d = _sh_band(ctx, w, project_weight_zero)[1].betti(r)
             if d:
                 weights[w] = d
-        rows[r] = weights
-    certified = base_cert and cutoff + 1 <= ctx.loop.complete_through
-    table = CohomologyTable("SH")
-    for r, weights in rows.items():
         table.set_row(r, sum(weights.values()), weights, certified=certified)
     return table
 
@@ -589,9 +607,8 @@ def _fig7_weight(ctx, w):
     quasi_iso = all(m.rows == m.cols and linalg.rank(m) == m.rows
                     for m in map(q.induced, range(1, r_hi + 1)))
 
-    # row 2: cone over the zero-weight comparison map
-    f2 = _ibar_map(ctx, w, r_hi + 2)
-    cone2, inc2, proj2 = mapping_cone(f2)
+    # row 2: cone over the zero-weight comparison map, shared with SH
+    f2, cone2, inc2, proj2 = _sh_band(ctx, w)
     ses2 = ShortExactSequence(inc2, proj2, degrees=range(0, r_hi + 2))
 
     # verticals: T (the top-slot rule) on the CH node, the functorial cone
@@ -631,7 +648,7 @@ def t4_audit(ctx):
     """
     cutoff = ctx.cutoff
     M = ctx.mixed(cutoff + 1)
-    C = M.cochain()
+    C = ctx.cochain()
     plus = ctx.plus(cutoff + 1)
     hh = HH(ctx)
     ch = CH(ctx)

@@ -140,6 +140,8 @@ class SparseMatrix:
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise LinalgError("shape mismatch in @")
+        if not self.entries or not other.entries:
+            return SparseMatrix(self.rows, other.cols, {})
         by_row = {}
         for (i, j), v in self.entries.items():
             by_row.setdefault(i, []).append((j, v))

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from cdgacyc import cli, functors
+from cdgacyc import cli, free_loop, functors
 from cdgacyc.free_loop import LoopAlgebra
 from cdgacyc.minimal_model import verify_minimal
 
@@ -188,20 +188,81 @@ def test_one_mixed_complex_per_command(command, monkeypatch, capsys):
     assert tops == [5]
 
 
-def test_base_complex_rebuilt_only_when_it_grows(monkeypatch, capsys):
-    # sphereEven4 has empty base degrees, which the built complex drops
-    tops = []
-    build = functors.base_cochain
+def _count_base_growth(monkeypatch):
+    """Record each base_cochain call as (top, grown, result, number of
+    differentials it built)."""
+    calls = []
+    grow = functors.base_cochain
+    make = free_loop.derivation_matrix
+    built = []
 
-    def counted(algebra, top):
-        tops.append(top)
-        return build(algebra, top)
+    def counted(algebra, top, grown=None):
+        built.clear()
+        out = grow(algebra, top, grown)
+        calls.append((top, grown, out, len(built)))
+        return out
+
+    def counted_make(*args, **kwargs):
+        built.append(None)
+        return make(*args, **kwargs)
 
     monkeypatch.setattr(functors, "base_cochain", counted)
+    monkeypatch.setattr(free_loop, "derivation_matrix", counted_make)
+    return calls
+
+
+def _assert_each_base_degree_built_once(calls):
+    tops = [top for top, _, _, _ in calls]
+    assert tops == sorted(set(tops))
+    # each call grows the previous complex, building d^n once for each n
+    assert [grown for _, grown, _, _ in calls] == [None] + [
+        out for _, _, out, _ in calls[:-1]]
+    assert sum(n for _, _, _, n in calls) == tops[-1]
+
+
+def test_base_complex_rebuilt_only_when_it_grows(monkeypatch, capsys):
+    # sphereEven4 has empty base degrees, which the built complex drops
+    calls = _count_base_growth(monkeypatch)
     code, _, _ = run(["sh", str(FIXTURES / "sphereEven4.json"),
                       "--cutoff", "12"], capsys)
     assert code == 0
-    assert tops == sorted(set(tops))
+    _assert_each_base_degree_built_once(calls)
+
+
+def test_check_builds_each_band_and_cone_once(monkeypatch, capsys):
+    # every reader of a plus band or slice shares the one band per
+    # (weight, kind), SH and the comparison diagram share one cone over
+    # Ibar per weight, and the base complex grows degree by degree
+    bands, blocks, ibar_cones = [], [], []
+    band = functors.band_complex
+    block = functors._base_block
+    cone = functors.mapping_cone
+
+    def counted_band(M, w, kind, r_min, r_max):
+        bands.append((w, kind))
+        return band(M, w, kind, r_min, r_max)
+
+    def counted_block(ctx, w, top):
+        blocks.append(w)
+        return block(ctx, w, top)
+
+    def counted_cone(f):
+        if any(lab[0] == "b" for labs in f.target.labels.values()
+               for lab in labs):
+            ibar_cones.append(f)
+        return cone(f)
+
+    monkeypatch.setattr(functors, "band_complex", counted_band)
+    monkeypatch.setattr(functors, "_base_block", counted_block)
+    monkeypatch.setattr(functors, "mapping_cone", counted_cone)
+    calls = _count_base_growth(monkeypatch)
+    code, out, _ = run(["check", str(FIXTURES / "product_s2_s3.json"),
+                        "--cutoff", "6"], capsys)
+    assert code == 0 and "FAIL" not in out
+    shared = [b for b in bands if b[1] in ("plus", "slice")]
+    assert shared and len(shared) == len(set(shared))
+    assert blocks and len(blocks) == len(set(blocks)) == len(ibar_cones)
+    _assert_each_base_degree_built_once(calls)
 
 
 def test_finite_input_goes_through_model(capsys):

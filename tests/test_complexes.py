@@ -77,6 +77,20 @@ def test_shift_even_only():
         shift_complex(c, 1)
 
 
+def test_truncation_and_shift_share_cohomology():
+    # 0 -> Q -1-> Q -> 0: acyclic, but cut at degree 0 it is Q
+    c = CochainComplex({0: ["a"], 1: ["b"]}, {0: M_([[1]])})
+    t = c.truncated(0)
+    assert t.labels == {0: ["a"]} and t.betti(0) == 1 and c.betti(0) == 0
+    s = shift_complex(c, 2)
+    assert [s.betti(n) for n in range(4)] == [0, 0, 0, 0]
+    assert s.cohomology(3) is c.cohomology(1)
+    assert s.d(2) is c.d(0)
+    cut = c.truncated(1)
+    assert cut.cohomology(0) is c.cohomology(0)
+    assert cut.d(0) is c.d(0)
+
+
 def test_mixed_complex_validation_catches_corruption():
     loop = free_loop(sphere2())
     M = loop.mixed_complex(8)

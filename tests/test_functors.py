@@ -7,6 +7,9 @@ import pytest
 
 from cdgacyc import functors as F
 from cdgacyc.cli import load_algebra
+from cdgacyc.complexes import (CochainComplex, band_complex, label_map,
+                               mapping_cone, shift_complex)
+from cdgacyc.free_loop import base_cochain
 from cdgacyc.gralg import FreeCDGA, Generator
 
 import oracles
@@ -211,3 +214,86 @@ def test_table_json_schema():
         assert set(row) == {"n", "total", "weights", "certified"}
         assert isinstance(row["certified"], bool)
         assert all(isinstance(k, str) for k in row["weights"])
+
+
+@pytest.mark.parametrize("stem", ["product_s2_s3", "sphereEven4",
+                                  "cp2_finite"])
+@pytest.mark.parametrize("descending", [False, True])
+def test_shared_bands_equal_fresh_ones(stem, descending):
+    # a band of any top t is the truncation of the one band per (w, kind)
+    # and shares its cohomology below t; it must equal the band built
+    # fresh over 0..t from a mixed complex built at top t, in every
+    # degree including t, whichever of them is read first
+    cutoff = 6
+    ctx = F.LoopContext(load_algebra(str(FIXTURES / f"{stem}.json")), cutoff)
+    tops = range(cutoff + 1, -1, -1) if descending else range(cutoff + 2)
+    for t in tops:
+        M = ctx.loop.mixed_complex(t)
+        for kind, ws in (("plus", range(-(t // 2) - 1, t + 2)),
+                         ("slice", range(0, t + 2))):
+            for w in ws:
+                got = ctx.band(w, kind, t)
+                want = band_complex(M, w, kind, 0, t)
+                full = ctx.band(w, kind, cutoff + 1)
+                assert got.labels == want.labels
+                for n in range(t + 1):
+                    assert got.d(n) == want.d(n)
+                    assert got.betti(n) == want.betti(n)
+                    if n < t:
+                        assert got.cohomology(n) is full.cohomology(n)
+
+
+def _sh_oracle(ctx):
+    """Per-weight SH^r for r <= cutoff with Ibar and its cone built at top
+    r + 1 for each r and each weight SH reads.  As in SH, a weight is
+    skipped when CH^{r-1}(w + 1) and the base cohomology in degree r + 2w
+    both vanish: the base block starts in degree 0, so below that the
+    truncated cone is not the cone SH means."""
+    cutoff, loop = ctx.cutoff, ctx.loop
+    M = loop.mixed_complex(cutoff + 1)
+    bound, _ = ctx.base_bound()
+    ranges = {}
+    for r in range(cutoff + 1):
+        w_lo = -((r + 1) // 2) - 1
+        ranges[r] = range(w_lo, max(r - 2, (bound - r) // 2 + 1, w_lo) + 1)
+    base = base_cochain(ctx.algebra, max(
+        r + 3 + 2 * max(ws) for r, ws in ranges.items()))
+    rows = {}
+    for r, ws in ranges.items():
+        rows[r] = {}
+        for w in ws:
+            band = band_complex(M, w + 1, "plus", 0, r)
+            if ((r == 0 or band.betti(r - 1) == 0)
+                    and (r + 2 * w < 0 or base.betti(r + 2 * w) == 0)):
+                continue
+            source = shift_complex(band, 2)
+            target = CochainComplex(
+                {n: [("b", mono) for mono in base.labels.get(n + 2 * w, [])]
+                 for n in range(max(0, -2 * w), r + 3)},
+                {n: base.d(n + 2 * w) for n in range(max(0, -2 * w), r + 2)})
+
+            def top_slot(n, lab, w=w):
+                m, mono = lab
+                if m == n + 2 * w and loop.weight(mono) == 0:
+                    return ("b", loop.lower(mono))
+                return None
+
+            f = label_map(source, target, top_slot,
+                          check_degrees=range(0, r + 1))
+            d = mapping_cone(f)[0].betti(r)
+            if d:
+                rows[r][w] = d
+    return rows
+
+
+@pytest.mark.parametrize("stem", sorted(p.stem for p in
+                                        FIXTURES.glob("*.json")))
+def test_sh_per_weight_matches_cones_built_per_degree(stem):
+    # SH reads every SH^r(w) off one cone per weight built at cutoff + 1;
+    # each must equal the cone over Ibar built at top r + 1
+    algebra = load_algebra(str(FIXTURES / f"{stem}.json"))
+    for cutoff in range(9):
+        ctx = F.LoopContext(algebra, cutoff)
+        sh = F.SH(ctx)
+        rows = _sh_oracle(ctx)
+        assert {r: sh.weights(r) for r in sh.degrees} == rows, cutoff
