@@ -210,6 +210,7 @@ class MixedComplex:
         self.delta = dict(delta)
         self.beta = dict(beta)
         self.weights = {n: list(v) for n, v in weights.items()}
+        self._by_weight = {}
         for n, m in self.delta.items():
             if m.rows != self.dim(n + 1) or m.cols != self.dim(n):
                 raise ComplexError(f"delta at {n} has wrong shape")
@@ -278,7 +279,13 @@ class MixedComplex:
         return self.weights[n][i]
 
     def weight_indices(self, n, p):
-        return [i for i, q in enumerate(self.weights.get(n, [])) if q == p]
+        """Indices of the degree-n labels of weight p, in label order."""
+        if n not in self._by_weight:
+            by_weight = {}
+            for i, q in enumerate(self.weights.get(n, [])):
+                by_weight.setdefault(q, []).append(i)
+            self._by_weight[n] = by_weight
+        return self._by_weight[n].get(p, [])
 
     def power_matrix(self, k, n):
         """Psi_k on C^n: diagonal k^weight."""
@@ -488,6 +495,16 @@ def mapping_cone(f):
     return cone, include, project
 
 
+def _rank(m):
+    """Rank of m.  A matrix with at most one (nonzero) entry in each row
+    and each column, such as a label map, has rank equal to its number of
+    entries; any other is eliminated."""
+    if (len({i for i, _ in m.entries}) == len(m.entries)
+            == len({j for _, j in m.entries})):
+        return len(m.entries)
+    return linalg.rank(m)
+
+
 class ShortExactSequence:
     """0 -> A -> B -> C -> 0 of cochain complexes, verified degreewise."""
 
@@ -502,8 +519,8 @@ class ShortExactSequence:
             comp = proj.matrix(n) @ incl.matrix(n)
             if not comp.is_zero():
                 raise ConsistencyError(f"proj.incl != 0 at degree {n}")
-            ri = linalg.rank(incl.matrix(n))
-            rp = linalg.rank(proj.matrix(n))
+            ri = _rank(incl.matrix(n))
+            rp = _rank(proj.matrix(n))
             if ri != a.dim(n):
                 raise ConsistencyError(f"inclusion not injective at {n}")
             if rp != c.dim(n):

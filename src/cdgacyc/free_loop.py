@@ -94,7 +94,6 @@ class LoopAlgebra:
             delta_values[bar.name] = gralg.poly_scale(-1, self.iota.apply(dv))
         self.delta = Derivation(self.algebra, 1, delta_values)
         self._check_axioms()
-        self._basis_cache = {}
 
     def lower(self, mono):
         """Weight-0 loop monomial as a base-algebra monomial."""
@@ -135,16 +134,13 @@ class LoopAlgebra:
 
     def basis(self, n):
         """Monomials of degree n (weight-truncated when a cutoff is set)."""
-        if n not in self._basis_cache:
-            monos = self.algebra.basis(
-                n,
-                counted=self.barred_uids,
-                max_count=self.weight_cutoff
-                if self.weight_cutoff is not None
-                else n + 1,
-            )
-            self._basis_cache[n] = monos
-        return self._basis_cache[n]
+        return self.algebra.basis(
+            n,
+            counted=self.barred_uids,
+            max_count=self.weight_cutoff
+            if self.weight_cutoff is not None
+            else n + 1,
+        )
 
     def mixed_complex(self, top):
         """The loop mixed complex on degrees 0..top with weight tags.
@@ -183,14 +179,16 @@ def free_loop(base, weight_cutoff=None):
     return LoopAlgebra(base, weight_cutoff=weight_cutoff)
 
 
-def base_cochain(base, top, grown=None):
-    """(Lambda[V], d) as a cochain complex on degrees 0..top.
+def base_cochain(base, top, grown=None, bottom=0):
+    """(Lambda[V], d) as a cochain complex on degrees bottom..top.
 
     grown, a complex this function built on degrees 0..t with t < top, is
     grown by the new degrees only: the result keeps its matrices, builds
-    d^t..d^{top-1}, and takes its cohomology below degree t.
+    d^t..d^{top-1}, and takes its cohomology below degree t.  A complex
+    built from bottom > 0 has no d^{bottom-1}, so only its H^n with
+    bottom < n < top are those of (Lambda[V], d).
     """
-    t, labels, diff, shares = 0, {}, {}, None
+    t, labels, diff, shares = bottom, {}, {}, None
     if grown is not None:
         # a complex built here has one differential per degree below its top
         t = len(grown.diff)

@@ -148,20 +148,23 @@ class GradedAlgebra:
             raise AlgebraError("duplicate generator name")
         self.generators = tuple(sorted(generators))
         self.by_name = {g.name: g for g in self.generators}
+        self._tails_memo = {}
 
     def gen_poly(self, name):
         g = self.by_name[name]
         return {((g, 1),): Fraction(1)}
 
     def basis(self, n, counted=None, max_count=None):
-        """All monomials of degree n, sorted.
+        """All monomials of degree n, in lexicographic order of their
+        exponent vectors over ``generators``.
 
         When ``counted`` (a set of generator uids) is given, only monomials
         whose total exponent over those generators is at most ``max_count``
         are produced.  Degree-0 generators must be counted, otherwise the
-        basis would be infinite.
+        basis would be infinite.  Each degree is enumerated once per
+        (counted, max_count) and cached; every call returns a fresh list.
         """
-        counted = counted or set()
+        counted = frozenset(counted or ())
         for g in self.generators:
             if g.degree == 0 and g.uid not in counted:
                 raise AlgebraError(
@@ -171,32 +174,45 @@ class GradedAlgebra:
             raise AlgebraError(
                 f"negative-degree generator {g_degree_negative[0].name}"
             )
-        out = []
+        if n < 0:
+            return []
+        # the count is read only for counted generators
+        count = (max_count if max_count is not None else n + 1) if counted else 0
+        return list(self._tails(0, n, count, counted))
 
-        def rec(idx, deg_left, count_left, acc):
-            if deg_left == 0 and idx == len(self.generators):
-                out.append(tuple(acc))
-                return
-            if idx == len(self.generators):
-                return
+    def _tails(self, idx, deg, count, counted):
+        """Monomials in generators[idx:] of degree deg and count at most
+        count, in exponent-vector order; memoized per (counted, idx, deg,
+        count), so each is built once."""
+        key = (counted, idx, deg, count)
+        memo = self._tails_memo
+        if key in memo:
+            return memo[key]
+        if idx == len(self.generators):
+            out = ((),) if deg == 0 else ()
+        else:
             g = self.generators[idx]
             if g.degree % 2:
-                top = min(1, deg_left // g.degree)
+                top = min(1, deg // g.degree)
             elif g.degree == 0:
-                top = count_left
+                top = count
             else:
-                top = deg_left // g.degree
-            if g.uid in counted:
-                top = min(top, count_left)
+                top = deg // g.degree
+            is_counted = g.uid in counted
+            if is_counted:
+                top = min(top, count)
+            out = []
             for e in range(top + 1):
-                used = e if g.uid in counted else 0
-                acc.append((g, e))
-                rec(idx + 1, deg_left - g.degree * e, count_left - used, acc)
-                acc.pop()
-
-        if n >= 0:
-            rec(0, n, max_count if max_count is not None else n + 1, [])
-        return [tuple((g, e) for g, e in m if e) for m in out]
+                rest = self._tails(idx + 1, deg - g.degree * e,
+                                   count - e if is_counted else count, counted)
+                if e:
+                    head = ((g, e),)
+                    out.extend(head + t for t in rest)
+                else:
+                    out.extend(rest)
+            out = tuple(out)
+        memo[key] = out
+        return out
 
 
 class Derivation:
@@ -216,40 +232,48 @@ class Derivation:
                     f"derivation value on {name} has degree {d}, "
                     f"expected {g.degree + shift}"
                 )
-            self.values[g.uid] = p
-        self._memo = {}
+            # Fractions, so that apply_monomial's int multiples stay exact
+            self.values[g.uid] = {m: Fraction(c) for m, c in p.items()}
+        self._memo = {ONE: {}}
 
     def on_generator(self, g):
         return self.values.get(g.uid, {})
 
     def apply_monomial(self, mono):
-        """Leibniz rule across the factors of one monomial; memoized."""
-        if mono in self._memo:
-            return self._memo[mono]
+        """d(p g^e) = d(p) g^e + (-1)^(shift |p|) p d(g^e), with p = mono[:-1]
+        through the same memo (d(1) = 0) and d(g^e) = e g^(e-1) d(g)."""
+        memo = self._memo
+        if mono in memo:
+            return memo[mono]
+        prefix = mono[:-1]
+        g, e = mono[-1]
         out = {}
-        prefix_deg = 0
-        for pos, (g, e) in enumerate(mono):
-            dg = self.on_generator(g)
-            if dg:
-                # d(g^e) = e * g^(e-1) * d(g); for odd g, e is 0 or 1
-                block = poly_scale(e, dg)
-                if e > 1:
-                    block = poly_mul({((g, e - 1),): Fraction(1)}, block)
-                term = {tuple(mono[:pos]): Fraction(1)}
-                term = poly_mul(term, block)
-                term = poly_mul(term, {tuple(mono[pos + 1:]): Fraction(1)})
-                if (self.shift % 2) and (prefix_deg % 2):
-                    term = poly_scale(-1, term)
-                out = poly_add(out, term)
-            prefix_deg += g.degree * e
-        self._memo[mono] = out
+        power = ((g, e),)
+        for m, c in self.apply_monomial(prefix).items():
+            r = monomial_mul(m, power)
+            if r is not None:
+                sign, prod = r
+                out[prod] = out.get(prod, 0) + (c if sign > 0 else -c)
+        dg = self.values.get(g.uid)
+        if dg:
+            # p g^(e-1) needs no reordering: g follows every factor of p
+            head = prefix + ((g, e - 1),) if e > 1 else prefix
+            scale = -e if self.shift % 2 and monomial_degree(prefix) % 2 else e
+            for m, c in dg.items():
+                r = monomial_mul(head, m)
+                if r is not None:
+                    sign, prod = r
+                    out[prod] = out.get(prod, 0) + sign * scale * c
+        out = {m: c for m, c in out.items() if c}
+        memo[mono] = out
         return out
 
     def apply(self, p):
         out = {}
         for m, c in p.items():
-            out = poly_add(out, poly_scale(c, self.apply_monomial(m)))
-        return out
+            for k, v in self.apply_monomial(m).items():
+                out[k] = out.get(k, 0) + c * v
+        return {k: v for k, v in out.items() if v}
 
 
 class FreeCDGA:

@@ -342,7 +342,8 @@ def build_minimal_model(B, cutoff, seed=None):
     for n in range(2, cutoff):
         A = FreeCDGA(gens, diff_values)
         theta = CDGAMorphism(A, B, dict(theta_values))
-        src_c = base_cochain(A, n + 2)
+        # the stage reads H^n and H^{n+1}: d^{n-1}, d^n and d^{n+1} only
+        src_c = base_cochain(A, n + 2, bottom=n - 1)
 
         # surjectivity in degree n: adjoin closed generators for a
         # complement of the image of H^n(theta)
@@ -371,7 +372,7 @@ def build_minimal_model(B, cutoff, seed=None):
         # injectivity in degree n+1: adjoin generators killing the kernel
         A = FreeCDGA(gens, diff_values)
         theta = CDGAMorphism(A, B, dict(theta_values))
-        src_c = base_cochain(A, n + 2)
+        src_c = base_cochain(A, n + 2, bottom=n - 1)
         h_src = src_c.cohomology(n + 1)
         h_tgt = tgt_c.cohomology(n + 1)
         m = linalg.induced_map(theta.matrix(n + 1), h_src, h_tgt)

@@ -2,7 +2,8 @@
 
 A model is a pair ``(generators, differential)``: ``generators`` lists
 ``(name, degree)`` and ``differential`` maps a generator name to a
-polynomial ``{((name, exp), ...): Fraction}``.  Factors get distinct names
+polynomial ``{((name, exp), ...): Fraction}``: spheres and projective
+spaces, and their tensor products.  Factors get distinct names
 from their tag, so tensor products are plain unions.  ``rescaled`` gives
 an isomorphic copy (x' = s_x x for a seeded nonzero rational s_x, so
 c * prod x^e in d(y) becomes c * s_y / prod s_x^e); every table of the
@@ -23,6 +24,12 @@ def even_sphere(degree, tag):
     """S^n, n even: x of degree n and y of degree 2n - 1 with dy = x^2."""
     x, y = f"x{tag}", f"y{tag}"
     return [(x, degree), (y, 2 * degree - 1)], {y: {((x, 2),): Fraction(1)}}
+
+
+def projective_space(n, tag):
+    """CP^n: x of degree 2 and y of degree 2n + 1 with dy = x^(n+1)."""
+    x, y = f"x{tag}", f"y{tag}"
+    return [(x, 2), (y, 2 * n + 1)], {y: {((x, n + 1),): Fraction(1)}}
 
 
 def tensor(*models):

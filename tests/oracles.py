@@ -99,6 +99,35 @@ class BruteAlgebra:
         return out
 
 
+def loop_of(gens, diff):
+    """The free loop algebra of (L[V], d) as two BruteAlgebras (delta, iota).
+
+    gens and diff are in BruteAlgebra's form.  The generators are V then
+    Vbar (names suffixed "_bar", degrees one lower); i v = vbar and
+    i vbar = 0; delta v = d v and delta vbar = -i(d v), with i(d v)
+    expanded by the Leibniz rule of d_mono.
+    """
+    k = len(gens)
+    loop_gens = list(gens) + [(n + "_bar", d - 1) for n, d in gens]
+
+    def unit(i):
+        return tuple(1 if j == i else 0 for j in range(2 * k))
+
+    iota = BruteAlgebra(
+        loop_gens, {n: [(Fraction(1), unit(k + i))]
+                    for i, (n, _) in enumerate(gens)})
+    values = {}
+    for n, terms in diff.items():
+        lifted = [(c, tuple(m) + (0,) * k) for c, m in terms]
+        values[n] = lifted
+        bar = {}
+        for c, m in lifted:
+            for prod, v in iota.d_mono(m).items():
+                bar[prod] = bar.get(prod, Fraction(0)) - c * v
+        values[n + "_bar"] = [(v, m) for m, v in bar.items() if v]
+    return BruteAlgebra(loop_gens, values), iota
+
+
 def rref(rows):
     """Reduced row echelon form by naive dense Gauss-Jordan over Fraction.
 

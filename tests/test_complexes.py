@@ -351,3 +351,26 @@ def test_chain_map_commuting_enforced():
     with pytest.raises(ComplexError):
         ChainMap(c, d, {0: M_([[1]]), 1: M_([[1]])},
                  check_degrees=range(0, 1))
+
+
+def _ses_in_degree_0(a, b, c, incl, proj):
+    """ShortExactSequence of complexes concentrated in degree 0, with the
+    inclusion and projection given as {(row, col): value} matrices."""
+    A, B, C = (CochainComplex({0: list(range(k))}, {}) for k in (a, b, c))
+    return ShortExactSequence(
+        ChainMap(A, B, {0: SparseMatrix.validated(b, a, incl)}),
+        ChainMap(B, C, {0: SparseMatrix.validated(c, b, proj)}),
+        degrees=[0])
+
+
+def test_short_exact_sequence_rank_checks():
+    # label-shaped maps (one entry per row and column) and general ones
+    _ses_in_degree_0(1, 2, 1, {(0, 0): 1}, {(0, 1): 1})
+    _ses_in_degree_0(1, 2, 1, {(0, 0): 1, (1, 0): 1}, {(0, 0): 1, (0, 1): -1})
+    with pytest.raises(ConsistencyError, match="inclusion not injective"):
+        _ses_in_degree_0(1, 2, 1, {}, {(0, 1): 1})
+    with pytest.raises(ConsistencyError, match="inclusion not injective"):
+        # two entries in one row: rank 1, not its entry count 2
+        _ses_in_degree_0(2, 3, 1, {(0, 0): 1, (0, 1): 1}, {(0, 2): 1})
+    with pytest.raises(ConsistencyError, match="projection not surjective"):
+        _ses_in_degree_0(1, 2, 1, {(0, 0): 1}, {})

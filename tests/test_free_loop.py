@@ -1,11 +1,13 @@
 """The free-loop construction: generators, differentials, weights."""
 
+import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from cdgacyc import gralg
+from cdgacyc import cli, gralg
 from cdgacyc.complexes import UnsupportedConfiguration, band_complex
 from cdgacyc.free_loop import (
     base_cochain,
@@ -13,6 +15,18 @@ from cdgacyc.free_loop import (
     u_model,
 )
 from cdgacyc.gralg import FreeCDGA, Generator
+
+from models import (
+    even_sphere,
+    free_cdga,
+    odd_sphere,
+    projective_space,
+    rescaled,
+    tensor,
+)
+from oracles import BruteAlgebra, loop_of
+
+FIXTURES = Path(__file__).resolve().parent.parent / "src" / "cdgacyc" / "fixtures"
 
 
 def sphere2():
@@ -132,3 +146,59 @@ def test_lift_lower_roundtrip():
             (lmono, c), = lifted.items()
             assert c == 1
             assert loop.lower(lmono) == mono
+
+
+# a2 b3 c4 with dc = ab: an even generator with d != 0, so d(c^e) has e > 1
+EVEN_NOT_CLOSED = ([("a", 2), ("b", 3), ("c", 4)],
+                   {"c": {(("a", 1), ("b", 1)): Fraction(1)}})
+LEIBNIZ_MODELS = {
+    **{stem: lambda stem=stem: cli.load_algebra(str(FIXTURES / f"{stem}.json"))
+       for stem in ("product_s2_s3", "sphere2", "sphere3", "sphereEven4",
+                    "trivial")},
+    "cp2xs3": lambda: free_cdga(rescaled(tensor(
+        projective_space(2, "0"), odd_sphere(3, "1")), random.Random(1))),
+    "cp3xs4": lambda: free_cdga(rescaled(tensor(
+        projective_space(3, "0"), even_sphere(4, "1")), random.Random(2))),
+    "s2xs2": lambda: free_cdga(rescaled(tensor(
+        even_sphere(2, "0"), even_sphere(2, "1")), random.Random(3))),
+    "dc_ab": lambda: free_cdga(rescaled(EVEN_NOT_CLOSED, random.Random(4))),
+}
+
+
+def _exponents(gens):
+    pos = {g.uid: i for i, g in enumerate(gens)}
+
+    def vector(mono):
+        v = [0] * len(gens)
+        for g, e in mono:
+            v[pos[g.uid]] = e
+        return tuple(v)
+
+    return vector
+
+
+def _agrees(derivation, brute, monos, vector):
+    for mono in monos:
+        got = {vector(m): c for m, c in derivation.apply_monomial(mono).items()}
+        assert got == brute.d_mono(vector(mono)), gralg.monomial_str(mono)
+
+
+@pytest.mark.parametrize("name", sorted(LEIBNIZ_MODELS))
+def test_leibniz_matches_the_oracle(name):
+    # the oracle gets only d on generators (delta and iota it derives
+    # itself) and expands every monomial by its own Leibniz rule
+    A = LEIBNIZ_MODELS[name]()
+    gens = A.algebra.generators
+    vector = _exponents(gens)
+    brute_gens = [(g.name, g.degree) for g in gens]
+    diff = {g.name: [(c, vector(m)) for m, c in
+                     A.differential.on_generator(g).items()]
+            for g in gens if A.differential.on_generator(g)}
+    loop = free_loop(A)
+    loop_vector = _exponents(loop.algebra.generators)
+    delta, iota = loop_of(brute_gens, diff)
+    for n in range(9):
+        _agrees(A.differential, BruteAlgebra(brute_gens, diff),
+                A.algebra.basis(n), vector)
+        _agrees(loop.delta, delta, loop.basis(n), loop_vector)
+        _agrees(loop.iota, iota, loop.basis(n), loop_vector)

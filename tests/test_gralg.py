@@ -1,5 +1,6 @@
 """Graded algebra arithmetic: signs, bases, derivations."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -97,7 +98,6 @@ def test_basis_counts():
     assert len(ALG.basis(0)) == 1
     assert len(ALG.basis(1)) == 0
     # generating-function cross-check through degree 12
-    import itertools
     for n in range(13):
         count = 0
         for ex, ew in itertools.product(range(7), range(4)):
@@ -118,6 +118,41 @@ def test_counted_basis_truncation():
     # count y and z exponents, allow at most one of them in total
     monos = ALG.basis(6, counted={1, 2}, max_count=0)
     assert all(all(g.uid not in (1, 2) for g, _ in m) for m in monos)
+
+
+def lex_basis(gens, n, counted, max_count):
+    """Monomials of degree n by brute force over exponent vectors, in
+    itertools.product (lexicographic) order, with the count bound."""
+    cap = n + 1 if max_count is None else max_count
+    ranges = [range((cap if g.degree == 0 else 1 if g.degree % 2
+                     else n // g.degree) + 1) for g in gens]
+    out = []
+    for ex in itertools.product(*ranges):
+        if (sum(e * g.degree for g, e in zip(gens, ex)) == n
+                and sum(e for g, e in zip(gens, ex) if g.uid in counted)
+                <= cap):
+            out.append(tuple((g, e) for g, e in zip(gens, ex) if e))
+    return out
+
+
+queries = st.tuples(st.integers(-1, 10), st.integers(0, 15),
+                    st.one_of(st.none(), st.integers(0, 4)))
+
+
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=4),
+       st.lists(queries, min_size=1, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_basis_is_the_lexicographic_enumeration(degrees, calls):
+    gens = [Generator(i, f"g{i}", d) for i, d in enumerate(degrees)]
+    alg = GradedAlgebra(list(reversed(gens)))
+    for n, mask, max_count in calls:
+        # every degree-0 generator is counted, or the basis is infinite
+        counted = {g.uid for g in gens if g.degree == 0 or mask >> g.uid & 1}
+        expect = lex_basis(gens, n, counted, max_count)
+        got = alg.basis(n, counted, max_count)
+        assert got == expect
+        got.append(None)   # the caller's list is its own
+        assert alg.basis(n, set(counted), max_count) == expect
 
 
 D = Derivation(

@@ -13,12 +13,21 @@ from hypothesis import strategies as st
 
 from cdgacyc.functors import CH, HH, PH, SH, LoopContext
 
-from models import even_sphere, free_cdga, odd_sphere, rescaled, tensor
+from models import (
+    even_sphere,
+    free_cdga,
+    odd_sphere,
+    projective_space,
+    rescaled,
+    tensor,
+)
 
 # (kind, degree): odd spheres, and even spheres with dy = x^2.  Degree 1 is
 # left out: its barred generator has degree 0, so HH is not finite there.
 SPHERES = [(odd_sphere, 3), (odd_sphere, 5), (even_sphere, 2),
            (even_sphere, 4)]
+# (kind, n): CP^n with dy = x^(n+1); CP^1 is the sphere (even_sphere, 2)
+PROJECTIVE = [(projective_space, 2), (projective_space, 3)]
 
 
 def hh_weights(model, cutoff, rng):
@@ -57,8 +66,16 @@ def test_hh_kunneth_per_weight(spheres, seed):
     assert_kunneth(spheres, 6, seed)
 
 
+@given(st.sampled_from(PROJECTIVE), st.sampled_from(SPHERES + PROJECTIVE),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_hh_kunneth_per_weight_with_a_projective_factor(cp, other, seed):
+    assert_kunneth([cp, other], 8, seed)
+
+
 @pytest.mark.slow
-@given(st.lists(st.sampled_from(SPHERES), min_size=2, max_size=3),
+@given(st.lists(st.sampled_from(SPHERES + PROJECTIVE), min_size=2,
+                max_size=3),
        st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_hh_kunneth_per_weight_deep(spheres, seed):
