@@ -44,6 +44,7 @@ connecting map is computed once per degree and cached, as cohomology
 is, so the sequences and the squares share them.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -66,9 +67,9 @@ class ConsistencyError(ComplexError):
 class CochainComplex:
     """Finitely supported cochain complex: labels and d^n: C^n -> C^{n+1}.
 
-    shares=(c, s, below) declares that for every n < below this complex's
-    d^{n-1} and d^n are c's d^{n-s-1} and d^{n-s}, the same matrices, so
-    its H^n is c's H^{n-s} and is taken from c's cache.
+    shares=(c, s, lo, hi) declares that for every lo <= n < hi this
+    complex's d^{n-1} and d^n are c's d^{n-s-1} and d^{n-s}, the same
+    matrices, so its H^n is c's H^{n-s} and is taken from c's cache.
     """
 
     def __init__(self, labels, diff, shares=None):
@@ -95,8 +96,9 @@ class CochainComplex:
 
     def cohomology(self, n):
         if n not in self._cohomology:
-            if self._shares is not None and n < self._shares[2]:
-                c, s, _ = self._shares
+            if (self._shares is not None
+                    and self._shares[2] <= n < self._shares[3]):
+                c, s, _, _ = self._shares
                 self._cohomology[n] = c.cohomology(n - s)
             else:
                 self._cohomology[n] = linalg.cohomology_at(self.d(n - 1),
@@ -112,7 +114,7 @@ class CochainComplex:
         return CochainComplex(
             {n: v for n, v in self.labels.items() if n <= top},
             {n: m for n, m in self.diff.items() if n < top},
-            shares=(self, 0, top),
+            shares=(self, 0, -math.inf, top),
         )
 
 
@@ -159,7 +161,7 @@ def shift_complex(c, s):
     return CochainComplex(
         {n + s: v for n, v in c.labels.items()},
         {n + s: m for n, m in c.diff.items()},
-        shares=(c, s, math.inf),
+        shares=(c, s, -math.inf, math.inf),
     )
 
 
@@ -170,15 +172,16 @@ def label_map(source, target, image, check_degrees=()):
     mats = {}
     for n in source.degrees:
         index = {lab: i for i, lab in enumerate(target.labels.get(n, []))}
-        entries = {}
+        row_of = {}
         for j, lab in enumerate(source.labels[n]):
             t = image(n, lab)
             if t is None:
                 continue
             if t not in index:
                 raise ComplexError(f"label {t!r} missing in target at {n}")
-            entries[(index[t], j)] = Fraction(1)
-        mats[n] = SparseMatrix(target.dim(n), source.dim(n), entries)
+            row_of[j] = index[t]
+        mats[n] = SparseMatrix.relabelling(target.dim(n), source.dim(n),
+                                           row_of)
     return ChainMap(source, target, mats, check_degrees)
 
 
@@ -343,8 +346,10 @@ class MixedComplex:
         return MixedComplex(labels, delta, beta, weights=weights)
 
 
+@functools.cache
 def _power(k, e):
-    """k**e as an exact Fraction, from integer powers (k a nonzero int)."""
+    """k**e as an exact Fraction, from integer powers (k a nonzero int);
+    one Fraction per (k, e)."""
     return Fraction(k ** e) if e >= 0 else Fraction(1, k ** -e)
 
 
@@ -495,16 +500,6 @@ def mapping_cone(f):
     return cone, include, project
 
 
-def _rank(m):
-    """Rank of m.  A matrix with at most one (nonzero) entry in each row
-    and each column, such as a label map, has rank equal to its number of
-    entries; any other is eliminated."""
-    if (len({i for i, _ in m.entries}) == len(m.entries)
-            == len({j for _, j in m.entries})):
-        return len(m.entries)
-    return linalg.rank(m)
-
-
 class ShortExactSequence:
     """0 -> A -> B -> C -> 0 of cochain complexes, verified degreewise."""
 
@@ -519,8 +514,8 @@ class ShortExactSequence:
             comp = proj.matrix(n) @ incl.matrix(n)
             if not comp.is_zero():
                 raise ConsistencyError(f"proj.incl != 0 at degree {n}")
-            ri = _rank(incl.matrix(n))
-            rp = _rank(proj.matrix(n))
+            ri = linalg.rank(incl.matrix(n))
+            rp = linalg.rank(proj.matrix(n))
             if ri != a.dim(n):
                 raise ConsistencyError(f"inclusion not injective at {n}")
             if rp != c.dim(n):

@@ -193,7 +193,7 @@ def base_cochain(base, top, grown=None, bottom=0):
         # a complex built here has one differential per degree below its top
         t = len(grown.diff)
         labels, diff = dict(grown.labels), dict(grown.diff)
-        shares = (grown, 0, t)
+        shares = (grown, 0, -math.inf, t)
     labels.update({n: base.algebra.basis(n) for n in range(t, top + 1)})
     index = {n: {m: i for i, m in enumerate(labels[n])}
              for n in range(t, top + 1)}

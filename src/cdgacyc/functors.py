@@ -359,7 +359,12 @@ def PH_periodic(ctx):
 
 def _base_block(ctx, w, top):
     """The periodic complex of (base, d, 0) at effective weight w: the
-    single block base^{r+2w} in degree r, labels tagged ("b", monomial)."""
+    single block base^{r+2w} in degree r, labels tagged ("b", monomial).
+
+    It is the base complex shifted by -2w and cut to degrees 0..top, on
+    the base's own matrices, so below top its H^r is the base's
+    H^{r+2w}, except in degree 0 when w > 0: there the cut drops
+    d^{2w-1}, and H^0 is the kernel of d^{2w} alone."""
     base = ctx.base(max(0, top + 2 * w) + 1)
     labels = {}
     diff = {}
@@ -373,7 +378,8 @@ def _base_block(ctx, w, top):
             diff[r] = base.d(m)
         elif m == -1:
             diff[r] = SparseMatrix.zero(len(labels.get(r + 1, [])), 0)
-    return CochainComplex(labels, diff)
+    return CochainComplex(labels, diff,
+                          shares=(base, -2 * w, 1 if w > 0 else -2 * w, top))
 
 
 def _top_slot(ctx, w):

@@ -26,11 +26,26 @@ outside (structure constants of a finite algebra, matrices written by
 hand) go through ``SparseMatrix.validated``, which converts them,
 checks the shape and the indices, drops zeros and raises
 ``LinalgError`` on anything else.
+
+Arithmetic runs over Z.  A matrix's integer form is a pair ``(den,
+{(row, col): int})`` with den > 0, no stored zero, and the matrix equal
+to the integer matrix divided by den; it is built once per matrix.
+Products, sums, differences, scalings, equality, zero tests and the
+cocycle test ``d_out . v = 0`` read only integer forms, and a matrix made
+by arithmetic is born in integer form: its ``Fraction`` entries are
+built when something reads ``entries``.  A relabelling (a label map,
+the identity) is the 0/1 matrix of an injective column -> row map, kept
+as that map: applying it or multiplying by it on either side moves
+entries by index, with no arithmetic, and its rank is its number of
+entries.  A map that is not injective gives a general matrix.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from cdgacyc.kernels import bareiss
+
+_ONE = Fraction(1)
 
 
 class LinalgError(Exception):
@@ -42,17 +57,27 @@ class PreconditionError(LinalgError):
 
 
 class SparseMatrix:
-    """Immutable sparse matrix over Q, entries indexed (row, col)."""
+    """Immutable sparse matrix over Q, entries indexed (row, col).
 
-    __slots__ = ("rows", "cols", "entries", "_echelon", "_columns")
+    It keeps up to three forms of its entries, each built on first use:
+    the ``entries`` dict of Fractions, the integer form and, for a
+    relabelling, its column -> row map.
+    """
 
-    def __init__(self, rows, cols, entries):
-        """A matrix of shape rows x cols with these entries, taken as
-        they are: a fresh {(row, col): Fraction} dict, indices in range
-        and no stored zero."""
+    __slots__ = ("rows", "cols", "_entries", "_integer", "_image",
+                 "_echelon", "_columns")
+
+    def __init__(self, rows, cols, entries=None, integer=None, image=None):
+        """A matrix of shape rows x cols, from its entries, its integer
+        form or its relabelling map, taken as they are: a fresh
+        {(row, col): Fraction} dict, a pair (den, {(row, col): int}) with
+        den > 0, or an injective {col: row} dict; indices in range and no
+        stored zero.  Callers give at least one."""
         self.rows = rows
         self.cols = cols
-        self.entries = entries
+        self._entries = entries
+        self._integer = integer
+        self._image = image
         self._echelon = None
         self._columns = None
 
@@ -83,83 +108,147 @@ class SparseMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
+        return cls.relabelling(n, n, {i: i for i in range(n)})
+
+    @classmethod
+    def relabelling(cls, rows, cols, image):
+        """The 0/1 matrix with a 1 at (image[j], j) for each column j in
+        image.  An injective image gives a relabelling, whose products and
+        applications move entries by index; any other gives the general
+        matrix with the same entries."""
+        if len(set(image.values())) == len(image):
+            return cls(rows, cols, image=image)
+        return cls(rows, cols, {(i, j): _ONE for j, i in image.items()})
 
     @classmethod
     def scalar(cls, n, c):
-        """c times the identity, for a Fraction c."""
-        return cls(n, n, {(i, i): c for i in range(n)} if c else {})
+        """c times the identity, for an int or Fraction c."""
+        p, q = c.as_integer_ratio()
+        return cls(n, n, integer=(q, {(i, i): p for i in range(n)} if p
+                                  else {}))
 
     @classmethod
     def from_columns(cls, ambient, columns):
         return cls(ambient, len(columns), {
             (i, j): x for j, v in enumerate(columns) for i, x in v.items()})
 
+    @property
+    def entries(self):
+        """{(row, col): nonzero Fraction}."""
+        if self._entries is None:
+            if self._image is not None:
+                self._entries = {(i, j): _ONE for j, i in self._image.items()}
+            else:
+                den, nums = self._integer
+                self._entries = ({k: Fraction(v) for k, v in nums.items()}
+                                 if den == 1 else
+                                 {k: Fraction(v, den) for k, v in nums.items()})
+        return self._entries
+
+    def integer(self):
+        """(den, {(row, col): nonzero int}): the matrix is the integer
+        matrix divided by den > 0.  Built once per matrix."""
+        if self._integer is None:
+            if self._image is not None:
+                self._integer = (1, {(i, j): 1 for j, i in self._image.items()})
+            else:
+                ratios = {k: v.as_integer_ratio()
+                          for k, v in self._entries.items()}
+                den = lcm(*[d for _, d in ratios.values()])
+                self._integer = (den, {k: n * (den // d)
+                                       for k, (n, d) in ratios.items()})
+        return self._integer
+
     def __eq__(self, other):
-        return (
-            isinstance(other, SparseMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
+        if not (isinstance(other, SparseMatrix) and self.rows == other.rows
+                and self.cols == other.cols):
+            return False
+        if self._image is not None and other._image is not None:
+            return self._image == other._image
+        a, left = self.integer()
+        b, right = other.integer()
+        if len(left) != len(right):
+            return False
+        if a == b:
+            return left == right
+        return all(b * v == a * right.get(k, 0) for k, v in left.items())
 
     def __repr__(self):
-        return f"SparseMatrix({self.rows}x{self.cols}, {len(self.entries)} entries)"
+        return f"SparseMatrix({self.rows}x{self.cols}, {self._nnz()} entries)"
+
+    def _nnz(self):
+        for form in (self._image, self._entries):
+            if form is not None:
+                return len(form)
+        return len(self._integer[1])
 
     def is_zero(self):
-        return not self.entries
+        return not self._nnz()
+
+    def _combine(self, other, sign):
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise LinalgError("shape mismatch in + or -")
+        a, left = self.integer()
+        b, right = other.integer()
+        den = lcm(a, b)
+        p, q = den // a, sign * (den // b)
+        nums = {k: v * p for k, v in left.items()} if p != 1 else dict(left)
+        for k, v in right.items():
+            x = nums.get(k, 0) + q * v
+            if x:
+                nums[k] = x
+            else:
+                del nums[k]
+        return _born(self.rows, self.cols, den, nums)
 
     def __add__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise LinalgError("shape mismatch in +")
-        entries = dict(self.entries)
-        for k, v in other.entries.items():
-            x = entries.get(k)
-            if x is not None:
-                v = x + v
-                if not v:
-                    del entries[k]
-                    continue
-            entries[k] = v
-        return SparseMatrix(self.rows, self.cols, entries)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return self._combine(other, -1)
 
     def __neg__(self):
         return self.scale(-1)
 
     def scale(self, c):
         """c times the matrix, for an int or Fraction c."""
-        if not c:
-            return SparseMatrix(self.rows, self.cols, {})
-        return SparseMatrix(
-            self.rows, self.cols, {k: c * v for k, v in self.entries.items()}
-        )
+        p, q = c.as_integer_ratio()
+        if not p:
+            return SparseMatrix(self.rows, self.cols, integer=(1, {}))
+        den, nums = self.integer()
+        return _born(self.rows, self.cols, den * q,
+                     {k: p * v for k, v in nums.items()})
 
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise LinalgError("shape mismatch in @")
-        if not self.entries or not other.entries:
-            return SparseMatrix(self.rows, other.cols, {})
-        by_row = {}
-        for (i, j), v in self.entries.items():
-            by_row.setdefault(i, []).append((j, v))
-        by_col = {}
-        for (j, k), v in other.entries.items():
-            by_col.setdefault(j, {})
-            by_col[j][k] = v
-        entries = {}
-        for i, terms in by_row.items():
-            acc = {}
-            for j, v in terms:
-                for k, w in by_col.get(j, {}).items():
-                    x = acc.get(k)
-                    acc[k] = v * w if x is None else x + v * w
-            for k, x in acc.items():
-                if x:
-                    entries[(i, k)] = x
-        return SparseMatrix(self.rows, other.cols, entries)
+        rows, cols = self.rows, other.cols
+        if self.is_zero() or other.is_zero():
+            return SparseMatrix(rows, cols, integer=(1, {}))
+        outer, inner = self._image, other._image
+        if outer is not None and inner is not None:
+            return SparseMatrix(rows, cols, image={
+                j: outer[i] for j, i in inner.items() if i in outer})
+        if outer is not None:
+            # row i of other is row outer[i] of the product
+            return other._moved(rows, cols, lambda d: {
+                (outer[i], j): v for (i, j), v in d.items() if i in outer})
+        if inner is not None:
+            # column j of the product is column inner[j] of self
+            back = {i: j for j, i in inner.items()}
+            return self._moved(rows, cols, lambda d: {
+                (i, back[j]): v for (i, j), v in d.items() if j in back})
+        a, left = self.integer()
+        b, right = other.integer()
+        return _born(rows, cols, a * b, _product(left, right))
+
+    def _moved(self, rows, cols, move):
+        """The rows x cols matrix whose entries are this one's moved by
+        move, from the integer form when it is built."""
+        if self._integer is not None:
+            den, nums = self._integer
+            return SparseMatrix(rows, cols, integer=(den, move(nums)))
+        return SparseMatrix(rows, cols, move(self._entries))
 
     def columns(self):
         """Column j -> [(row, value)] of the nonzero entries, built once
@@ -172,7 +261,10 @@ class SparseMatrix:
 
     def apply(self, vec):
         """Matrix times a column vector, both {index: Fraction} dicts,
-        read through the column index."""
+        read through the column index; a relabelling moves the entries."""
+        image = self._image
+        if image is not None:
+            return {image[j]: x for j, x in vec.items() if j in image}
         cols = self.columns()
         out = {}
         for j, x in vec.items():
@@ -181,22 +273,67 @@ class SparseMatrix:
                 out[i] = v * x if y is None else y + v * x
         return {i: x for i, x in out.items() if x}
 
+    def annihilates(self, vectors):
+        """For each {index: Fraction} vector v, whether this matrix times v
+        is zero, decided over Z: each v is scaled by the lcm of its
+        denominators, and no product vector is built."""
+        nums = {}
+        for k, v in enumerate(vectors):
+            den = lcm(*[x.denominator for x in v.values()])
+            nums.update({(j, k): x.numerator * (den // x.denominator)
+                         for j, x in v.items()})
+        hit = {k for _, k in _product(self.integer()[1], nums)}
+        return [k not in hit for k in range(len(vectors))]
+
     def echelon(self):
         """Reduced row echelon form, cached: (nonzero rows as {col: Fraction}
         dicts in pivot order, ascending pivot columns).  A matrix with no
-        entries is not eliminated."""
-        if self._echelon is None and not self.entries:
+        entries is not eliminated; one with its integer form built is
+        eliminated from that form."""
+        if self._echelon is None and self.is_zero():
             self._echelon = ([], [])
         elif self._echelon is None:
+            entries = (self.entries if self._integer is None
+                       else self._integer[1])
             rows = [[] for _ in range(self.rows)]
-            for (i, j), v in self.entries.items():
+            for (i, j), v in entries.items():
                 rows[i].append((j, v))
             self._echelon = bareiss([tuple(sorted(r)) for r in rows],
                                     self.cols)
         return self._echelon
 
 
+def _born(rows, cols, den, nums):
+    """The matrix nums / den, with the common factor of den and the
+    numerators divided out."""
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {k: v // g for k, v in nums.items()}
+    return SparseMatrix(rows, cols, integer=(den, nums))
+
+
+def _product(left, right):
+    """The product of two integer matrices given as {(row, col): int}
+    dicts, in the same form with no stored zero."""
+    by_row = {}
+    for (j, k), w in right.items():
+        by_row.setdefault(j, []).append((k, w))
+    acc = {}
+    for (i, j), v in left.items():
+        terms = by_row.get(j)
+        if terms:
+            for k, w in terms:
+                key = (i, k)
+                acc[key] = acc.get(key, 0) + v * w
+    return {key: x for key, x in acc.items() if x}
+
+
 def rank(m):
+    """Rank of m; a relabelling's is its number of entries."""
+    if m._image is not None:
+        return len(m._image)
     return len(m.echelon()[1])
 
 
@@ -214,7 +351,7 @@ def _kernel_vectors(m, frees):
     """The kernel vectors k_f of m for the free columns f listed: 1 at f,
     0 at every other free column."""
     rows, pivots = m.echelon()
-    basis = {f: {f: Fraction(1)} for f in frees}
+    basis = {f: {f: _ONE} for f in frees}
     for p, row in zip(pivots, rows):
         for j, x in row.items():
             if j in basis:
@@ -328,13 +465,13 @@ class SubquotientBasis:
         [representatives | image] is a basis of Ker(d_out).  A cocycle's
         entries on F, less x_t times the pivot row of each pivot t, lie on
         the representatives' columns, and they are its coordinates."""
-        d_out = self._d_out
+        cocycles = self._d_out.annihilates(vectors)
         if not self.dim:
-            return [None if d_out.apply(v) else {} for v in vectors]
+            return [{} if ok else None for ok in cocycles]
         table, reps = self._pivot_table()
         out = []
-        for v in vectors:
-            if d_out.apply(v):
+        for v, ok in zip(vectors, cocycles):
+            if not ok:
                 out.append(None)
                 continue
             x = {j: c for j, c in v.items() if j in reps}

@@ -15,6 +15,7 @@ from cdgacyc.complexes import (
     band_complex,
     beta_acyclic_check,
     label_inclusion,
+    label_map,
     label_projection,
     ladder_audit,
     les_audit,
@@ -25,6 +26,7 @@ from cdgacyc.complexes import (
 from cdgacyc.cli import load_algebra
 from cdgacyc.free_loop import free_loop, ideals
 from cdgacyc.functors import ch_weight_range
+from cdgacyc import linalg
 from cdgacyc.gralg import FreeCDGA, Generator
 from cdgacyc.linalg import PreconditionError, SparseMatrix
 
@@ -351,6 +353,36 @@ def test_chain_map_commuting_enforced():
     with pytest.raises(ComplexError):
         ChainMap(c, d, {0: M_([[1]]), 1: M_([[1]])},
                  check_degrees=range(0, 1))
+
+
+def test_chain_map_off_by_a_third_is_caught():
+    # d is 1/2 on the source and 3/2 on the target, so f^1 = 3 f^0
+    src = CochainComplex({0: ["a"], 1: ["b"]}, {0: M_([[Fraction(1, 2)]])})
+    tgt = CochainComplex({0: ["a"], 1: ["b"]}, {0: M_([[Fraction(3, 2)]])})
+    f0 = M_([[Fraction(1, 3)]])
+    ChainMap(src, tgt, {0: f0, 1: M_([[1]])}, check_degrees=[0])
+    # off by 1/3 either way, and scaled by 1/3: the last two sides have
+    # the same numerator and different denominators
+    for f1 in (Fraction(4, 3), Fraction(2, 3), Fraction(1, 3)):
+        with pytest.raises(ConsistencyError):
+            ChainMap(src, tgt, {0: f0, 1: M_([[f1]])}, check_degrees=[0])
+
+
+def test_collapsing_label_map_is_the_general_matrix():
+    src = CochainComplex({0: ["a", "b", "c"]}, {})
+    tgt = CochainComplex({0: ["s", "t"]}, {})
+    f = label_map(src, tgt, lambda n, lab: "s" if lab == "c" else "t")
+    general = M_([[0, 0, 1], [1, 1, 0]])
+    m = f.matrix(0)
+    assert m == general and m.entries == general.entries
+    v = {0: Fraction(1, 2), 1: Fraction(1, 3)}
+    assert m.apply(v) == general.apply(v) == {1: Fraction(5, 6)}
+    assert linalg.rank(m) == linalg.rank(general) == 2
+    x = M_([[1, Fraction(1, 2)], [2, 0], [0, 3]])
+    y = M_([[Fraction(1, 3), 1]])
+    assert m @ x == general @ x and y @ m == y @ general
+    inc = label_inclusion(CochainComplex({0: ["t"]}, {}), tgt)
+    assert inc.matrix(0) @ y @ m == inc.matrix(0) @ y @ general
 
 
 def _ses_in_degree_0(a, b, c, incl, proj):

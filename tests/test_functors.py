@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from cdgacyc import functors as F
+from cdgacyc import linalg
 from cdgacyc.cli import load_algebra
 from cdgacyc.complexes import (CochainComplex, band_complex, label_map,
                                mapping_cone, shift_complex)
@@ -297,3 +298,20 @@ def test_sh_per_weight_matches_cones_built_per_degree(stem):
         sh = F.SH(ctx)
         rows = _sh_oracle(ctx)
         assert {r: sh.weights(r) for r in sh.degrees} == rows, cutoff
+
+
+@pytest.mark.parametrize("stem", sorted(p.stem for p in
+                                        FIXTURES.glob("*.json")))
+def test_base_blocks_share_the_base_cohomology(stem):
+    # the block of weight w is the base complex shifted by -2w on the
+    # same matrices: below its top its H^r is the base's H^(r+2w), except
+    # H^0 when w > 0, where the cut at degree 0 drops d^(2w-1)
+    ctx = F.LoopContext(load_algebra(str(FIXTURES / f"{stem}.json")), 6)
+    top = ctx.cutoff + 2
+    for w in range(-4, 5):
+        block = F._base_block(ctx, w, top)
+        base = ctx.base(max(0, top + 2 * w) + 1)
+        for r in range(1 if w > 0 else max(0, -2 * w), top):
+            assert block.cohomology(r) is base.cohomology(r + 2 * w), (w, r)
+        if w > 0:
+            assert block.betti(0) == linalg.nullity(base.d(2 * w))

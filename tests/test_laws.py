@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdgacyc.functors import CH, HH, PH, SH, LoopContext
+from cdgacyc.functors import CH, HH, PH, PH_periodic, SH, LoopContext
 
 from models import (
     even_sphere,
@@ -121,3 +121,46 @@ def test_certified_rows_stable_under_a_larger_cutoff(spheres, seed, cutoff):
 @settings(max_examples=10, deadline=None)
 def test_certified_rows_stable_under_a_larger_cutoff_deep(spheres, seed):
     assert_certified_rows_stable(spheres, 12, seed)
+
+
+def ph_against_periodic(spheres, cutoff, seed):
+    """The number of rows that PH and PH_periodic both certify, after
+    checking that they agree in each of them.  PH is read off the CH table
+    and PH_periodic sums the periodic bands; neither is built from the
+    other."""
+    rng = random.Random(seed)
+    ctx = LoopContext(free_cdga(rescaled(tensor(*[
+        kind(degree, str(i)) for i, (kind, degree) in enumerate(spheres)]),
+        rng)), cutoff)
+    ph, periodic = PH(ctx), PH_periodic(ctx)
+    both = [n for n in ph.degrees if ph.certified(n) and periodic.certified(n)]
+    for n in both:
+        assert ph.weights(n) == periodic.weights(n), n
+        assert ph.total(n) == periodic.total(n), n
+    return len(both)
+
+
+@given(st.lists(st.sampled_from(SPHERES + PROJECTIVE), min_size=1,
+                max_size=2),
+       st.integers(0, 2**32 - 1), st.sampled_from([6, 8]))
+@settings(max_examples=30, deadline=None)
+def test_ph_equals_ph_periodic_where_both_certify(spheres, seed, cutoff):
+    ph_against_periodic(spheres, cutoff, seed)
+
+
+# Both sides certify a row only once the base cohomology vanishes on a top
+# window (LoopContext.base_bound); through cutoff 8 these models get there.
+@pytest.mark.parametrize("spheres", [[(odd_sphere, 3)], [(even_sphere, 2)],
+                                     [(even_sphere, 2), (even_sphere, 2)]])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_ph_equals_ph_periodic_on_certified_rows(spheres, seed):
+    assert ph_against_periodic(spheres, 8, seed) == 9
+
+
+@pytest.mark.slow
+@given(st.lists(st.sampled_from(SPHERES + PROJECTIVE), min_size=2,
+                max_size=3),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_ph_equals_ph_periodic_where_both_certify_deep(spheres, seed):
+    ph_against_periodic(spheres, 12, seed)

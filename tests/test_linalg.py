@@ -385,6 +385,185 @@ def test_arithmetic_keeps_the_matrix_invariant(mats, c):
     assert (a - a).entries == {}
 
 
+# Mostly zeros, with small denominators, so that products and sums
+# cancel after the denominators are cleared.
+rationals = st.one_of(st.just(Fraction(0)),
+                      st.fractions(-3, 3, max_denominator=6))
+scalars = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=6))
+
+
+def from_dense(rows, cols, d):
+    return SparseMatrix.validated(rows, cols, {
+        (i, j): v for i, r in enumerate(d) for j, v in enumerate(r)})
+
+
+def dense_of(m):
+    """The reference: m as a dense list of Fraction rows."""
+    return [[m.entries.get((i, j), Fraction(0)) for j in range(m.cols)]
+            for i in range(m.rows)]
+
+
+def dense_mul(a, b, cols):
+    return [[sum((r[j] * b[j][k] for j in range(len(b))), Fraction(0))
+             for k in range(cols)] for r in a]
+
+
+def dense_scale(c, a):
+    return [[c * x for x in r] for r in a]
+
+
+def dense_add(a, b):
+    return [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]
+
+
+@st.composite
+def rational_operands(draw):
+    """a and b of one shape r x k, c of shape k x n, with sparse Fraction
+    entries, and their dense references."""
+    r, k, n = (draw(st.integers(0, 4)) for _ in range(3))
+
+    def mat(rows, cols):
+        d = [draw(st.lists(rationals, min_size=cols, max_size=cols))
+             for _ in range(rows)]
+        return from_dense(rows, cols, d), d
+    return mat(r, k), mat(r, k), mat(k, n)
+
+
+@given(rational_operands(), scalars, scalars)
+@settings(max_examples=100, deadline=None)
+def test_integer_arithmetic_matches_dense_fractions(ops, c, e):
+    (a, da), (b, db), (m, dm) = ops
+    n = m.cols
+    # born matrices (scaled, summed) as operands, so that their integer
+    # forms carry different denominators
+    ca, eb = a.scale(c), b.scale(e)
+    dca, deb = dense_scale(Fraction(c), da), dense_scale(Fraction(e), db)
+    cases = [
+        (a @ m, dense_mul(da, dm, n)),
+        (ca @ m, dense_mul(dca, dm, n)),
+        ((ca + eb) @ m.scale(e), dense_mul(dense_add(dca, deb),
+                                           dense_scale(Fraction(e), dm), n)),
+        (a + b, dense_add(da, db)),
+        (ca - eb, dense_add(dca, dense_scale(Fraction(-1), deb))),
+        (-ca, dense_scale(Fraction(-c), da)),
+        (a.scale(c), dca),
+        (ca.scale(Fraction(1, 3)), dense_scale(Fraction(c, 3), da)),
+    ]
+    for out, ref in cases:
+        assert dense_of(out) == ref
+        assert out.is_zero() == all(x == 0 for r in ref for x in r)
+        assert_matrix(out)
+    assert (ca == eb) == (dca == deb)
+    assert (eb == ca) == (dca == deb)
+    assert (a == b) == (da == db)
+    assert (ca - eb).is_zero() == (dca == deb)
+    assert (a == a.scale(Fraction(1, 3))) == a.is_zero()
+    assert ca == from_dense(a.rows, a.cols, dca)
+
+
+@st.composite
+def matrix_and_vectors(draw):
+    """A sparse Fraction matrix and vectors of its source: kernel vectors
+    with fractional coefficients, and arbitrary ones."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    d = [draw(st.lists(rationals, min_size=cols, max_size=cols))
+         for _ in range(rows)]
+    m = from_dense(rows, cols, d)
+    kernel = linalg.kernel_basis(m)
+    vectors = []
+    for _ in range(draw(st.integers(0, 5))):
+        if kernel and draw(st.booleans()):
+            cs = draw(st.lists(rationals, min_size=len(kernel),
+                               max_size=len(kernel)))
+            v = [sum((c * k.get(i, 0) for c, k in zip(cs, kernel)),
+                     Fraction(0)) for i in range(cols)]
+        else:
+            v = draw(st.lists(rationals, min_size=cols, max_size=cols))
+        vectors.append(to_sparse(v))
+    return m, d, vectors
+
+
+@given(matrix_and_vectors())
+@settings(max_examples=100, deadline=None)
+def test_cocycle_test_matches_dense_fractions(case):
+    m, d, vectors = case
+    expected = [not any(sum((x * v.get(j, 0) for j, x in enumerate(r)),
+                            Fraction(0)) for r in d) for v in vectors]
+    assert m.annihilates(vectors) == expected
+    h = linalg.cohomology_at(SparseMatrix.zero(m.cols, 0), m)
+    assert [x is not None for x in h.coordinates(vectors)] == expected
+
+
+def test_near_misses_after_cancelling_denominators():
+    # d_out . d_in = 2/9 - 1/9 = 1/9
+    with pytest.raises(linalg.PreconditionError):
+        linalg.cohomology_at(M([[Fraction(2, 3)], [Fraction(1, 3)]]),
+                             M([[Fraction(1, 3), Fraction(-1, 3)]]))
+    # 2/9 - 2/9 = 0
+    linalg.cohomology_at(M([[Fraction(2, 3)], [Fraction(1, 3)]]),
+                         M([[Fraction(1, 3), Fraction(-2, 3)]]))
+    v = {0: Fraction(1, 2), 1: Fraction(-1, 3)}
+    for row, cocycle in (([2, 3], True), ([3, 2], False), ([1, 1], False)):
+        h = linalg.cohomology_at(SparseMatrix.zero(2, 0), M([row]))
+        assert (h.coordinates([v])[0] is not None) == cocycle, row
+    one = M([[1]])
+    assert one != one.scale(Fraction(1, 3))
+    assert one.scale(3) != one
+    assert one.scale(Fraction(1, 3)) == M([[Fraction(1, 3)]])
+
+
+def draw_image(draw, rows, cols):
+    """A {col: row} map: injective half of the time, arbitrary otherwise,
+    so that two columns often share a row."""
+    if not rows or not cols:
+        return {}
+    if draw(st.booleans()):
+        return dict(zip(draw(st.lists(st.integers(0, cols - 1), unique=True,
+                                      max_size=cols)),
+                        draw(st.permutations(range(rows)))))
+    return draw(st.dictionaries(st.integers(0, cols - 1),
+                                st.integers(0, rows - 1)))
+
+
+@st.composite
+def relabelling_case(draw):
+    """A rows x cols and a cols x rows label map, and matrices and a
+    vector to combine them with."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    k = draw(st.integers(0, 3))
+
+    def mat(r, c):
+        return from_dense(r, c, [
+            draw(st.lists(rationals, min_size=c, max_size=c))
+            for _ in range(r)])
+    vec = {j: x for j, x in enumerate(draw(st.lists(
+        rationals, min_size=cols, max_size=cols))) if x}
+    return (rows, cols, draw_image(draw, rows, cols),
+            draw_image(draw, cols, rows), mat(cols, k), mat(k, rows),
+            mat(rows, cols), vec)
+
+
+@given(relabelling_case(), scalars)
+@settings(max_examples=100, deadline=None)
+def test_relabelling_matches_the_general_matrix(case, c):
+    rows, cols, image, back, right, left, same, vec = case
+    r, s = (SparseMatrix.relabelling(rows, cols, image),
+            SparseMatrix.relabelling(cols, rows, back))
+    g, h = (SparseMatrix.validated(n, m, {(i, j): 1 for j, i in f.items()})
+            for n, m, f in ((rows, cols, image), (cols, rows, back)))
+    assert r == g and g == r
+    assert r.entries == g.entries
+    assert_matrix(r)
+    assert r.integer() == g.integer()
+    assert r.apply(vec) == g.apply(vec)
+    assert linalg.rank(r) == linalg.rank(g)
+    for out, ref in ((r @ right, g @ right), (left @ r, left @ g),
+                     (r @ s, g @ h), (s @ r, h @ g), (r @ h, g @ h),
+                     (r + same, g + same), (r.scale(c), g.scale(c))):
+        assert dense_of(out) == dense_of(ref)
+        assert_matrix(out)
+
+
 @given(dense)
 @settings(max_examples=100, deadline=None)
 def test_from_columns_and_solve_keep_the_invariant(rows):
