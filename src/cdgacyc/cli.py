@@ -14,11 +14,8 @@ import sys
 from fractions import Fraction
 
 from cdgacyc import functors, gralg
-from cdgacyc.complexes import (
-    UnsupportedConfiguration,
-    beta_acyclic_check,
-)
-from cdgacyc.free_loop import base_cochain, ideals, u_model
+from cdgacyc.complexes import UnsupportedConfiguration
+from cdgacyc.free_loop import base_cochain
 from cdgacyc.gralg import FreeCDGA, Generator
 from cdgacyc.minimal_model import (
     FiniteCDGA,
@@ -256,21 +253,17 @@ def cmd_functor(kind, ctx, args, finite):
 
 def cmd_cohomology(algebra, args):
     N = args.cutoff
-    if isinstance(algebra, FiniteCDGA):
-        rows = [(n, algebra.betti(n), True) for n in range(N + 1)]
-    else:
-        c = base_cochain(algebra, N + 1)
-        rows = [(n, c.betti(n), True) for n in range(N + 1)]
+    c = (algebra if isinstance(algebra, FiniteCDGA)
+         else base_cochain(algebra, N + 1))
+    dims = [c.betti(n) for n in range(N + 1)]
     if args.json:
-        print(json.dumps({
-            "degrees": [
-                {"n": n, "total": d, "weights": {}, "certified": cert}
-                for n, d, cert in rows
-            ]
-        }, indent=2))
+        print(json.dumps({"degrees": [
+            {"n": n, "total": d, "weights": {}, "certified": True}
+            for n, d in enumerate(dims)
+        ]}, indent=2))
     else:
         print(f"cohomology up to degree {N}:")
-        for n, d, cert in rows:
+        for n, d in enumerate(dims):
             print(f"  {n:3d}  dim {d:3d}")
     return 0
 
@@ -291,61 +284,20 @@ def cmd_euler(ctx, args):
     return 0
 
 
-def cmd_check(ctx):
-    N = ctx.cutoff
-    results = []
-    # audits that compare with expectations for the untruncated complex
-    complete = ctx.loop.complete_through
-    truncated = None
-    if complete < N + 1:
-        truncated = (f"the weight cutoff {ctx.loop.weight_cutoff} truncates "
-                     f"the loop complex from degree {complete + 1}")
-
-    M = ctx.mixed(N + 1)
-    failures = M.validate(ks=[-1, 2, 3, 6])
-    results.append(("mixed complex axioms", not failures,
-                    "; ".join(failures)))
-
-    if truncated:
-        results.append(("power map eigenstructure", None, truncated))
+def print_audits(records, as_json):
+    """One PASS, FAIL or SKIP line per audit record, a FAIL or SKIP with
+    its reason, or the records as a JSON list.  Exit code 1 when an audit
+    fails."""
+    if as_json:
+        print(json.dumps([a._asdict() for a in records], indent=2,
+                         default=str))
     else:
-        t4 = functors.t4_audit(ctx)
-        results.append(("power map eigenstructure", t4["pass"], ""))
-
-    f2 = functors.fig2_audit(ctx)
-    results.append(("long exact sequences (rows and verticals)",
-                    f2["pass"], f2.get("skipped")))
-
-    f7 = functors.fig7_audit(ctx)
-    results.append(("comparison diagram", f7["pass"], f7.get("skipped")))
-
-    t2 = functors.theorem2_check(ctx)
-    results.append(("SH dimension identity", t2["pass"], t2.get("skipped")))
-
-    if truncated:
-        results.append(("circle model agrees with CH", None, truncated))
-        results.append(("interior-acyclicity lemma on the ideal", None,
-                        truncated))
-    else:
-        um = u_model(ctx.loop, N + 1)
-        ch = functors.CH(ctx)
-        agree = all(um.betti(n) == ch.total(n) for n in range(N + 1))
-        results.append(("circle model agrees with CH", agree, ""))
-
-        ba = beta_acyclic_check(ideals(M))
-        ba_ok = ba.get("beta_acyclic", False) and ba.get("dims_match", False)
-        results.append(("interior-acyclicity lemma on the ideal",
-                        None if "skipped" in ba else ba_ok, ba.get("skipped")))
-
-    ok = True
-    for name, passed, detail in results:
-        status = "SKIP" if passed is None else "PASS" if passed else "FAIL"
-        line = f"{status}  {name}"
-        if detail and not passed:
-            line += f"  ({detail})"
-        print(line)
-        ok = ok and status != "FAIL"
-    return 0 if ok else 1
+        for a in records:
+            line = f"{a.status[:4].upper()}  {a.name}"
+            if a.reason and a.status != "pass":
+                line += f"  ({a.reason})"
+            print(line)
+    return 1 if any(a.status == "fail" for a in records) else 0
 
 
 def cmd_minimal_model(algebra, args):
@@ -364,25 +316,12 @@ def cmd_minimal_model(algebra, args):
     ) or "none"))
     if args.emit:
         reparsed = load_algebra(args.emit)
-        report = verify_minimal(reparsed, args.cutoff)
-        if not report["pass"]:
+        if any(a.status == "fail"
+               for a in verify_minimal(reparsed, args.cutoff)):
             print("emitted model fails the minimality check", file=sys.stderr)
             return 1
         print(f"wrote {args.emit}")
     return 0
-
-
-def cmd_verify_minimal(algebra, args):
-    if isinstance(algebra, FiniteCDGA):
-        raise InputError("verify-minimal needs a free-form input file")
-    report = verify_minimal(algebra, args.cutoff)
-    for c in report["checks"]:
-        status = "PASS" if c["pass"] else "FAIL"
-        line = f"{status}  {c['check']}"
-        if c.get("detail"):
-            line += f"  ({c['detail']})"
-        print(line)
-    return 0 if report["pass"] else 1
 
 
 def build_parser():
@@ -418,14 +357,17 @@ def main(argv=None):
         if args.command == "minimal-model":
             return cmd_minimal_model(algebra, args)
         if args.command == "verify-minimal":
-            return cmd_verify_minimal(algebra, args)
+            if isinstance(algebra, FiniteCDGA):
+                raise InputError("verify-minimal needs a free-form input file")
+            return print_audits(verify_minimal(algebra, args.cutoff),
+                                args.json)
         ctx = functors.LoopContext(algebra, args.cutoff,
                                    weight_cutoff=args.weight_max,
                                    seed=args.seed)
         if args.command == "euler":
             return cmd_euler(ctx, args)
         if args.command == "check":
-            return cmd_check(ctx)
+            return print_audits(functors.audits(ctx), args.json)
         return cmd_functor(args.command, ctx, args,
                            finite=isinstance(algebra, FiniteCDGA))
     except (InputError, ModelError, UnsupportedConfiguration,

@@ -42,11 +42,16 @@ ladder_audit: a morphism of short exact sequences checked as both long
 exact sequences plus the three squares.  Each induced map and each
 connecting map is computed once per degree and cached, as cohomology
 is, so the sequences and the squares share them.
+
+An audit returns one Audit record, made by the audit decorator from the
+witnesses it finds: les_audit finds the nodes that are not exact,
+ladder_audit those nodes and its first failing square.
 """
 
 import functools
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 from cdgacyc import linalg
 from cdgacyc.linalg import SparseMatrix
@@ -62,6 +67,53 @@ class UnsupportedConfiguration(ComplexError):
 
 class ConsistencyError(ComplexError):
     """Internal structure violated; carries a witness description."""
+
+
+class Skip(Exception):
+    """Raised by an audit that does not apply; the message says why."""
+
+
+class Audit(NamedTuple):
+    """status is "pass", "fail" or "skipped"; reason says why it skipped
+    or what failed.  A witness is a dict locating one failure: what fails
+    ("check"), its "degree", and its "weight", "node", "square" or
+    "vector" where it has one."""
+    name: str
+    status: str
+    reason: str = ""
+    witnesses: tuple = ()
+
+
+def _describe(witness):
+    where = ", ".join(f"{key} {value}" for key, value in witness.items()
+                      if key not in ("check", "vector"))
+    return f"{witness['check']} at {where}" if where else witness["check"]
+
+
+def audit(name):
+    """Decorator: fn returns the witnesses it finds (or another audit's
+    record, reported under this name) and raises Skip when it does not
+    apply; the audit returns Audit(name, ...).  An inconsistency raised on
+    the way (ConsistencyError, LinalgError) fails the audit with its
+    message as the reason, and NotChainCompatible's vector as a witness.
+    """
+    def decorate(fn):
+        @functools.wraps(fn)
+        def run(*args, **kwargs):
+            try:
+                found = fn(*args, **kwargs)
+            except Skip as exc:
+                return Audit(name, "skipped", str(exc))
+            except (ConsistencyError, linalg.LinalgError) as exc:
+                found = [{"check": str(exc)}]
+                if isinstance(exc, linalg.NotChainCompatible):
+                    found[0]["vector"] = exc.witness
+            if isinstance(found, Audit):
+                return found._replace(name=name)
+            return Audit(name, "fail" if found else "pass",
+                         "; ".join(map(_describe, found)), tuple(found))
+        return run
+    return decorate
 
 
 class CochainComplex:
@@ -237,32 +289,37 @@ class MixedComplex:
             return self.beta[n]
         return SparseMatrix.zero(self.dim(n - 1), self.dim(n))
 
+    @audit("mixed complex axioms")
     def validate(self, ks=()):
-        """Axiom failures (empty list = all pass): delta^2 = 0, beta^2 = 0,
-        delta beta + beta delta = 0, and the power-map relations for each
-        k in ks, all as exact matrix identities inside the data window."""
+        """Audit of delta^2 = 0, beta^2 = 0, delta beta + beta delta = 0,
+        and the power-map relations for each k in ks, all as exact matrix
+        identities inside the data window; a witness per failing one."""
         bad = []
+
+        def check(ok, identity, n):
+            if not ok:
+                bad.append({"check": identity, "degree": n})
+
         for n in range(0, self.top - 1):
-            if not (self.delta_m(n + 1) @ self.delta_m(n)).is_zero():
-                bad.append(f"delta.delta != 0 at degree {n}")
+            check((self.delta_m(n + 1) @ self.delta_m(n)).is_zero(),
+                  "delta.delta != 0", n)
         for n in range(2, self.top + 1):
-            if not (self.beta_m(n - 1) @ self.beta_m(n)).is_zero():
-                bad.append(f"beta.beta != 0 at degree {n}")
+            check((self.beta_m(n - 1) @ self.beta_m(n)).is_zero(),
+                  "beta.beta != 0", n)
         for n in range(1, self.top):
             anti = self.delta_m(n - 1) @ self.beta_m(n) + self.beta_m(
                 n + 1
             ) @ self.delta_m(n)
-            if not anti.is_zero():
-                bad.append(f"delta.beta + beta.delta != 0 at degree {n}")
+            check(anti.is_zero(), "delta.beta + beta.delta != 0", n)
         for k in ks:
             if k == 0:
                 raise ComplexError("Psi_0 is not defined")
             for n in range(0, self.top):
-                if not self._scales_by(k, 1, n + 1, n, self.delta.get(n)):
-                    bad.append(f"Psi_{k}.delta != delta.Psi_{k} at degree {n}")
+                check(self._scales_by(k, 1, n + 1, n, self.delta.get(n)),
+                      f"Psi_{k}.delta != delta.Psi_{k}", n)
             for n in range(1, self.top + 1):
-                if not self._scales_by(k, k, n - 1, n, self.beta.get(n)):
-                    bad.append(f"Psi_{k}.beta != k.beta.Psi_{k} at degree {n}")
+                check(self._scales_by(k, k, n - 1, n, self.beta.get(n)),
+                      f"Psi_{k}.beta != k.beta.Psi_{k}", n)
         return bad
 
     def _scales_by(self, k, c, n_out, n_in, mat):
@@ -569,31 +626,21 @@ class ShortExactSequence:
 
 
 def les_audit(names, dims, maps):
-    """Exactness report for a finite stretch of a long sequence.
+    """The nodes at which a finite stretch of a long sequence is not exact.
 
-    Checks, at each interior node, that consecutive composites vanish and
-    rank(incoming) + rank(outgoing) equals the node dimension.  Endpoint
-    nodes are not checked (their exactness is not determined by the
-    data).  Returns a dict with pass/fail and per-node findings.
+    At each interior node the consecutive composite must vanish and
+    rank(incoming) + rank(outgoing) must equal the node dimension.
+    Endpoint nodes are not checked (their exactness is not determined by
+    the data).  A witness names the node and its degree.
     """
     ranks = [linalg.rank(m) for m in maps]
-    findings = []
-    ok = True
+    bad = []
     for i in range(1, len(dims) - 1):
-        comp_zero = (maps[i] @ maps[i - 1]).is_zero()
-        exact = comp_zero and ranks[i - 1] + ranks[i] == dims[i]
-        findings.append(
-            {
-                "node": names[i],
-                "dim": dims[i],
-                "rank_in": ranks[i - 1],
-                "rank_out": ranks[i],
-                "composite_zero": comp_zero,
-                "exact": exact,
-            }
-        )
-        ok = ok and exact
-    return {"pass": ok, "nodes": findings}
+        if not ((maps[i] @ maps[i - 1]).is_zero()
+                and ranks[i - 1] + ranks[i] == dims[i]):
+            bad.append({"check": "not exact", "degree": names[i][1],
+                        "node": names[i][0]})
+    return bad
 
 
 def ladder_audit(top, bottom, verticals, r_hi):
@@ -603,55 +650,51 @@ def ladder_audit(top, bottom, verticals, r_hi):
     the triple of chain maps (va, vb, vc) from the top row to the bottom
     one.  Both long exact sequences go through les_audit, and the three
     squares vb.i1 = i2.va, vc.p1 = p2.vb and va.delta1 = delta2.vc are
-    checked as identities of induced matrices in every degree.
+    checked as identities of induced matrices, degree by degree up to the
+    first that fails.  Returns the witnesses: the nodes of either row that
+    are not exact, and the first square that does not commute.
     """
     va, vb, vc = verticals
-    row1 = les_audit(*top.les(1, r_hi))
-    row2 = les_audit(*bottom.les(1, r_hi))
-    squares = True
+    bad = [dict(w, check=f"row {row} {w['check']}")
+           for row, ses in ((1, top), (2, bottom))
+           for w in les_audit(*ses.les(1, r_hi))]
     for r in range(1, r_hi + 1):
-        pairs = [
-            (vb.induced(r) @ top.incl.induced(r),
+        squares = [
+            ("vb.i1 = i2.va", vb.induced(r) @ top.incl.induced(r),
              bottom.incl.induced(r) @ va.induced(r)),
-            (vc.induced(r) @ top.proj.induced(r),
+            ("vc.p1 = p2.vb", vc.induced(r) @ top.proj.induced(r),
              bottom.proj.induced(r) @ vb.induced(r)),
         ]
         if r < r_hi:
-            pairs.append((va.induced(r + 1) @ top.connecting(r),
-                          bottom.connecting(r) @ vc.induced(r)))
-        squares = squares and all(lhs == rhs for lhs, rhs in pairs)
-    return {
-        "row1": row1,
-        "row2": row2,
-        "squares": squares,
-        "pass": row1["pass"] and row2["pass"] and squares,
-    }
+            squares.append(("va.delta1 = delta2.vc",
+                            va.induced(r + 1) @ top.connecting(r),
+                            bottom.connecting(r) @ vc.induced(r)))
+        failing = [name for name, lhs, rhs in squares if lhs != rhs]
+        if failing:
+            bad.append({"check": "square does not commute", "degree": r,
+                        "square": failing[0]})
+            break
+    return bad
 
 
+@audit("interior-acyclicity lemma")
 def beta_acyclic_check(M):
-    """Check beta-acyclicity and the resulting +cohomology identification.
+    """Audit of beta-acyclicity and the resulting +cohomology
+    identification.
 
-    A mixed complex is beta-acyclic when beta: C^1 -> C^0 is surjective
-    and ker(beta) = im(beta) in every positive degree.  In that case
-    (Im beta, delta) computes the +cohomology; the report compares both
-    sides dimensionwise in the window where each is exact.
+    A mixed complex is beta-acyclic when ker(beta) = im(beta) in every
+    degree (in degree 0: beta: C^1 -> C^0 is surjective).  In that case
+    (Im beta, delta) computes the +cohomology; both sides are compared
+    dimensionwise in the window where each is exact.  With beta
+    identically zero on a nonzero complex the audit is skipped.
     """
-    report = {"beta_acyclic": True, "degrees": {}, "dims_match": None}
     if all(M.beta_m(n).is_zero() for n in range(1, M.top + 1)) and any(
         M.dim(n) for n in M.labels
     ):
-        report["beta_acyclic"] = False
-        report["skipped"] = "beta is identically zero on a nonzero complex"
-        return report
-    for n in range(0, M.top):
-        if n == 0:
-            ok = linalg.rank(M.beta_m(1)) == M.dim(0)
-        else:
-            ok = (
-                linalg.nullity(M.beta_m(n)) == linalg.rank(M.beta_m(n + 1))
-            )
-        report["degrees"][n] = ok
-        report["beta_acyclic"] = report["beta_acyclic"] and ok
+        raise Skip("beta is identically zero on a nonzero complex")
+    bad = [{"check": "ker beta != im beta", "degree": n}
+           for n in range(0, M.top)
+           if linalg.nullity(M.beta_m(n)) != linalg.rank(M.beta_m(n + 1))]
 
     # (Im beta, delta) as a cochain complex
     im_bases = {}
@@ -672,10 +715,9 @@ def beta_acyclic_check(M):
     im_complex = CochainComplex(im_labels, im_diff)
 
     plus = plus_complex(M)
-    window = range(0, max(0, M.top - 1))
-    pairs = {
-        r: (im_complex.betti(r), plus.betti(r)) for r in window
-    }
-    report["dims"] = pairs
-    report["dims_match"] = all(a == b for a, b in pairs.values())
-    return report
+    for r in range(0, max(0, M.top - 1)):
+        im, full = im_complex.betti(r), plus.betti(r)
+        if im != full:
+            bad.append({"check": f"dim H(Im beta) {im} != dim +H {full}",
+                        "degree": r})
+    return bad

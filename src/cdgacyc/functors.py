@@ -10,6 +10,9 @@ provably unaffected by the degree cutoff.  Every functor and audit
 takes one LoopContext, which fixes the algebra and both cutoffs.  Every
 table and audit reads the loop complex only through degree cutoff + 1;
 the independent cross-check PH_periodic alone reads further.
+
+Every audit returns a complexes.Audit record; audits(ctx) returns those
+of the check command.
 """
 
 from fractions import Fraction
@@ -17,7 +20,10 @@ from fractions import Fraction
 from cdgacyc import linalg
 from cdgacyc.complexes import (
     CochainComplex,
+    Skip,
+    audit,
     band_complex,
+    beta_acyclic_check,
     label_inclusion,
     label_map,
     label_projection,
@@ -28,7 +34,7 @@ from cdgacyc.complexes import (
     shift_complex,
     ShortExactSequence,
 )
-from cdgacyc.free_loop import base_cochain, free_loop
+from cdgacyc.free_loop import base_cochain, free_loop, ideals, u_model
 from cdgacyc.gralg import FreeCDGA
 from cdgacyc.linalg import SparseMatrix
 from cdgacyc.minimal_model import FiniteCDGA, build_minimal_model
@@ -102,6 +108,9 @@ class LoopContext:
     a reader with a smaller top gets its truncation, which shares the
     band's matrices and its cohomology below that top.  The base complex
     grows by the new degrees only, keeping its matrices and cohomology.
+
+    truncated says why an audit that expects the untruncated loop complex
+    skips, or is None.
     """
 
     def __init__(self, algebra, cutoff, weight_cutoff=None, seed=None):
@@ -112,6 +121,10 @@ class LoopContext:
         self.algebra = algebra
         self.cutoff = cutoff
         self.loop = free_loop(algebra, weight_cutoff=weight_cutoff)
+        complete = self.loop.complete_through
+        self.truncated = None if complete >= cutoff + 1 else (
+            f"the weight cutoff {weight_cutoff} truncates the loop complex "
+            f"from degree {complete + 1}")
         self._mixed = None
         self._cochain = None
         self._base = None
@@ -464,44 +477,27 @@ def SH(ctx, project_weight_zero=True):
     return table
 
 
+@audit("SH dimension identity")
 def theorem2_check(ctx):
     """dim SH^r = dim K~^r + dim CH~^{r-1} in every certified degree,
-    where ~ marks reduction by the one-point algebra.  With no certified
-    degree the report passes None and says why it skipped."""
-    cutoff = ctx.cutoff
+    where ~ marks reduction by the one-point algebra.  A witness is a
+    degree where the two sides differ; with no certified degree the
+    audit is skipped."""
     sh = SH(ctx)
     k = K_groups(ctx)
     chr_ = reduced_CH(ctx)
-    report = {"pass": True, "degrees": {}}
-    for r in range(1, cutoff + 1):
-        if not (sh.certified(r) and k["certified"] and chr_.certified(r - 1)):
-            report["degrees"][r] = {"status": "skipped"}
-            continue
-        kbar = k["reduced_even"] if r % 2 == 0 else k["reduced_odd"]
-        lhs = sh.total(r)
-        rhs = kbar + chr_.total(r - 1)
-        ok = lhs == rhs
-        report["degrees"][r] = {
-            "status": "pass" if ok else "fail",
-            "SH": lhs,
-            "K_reduced": kbar,
-            "CH_reduced_prev": chr_.total(r - 1),
-        }
-        report["pass"] = report["pass"] and ok
-    if all(row["status"] == "skipped" for row in report["degrees"].values()):
-        report["pass"] = None
-        report["skipped"] = ("no degree from 1 to the cutoff has certified "
-                             "SH, K and CH rows")
-    return report
+    rows = [r for r in range(1, ctx.cutoff + 1)
+            if sh.certified(r) and k["certified"] and chr_.certified(r - 1)]
+    if not rows:
+        raise Skip("no degree from 1 to the cutoff has certified SH, K and "
+                   "CH rows")
+    kbar = (k["reduced_even"], k["reduced_odd"])
+    return [{"check": f"dim SH {sh.total(r)} != dim K~ {kbar[r % 2]} + "
+                      f"dim CH~ {chr_.total(r - 1)}", "degree": r}
+            for r in rows if sh.total(r) != kbar[r % 2] + chr_.total(r - 1)]
 
 
-def _nothing_to_compare(cutoff):
-    """Report of a diagram audit below cutoff 2: its sequences run over
-    degrees 1..cutoff - 1, so no node, square or triangle is compared."""
-    return {"pass": None, "weights": {},
-            "skipped": f"cutoff {cutoff} leaves no degree to compare"}
-
-
+@audit("long exact sequences (rows and verticals)")
 def fig2_audit(ctx):
     """Exactness and commutativity audit of the two standard long exact
     sequences of the loop mixed complex, per effective weight.
@@ -510,16 +506,17 @@ def fig2_audit(ctx):
     Row 2: 0 -> +C^{*-2}(w+1) -> PC^*(w) -> -C^*(w) -> 0.
     The verticals between the rows are the identity on the first node,
     the inclusion +C -> PC and the top-slot inclusion C -> -C; the rows
-    and squares are one ladder_audit.  Also checks the intertwining of S
-    with the power maps on the total +complex.  Below cutoff 2 no degree
-    is compared, and the report passes None.
+    and squares are one ladder_audit, whose witnesses carry their weight.
+    Also checks the intertwining of S with the power maps on the total
+    +complex.  Below cutoff 2 no degree is compared, and the audit is
+    skipped.
     """
     cutoff = ctx.cutoff
     if cutoff < 2:
-        return _nothing_to_compare(cutoff)
+        raise Skip(f"cutoff {cutoff} leaves no degree to compare")
     top = cutoff + 1
     M = ctx.mixed(top)
-    report = {"pass": True, "weights": {}}
+    bad = []
     for w in range(-(cutoff // 2) - 1, cutoff // 2 + 2):
         # certified stretch for the minus/periodic bands
         r_hi = min(cutoff - 1, top - 2 * w - 2)
@@ -544,9 +541,8 @@ def fig2_audit(ctx):
         verticals = (label_inclusion(plus_w1, plus_w1),
                      label_inclusion(plus_w, per_w),
                      label_inclusion(slice_w, minus_w))
-        entry = ladder_audit(row1, row2, verticals, r_hi)
-        report["weights"][w] = entry
-        report["pass"] = report["pass"] and entry["pass"]
+        bad += [dict(x, weight=w)
+                for x in ladder_audit(row1, row2, verticals, r_hi)]
 
     # intertwining on the total +complex: S . +Psi_k = k . +Psi_k . S,
     # where S: +C^{*-2} -> +C^* is the slotwise inclusion
@@ -554,7 +550,6 @@ def fig2_audit(ctx):
     lower = CochainComplex(
         {n + 2: v for n, v in plus.labels.items() if n + 2 <= top}, {})
     s = label_inclusion(lower, plus)
-    inter = True
     for k in (2, 3):
         for r in range(2, cutoff + 1):
             psi_lo = plus_power_matrix(M, plus, k, r - 2)
@@ -562,12 +557,12 @@ def fig2_audit(ctx):
             lhs = s.matrix(r) @ psi_lo
             rhs = (psi_hi @ s.matrix(r)).scale(k)
             if lhs != rhs:
-                inter = False
-    report["intertwining"] = inter
-    report["pass"] = report["pass"] and inter
-    return report
+                bad.append({"check": f"S.+Psi_{k} != {k}.+Psi_{k}.S",
+                            "degree": r})
+    return bad
 
 
+@audit("comparison diagram")
 def fig7_audit(ctx):
     """Audit of the comparison diagram between the CH/HH sequence and the
     CH/K/SH sequence, per effective weight.
@@ -580,19 +575,16 @@ def fig7_audit(ctx):
     map; its middle node is the periodic base complex, i.e. the K-groups
     per weight.  The rows and squares are one ladder_audit, and the
     triangle identity T^r . S^{r-2} = H(Ibar) ties the rows to the
-    colimit defining PH.  Below cutoff 2 no degree is compared, and the
-    report passes None.
+    colimit defining PH.  Each witness carries its weight.  Below cutoff
+    2 no degree is compared, and the audit is skipped.
     """
     cutoff = ctx.cutoff
     if cutoff < 2:
-        return _nothing_to_compare(cutoff)
+        raise Skip(f"cutoff {cutoff} leaves no degree to compare")
     bound, _ = ctx.base_bound()
-    report = {"pass": True, "weights": {}}
-    for w in range(-(cutoff // 2) - 1, max(2, bound // 2 + 1) + 1):
-        entry = _fig7_weight(ctx, w)
-        report["weights"][w] = entry
-        report["pass"] = report["pass"] and entry["pass"]
-    return report
+    return [dict(x, weight=w)
+            for w in range(-(cutoff // 2) - 1, max(2, bound // 2 + 1) + 1)
+            for x in _fig7_weight(ctx, w)]
 
 
 def _fig7_weight(ctx, w):
@@ -610,8 +602,10 @@ def _fig7_weight(ctx, w):
                   lambda r, lab: lab[1] if lab[0] == 0 and lab[1][0] == r
                   else None,
                   check_degrees=range(0, r_hi + 2))
-    quasi_iso = all(m.rows == m.cols and linalg.rank(m) == m.rows
-                    for m in map(q.induced, range(1, r_hi + 1)))
+    bad = [{"check": "top-slot projection not a quasi-isomorphism",
+            "degree": r}
+           for r, m in enumerate(map(q.induced, range(1, r_hi + 1)), 1)
+           if not (m.rows == m.cols and linalg.rank(m) == m.rows)]
 
     # row 2: cone over the zero-weight comparison map, shared with SH
     f2, cone2, inc2, proj2 = _sh_band(ctx, w)
@@ -630,18 +624,17 @@ def _fig7_weight(ctx, w):
 
     vcone = label_map(cone1, cone2, cone_image,
                       check_degrees=range(0, r_hi + 1))
-    entry = ladder_audit(
+    bad += ladder_audit(
         ses1, ses2, (t, vcone, label_inclusion(proj1.target, proj2.target)),
         r_hi)
 
     # triangle: T^r . S^{r-2} equals the chain-level comparison H(Ibar)
-    entry["triangle"] = all(t.matrix(r) @ incl.matrix(r) == f2.matrix(r)
-                            for r in range(1, r_hi + 1))
-    entry["quasi_iso"] = quasi_iso
-    entry["pass"] = entry["pass"] and quasi_iso and entry["triangle"]
-    return entry
+    return bad + [{"check": "T.S != Ibar", "degree": r}
+                  for r in range(1, r_hi + 1)
+                  if t.matrix(r) @ incl.matrix(r) != f2.matrix(r)]
 
 
+@audit("power map eigenstructure")
 def t4_audit(ctx):
     """Eigenstructure audit of the induced power maps.
 
@@ -650,8 +643,12 @@ def t4_audit(ctx):
     diagonalizable with eigenspace dimensions equal to the weight-slice
     dimensions, identically for every k; (b) the weight-0 row of HH is
     the base cohomology; (c) slices with weight above the degree vanish;
-    (d) the per-weight totals obey the (dim V)^w bound.
+    (d) the per-weight totals obey the (dim V)^w bound.  A witness is a
+    check that fails, with its degree or weight.  Skipped when the weight
+    cutoff truncates the loop complex.
     """
+    if ctx.truncated:
+        raise Skip(ctx.truncated)
     cutoff = ctx.cutoff
     M = ctx.mixed(cutoff + 1)
     C = ctx.cochain()
@@ -659,11 +656,11 @@ def t4_audit(ctx):
     hh = HH(ctx)
     ch = CH(ctx)
     base = ctx.base(cutoff + 1)
-    report = {"pass": True, "findings": []}
+    bad = []
 
-    def check(name, ok):
-        report["findings"].append({"check": name, "pass": bool(ok)})
-        report["pass"] = report["pass"] and bool(ok)
+    def check(ok, what, **where):
+        if not ok:
+            bad.append({"check": what, **where})
 
     for k in (2, 3):
         for n in range(cutoff + 1):
@@ -675,36 +672,64 @@ def t4_audit(ctx):
                                          cx.cohomology(n))
                 ws = sorted(table.weights(n))
                 check(
-                    f"{name}^{n} Psi_{k} annihilated by weight spectrum",
                     _annihilated(psi, [Fraction(k) ** w for w in ws]),
+                    f"{name} Psi_{k} not annihilated by the weight spectrum",
+                    degree=n,
                 )
                 dims = [_eigenspace_dim(psi, Fraction(k) ** w) for w in ws]
                 check(
-                    f"{name}^{n} Psi_{k} eigenspaces match weight slices",
                     dims == [table.weight(n, w) for w in ws]
                     and sum(dims) == psi.rows,
+                    f"{name} Psi_{k} eigenspaces differ from weight slices",
+                    degree=n,
                 )
 
     for n in range(cutoff + 1):
-        check(
-            f"HH^{n}(0) equals base cohomology",
-            hh.weight(n, 0) == base.betti(n),
-        )
+        check(hh.weight(n, 0) == base.betti(n),
+              "HH(0) differs from base cohomology", degree=n)
         vanish = all(hh.weight(n, p) == 0 for p in range(n + 1, n + 3))
         vanish = vanish and all(
             ch.weight(n, p) == 0 for p in range(n + 1, n + 3)
         )
-        check(f"HH^{n}(p) = CH^{n}(p) = 0 for p > {n}", vanish)
+        check(vanish, "HH(p) or CH(p) nonzero for p > degree", degree=n)
 
     dim_v = len(ctx.algebra.algebra.generators)
     h_total = sum(base.betti(n) for n in range(cutoff + 1))
     for w in range(0, cutoff + 1):
         partial = sum(hh.weight(n, w) for n in range(cutoff + 1))
-        check(
-            f"weight {w} total bounded by (dim V)^w * total base cohomology",
-            partial <= (dim_v**w) * h_total,
-        )
-    return report
+        check(partial <= (dim_v**w) * h_total,
+              "total above (dim V)^w * total base cohomology", weight=w)
+    return bad
+
+
+@audit("circle model agrees with CH")
+def circle_audit(ctx):
+    """The circle model u_model, built independently of the +complex, has
+    the Betti numbers of CH.  Skipped when the weight cutoff truncates the
+    loop complex."""
+    if ctx.truncated:
+        raise Skip(ctx.truncated)
+    um = u_model(ctx.loop, ctx.cutoff + 1)
+    ch = CH(ctx)
+    return [{"check": f"dim H(circle model) {um.betti(n)} != dim CH "
+                      f"{ch.total(n)}", "degree": n}
+            for n in range(ctx.cutoff + 1) if um.betti(n) != ch.total(n)]
+
+
+@audit("interior-acyclicity lemma on the ideal")
+def ideal_audit(ctx):
+    """beta_acyclic_check on the augmentation ideal of the loop mixed
+    complex.  Skipped when the weight cutoff truncates that complex."""
+    if ctx.truncated:
+        raise Skip(ctx.truncated)
+    return beta_acyclic_check(ideals(ctx.mixed(ctx.cutoff + 1)))
+
+
+def audits(ctx):
+    """The records of the check command, in its order."""
+    return [ctx.mixed(ctx.cutoff + 1).validate(ks=[-1, 2, 3, 6]),
+            t4_audit(ctx), fig2_audit(ctx), fig7_audit(ctx),
+            theorem2_check(ctx), circle_audit(ctx), ideal_audit(ctx)]
 
 
 def _annihilated(m, eigenvalues):

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from cdgacyc import gralg, linalg
-from cdgacyc.complexes import CochainComplex
+from cdgacyc.complexes import CochainComplex, audit
 from cdgacyc.free_loop import base_cochain
 from cdgacyc.gralg import FreeCDGA, Generator
 from cdgacyc.linalg import SparseMatrix
@@ -248,63 +248,49 @@ class CDGAMorphism:
 
 
 def verify_minimal(A, cutoff):
-    """Minimality report for a free CDGA up to the cutoff.
-
-    Checks that no generator has degree 1, that every differential value
-    is decomposable (each monomial has at least two factors counted with
-    multiplicity) and that degree-2 generators are closed.
+    """Minimality audits of a free CDGA up to the cutoff: no generator has
+    degree 1 (with one, the ordering condition is unverifiable), and every
+    differential value is decomposable (each monomial has at least two
+    factors counted with multiplicity), with degree-2 generators closed.
     """
-    checks = []
-    ok = True
-    deg1 = [g.name for g in A.algebra.generators if g.degree == 1]
-    if deg1:
-        checks.append({"check": "no degree-1 generators", "pass": False,
-                       "detail": f"found {deg1}; ordering condition "
-                                 "unverifiable"})
-        ok = False
-    else:
-        checks.append({"check": "no degree-1 generators", "pass": True})
+    return [_no_degree_one(A), _decomposable(A, cutoff)]
+
+
+@audit("no degree-1 generators")
+def _no_degree_one(A):
+    return [{"check": f"generator {g.name}", "degree": 1}
+            for g in A.algebra.generators if g.degree == 1]
+
+
+@audit("differential decomposable")
+def _decomposable(A, cutoff):
+    bad = []
     for g in A.algebra.generators:
         if g.degree > cutoff:
             continue
         dv = A.differential.on_generator(g)
-        decomposable = all(
-            sum(e for _, e in mono) >= 2 for mono in dv
-        )
-        if not decomposable:
-            checks.append({"check": f"d({g.name}) decomposable",
-                           "pass": False,
-                           "detail": gralg.poly_str(dv)})
-            ok = False
+        if any(sum(e for _, e in mono) < 2 for mono in dv):
+            bad.append({"check": f"d({g.name}) = {gralg.poly_str(dv)} is "
+                                 "not decomposable", "degree": g.degree})
         if g.degree == 2 and dv:
-            checks.append({"check": f"d({g.name}) = 0 in degree 2",
-                           "pass": False})
-            ok = False
-    if ok:
-        checks.append({"check": "differential decomposable", "pass": True})
-    return {"pass": ok, "checks": checks}
+            bad.append({"check": f"d({g.name}) != 0", "degree": 2})
+    return bad
 
 
+@audit("classifying map is a quasi-isomorphism")
 def is_quasi_iso(f, cutoff):
-    """(bool, table): H^n(f) bijective for every n <= cutoff - 1."""
+    """Audit that H^n(f) is bijective for every n <= cutoff - 1; a
+    witness is a degree where it is not."""
     src_c = base_cochain(f.source, cutoff)
-    tgt_c = f.target.complex
-    table = []
-    ok = True
+    bad = []
     for n in range(cutoff):
         m = linalg.induced_map(
-            f.matrix(n), src_c.cohomology(n), tgt_c.cohomology(n)
+            f.matrix(n), src_c.cohomology(n), f.target.complex.cohomology(n)
         )
-        iso = m.rows == m.cols and linalg.rank(m) == m.rows
-        table.append({
-            "n": n,
-            "dim_source": m.cols,
-            "dim_target": m.rows,
-            "rank": linalg.rank(m),
-            "iso": iso,
-        })
-        ok = ok and iso
-    return ok, table
+        if not (m.rows == m.cols and linalg.rank(m) == m.rows):
+            bad.append({"check": f"H(f) of rank {linalg.rank(m)} from dim "
+                                 f"{m.cols} to dim {m.rows}", "degree": n})
+    return bad
 
 
 def _mix(rng, vectors):

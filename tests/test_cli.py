@@ -153,6 +153,75 @@ def test_check_skips_identity_with_no_certified_degree(capsys):
     assert "PASS  SH dimension identity" not in out
 
 
+def test_audits_skip_themselves_under_weight_cutoff(torus):
+    ctx = functors.LoopContext(cli.load_algebra(str(torus)), 3,
+                               weight_cutoff=1)
+    reason = "the weight cutoff 1 truncates the loop complex from degree 0"
+    assert ctx.truncated == reason
+    for audit in (functors.t4_audit, functors.circle_audit,
+                  functors.ideal_audit):
+        record = audit(ctx)
+        assert (record.status, record.reason) == ("skipped", reason)
+
+
+TAGS = {"pass": "PASS", "fail": "FAIL", "skipped": "SKIP"}
+
+
+def _text_line(record):
+    line = f"{TAGS[record['status']]}  {record['name']}"
+    if record["status"] != "pass" and record["reason"]:
+        line += f"  ({record['reason']})"
+    return line
+
+
+@pytest.mark.parametrize("argv", [
+    [S2, "--cutoff", "0"],
+    [str(FIXTURES / "product_s2_s3.json"), "--cutoff", "6"],
+    ["TORUS", "--cutoff", "3", "--weight-max", "1"],
+])
+def test_check_json_matches_text(argv, torus, capsys):
+    argv = [str(torus) if a == "TORUS" else a for a in argv]
+    code, text, _ = run(["check"] + argv, capsys)
+    json_code, out, _ = run(["check"] + argv + ["--json"], capsys)
+    records = json.loads(out)
+    assert json_code == code
+    assert len(records) == 7
+    assert [_text_line(r) for r in records] == text.splitlines()
+    assert all(set(r) == {"name", "status", "reason", "witnesses"}
+               for r in records)
+
+
+def test_inconsistency_fails_its_audit_and_the_others_still_run(
+        monkeypatch, capsys):
+    # a comparison rule that drops degree 3 is not a chain map
+    top_slot = functors._top_slot
+
+    def dropping(ctx, w):
+        image = top_slot(ctx, w)
+        return lambda r, lab: None if r == 3 else image(r, lab)
+
+    monkeypatch.setattr(functors, "_top_slot", dropping)
+    code, out, _ = run(["check", S2, "--cutoff", "6"], capsys)
+    lines = out.splitlines()
+    assert code == 1
+    assert len(lines) == 7
+    assert "FAIL  comparison diagram  (map does not commute with d at 3)" in (
+        lines)
+    code, out, _ = run(["check", S2, "--cutoff", "6", "--json"], capsys)
+    [record] = [r for r in json.loads(out) if r["status"] == "fail"]
+    assert code == 1
+    assert record["witnesses"] == [{"check": record["reason"]}]
+
+
+def test_verify_minimal_fails_with_witness(torus, capsys):
+    code, out, _ = run(["verify-minimal", str(torus)], capsys)
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL  no degree-1 generators  "
+        "(generator a at degree 1; generator b at degree 1)",
+        "PASS  differential decomposable"]
+
+
 def test_weight_cutoff_above_the_window_changes_nothing(capsys):
     # SH reads the loop complex through degree cutoff + 1
     for argv, weight_max in (
@@ -300,7 +369,7 @@ def test_minimal_model_emit_roundtrip(tmp_path, capsys):
     assert code == 0
     assert out_file.exists()
     reparsed = cli.load_algebra(str(out_file))
-    assert verify_minimal(reparsed, 10)["pass"]
+    assert all(a.status == "pass" for a in verify_minimal(reparsed, 10))
 
 
 def test_minimal_model_emit_unwritable(tmp_path, capsys):

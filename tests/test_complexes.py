@@ -96,7 +96,7 @@ def test_truncation_and_shift_share_cohomology():
 def test_mixed_complex_validation_catches_corruption():
     loop = free_loop(sphere2())
     M = loop.mixed_complex(8)
-    assert M.validate(ks=[-1, 2, 3, 6]) == []
+    assert M.validate(ks=[-1, 2, 3, 6]).status == "pass"
     # corrupt one beta entry: the square/anticommutator axioms must fail
     beta = dict(M.beta)
     b3 = beta[3]
@@ -105,7 +105,7 @@ def test_mixed_complex_validation_catches_corruption():
     entries[(i0, j0)] = v0 + 1
     beta[3] = SparseMatrix.validated(b3.rows, b3.cols, entries)
     bad = MixedComplex(M.labels, M.delta, beta, weights=M.weights)
-    assert bad.validate(ks=[2]) != []
+    assert bad.validate(ks=[2]).status == "fail"
 
 
 def _touches(mat, row=None, col=None):
@@ -132,12 +132,12 @@ def test_wrong_weight_tag_fails_only_the_power_maps_that_touch_it():
     assert delta_degrees and beta_degrees
     expected = []
     for k in ks:
-        expected += [f"Psi_{k}.delta != delta.Psi_{k} at degree {n}"
+        expected += [{"check": f"Psi_{k}.delta != delta.Psi_{k}", "degree": n}
                      for n in delta_degrees]
-        expected += [f"Psi_{k}.beta != k.beta.Psi_{k} at degree {n}"
+        expected += [{"check": f"Psi_{k}.beta != k.beta.Psi_{k}", "degree": n}
                      for n in beta_degrees]
-    assert bad.validate(ks=ks) == expected
-    assert bad.validate() == []
+    assert bad.validate(ks=ks).witnesses == tuple(expected)
+    assert bad.validate().status == "pass"
 
 
 def test_corrupted_beta_cannot_produce_a_number():
@@ -234,8 +234,7 @@ def test_mapping_cone_les():
     incl = label_inclusion(sub, amb)
     cone, inc, proj = mapping_cone(incl)
     ses = ShortExactSequence(inc, proj, degrees=range(0, 7))
-    audit = les_audit(*ses.les(1, 6))
-    assert audit["pass"]
+    assert les_audit(*ses.les(1, 6)) == []
 
 
 def test_corrupted_connecting_map_fails_audit():
@@ -258,11 +257,13 @@ def test_corrupted_connecting_map_fails_audit():
         else:
             fixed.append(m)
     assert tampered
-    audit = les_audit(names, dims, fixed)
-    assert not audit["pass"]
-    bad_nodes = [node for node in audit["nodes"] if not node["exact"]]
-    assert bad_nodes  # the witness names the broken node
-    assert all("node" in node for node in bad_nodes)
+    # the zeroed map runs from node i to node i + 1, and the witness
+    # names one of them
+    (i,) = [i for i, (m, f) in enumerate(zip(maps, fixed)) if m is not f]
+    bad_nodes = les_audit(names, dims, fixed)
+    assert bad_nodes
+    assert {(w["node"], w["degree"]) for w in bad_nodes} & {names[i],
+                                                            names[i + 1]}
 
 
 def test_label_projection_and_inclusion():
@@ -305,20 +306,17 @@ def sphere3_weight0_ladder():
 
 def test_ladder_audit_passes_with_true_verticals():
     row1, row2, verticals = sphere3_weight0_ladder()
-    report = ladder_audit(row1, row2, verticals, 7)
-    assert report["row1"]["pass"] and report["row2"]["pass"]
-    assert report["squares"] is True
-    assert report["pass"]
+    assert ladder_audit(row1, row2, verticals, 7) == []
 
 
 def test_ladder_audit_fails_with_scaled_vertical():
     row1, row2, (va, vb, vc) = sphere3_weight0_ladder()
     doubled = ChainMap(vc.source, vc.target,
                        {n: m.scale(2) for n, m in vc.mats.items()})
-    report = ladder_audit(row1, row2, (va, vb, doubled), 7)
-    assert report["row1"]["pass"] and report["row2"]["pass"]
-    assert report["squares"] is False
-    assert not report["pass"]
+    # both rows stay exact: the one witness is the first failing square
+    assert ladder_audit(row1, row2, (va, vb, doubled), 7) == [
+        {"check": "square does not commute", "degree": 3,
+         "square": "va.delta1 = delta2.vc"}]
 
 
 def test_coordinate_subcomplex_closure_check():
@@ -342,9 +340,7 @@ def test_beta_acyclic_lemma_on_ideal():
     for base in (sphere2(), sphere3()):
         loop = free_loop(base)
         ideal = ideals(loop.mixed_complex(10))
-        rep = beta_acyclic_check(ideal)
-        assert rep["beta_acyclic"]
-        assert rep["dims_match"]
+        assert beta_acyclic_check(ideal).status == "pass"
 
 
 def test_chain_map_commuting_enforced():

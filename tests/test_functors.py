@@ -108,9 +108,8 @@ def test_sh_sphere3(ctx3):
 
 def test_theorem2(ctx3, ctx2):
     for ctx in (ctx3, ctx2):
-        rep = F.theorem2_check(ctx)
-        assert rep["pass"]
-        assert any(v.get("status") == "pass" for v in rep["degrees"].values())
+        # pass, not skipped: some degree was compared
+        assert F.theorem2_check(ctx).status == "pass"
 
 
 def test_ph_stabilizes(ctx3):
@@ -134,28 +133,26 @@ def test_ph_agrees_with_periodic():
 
 def test_fig2_audit_passes(ctx3_10, ctx2_10):
     for ctx in (ctx3_10, ctx2_10):
-        rep = F.fig2_audit(ctx)
-        assert rep["pass"]
-        assert rep["intertwining"]
+        # no witness, so S intertwines the power maps
+        assert F.fig2_audit(ctx) == (
+            "long exact sequences (rows and verticals)", "pass", "", ())
 
 
 def test_fig7_audit_passes(ctx3_10, ctx2_10):
     for ctx in (ctx3_10, ctx2_10):
-        rep = F.fig7_audit(ctx)
-        assert rep["pass"]
-        assert all(w["quasi_iso"] for w in rep["weights"].values())
+        # no witness, so every top-slot projection is a quasi-isomorphism
+        assert F.fig7_audit(ctx) == ("comparison diagram", "pass", "", ())
 
 
 def test_t4_audit_passes(ctx3_10, ctx2_10):
     for ctx in (ctx3_10, ctx2_10):
-        rep = F.t4_audit(ctx)
-        assert rep["pass"]
+        assert F.t4_audit(ctx).status == "pass"
 
 
 def test_t4_even_sphere():
     ctx = F.LoopContext(sphere_even4(), 12)
-    assert F.t4_audit(ctx)["pass"]
-    assert F.theorem2_check(ctx)["pass"]
+    assert F.t4_audit(ctx).status == "pass"
+    assert F.theorem2_check(ctx).status == "pass"
 
 
 def test_euler_sphere3(ctx3):

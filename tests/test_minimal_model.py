@@ -75,8 +75,9 @@ def test_morphism_verification():
     a = free_s2()
     zero = CDGAMorphism(a, h_s2(), {"x": {}, "y": {}})
     assert zero.verify() == []  # the zero map is a chain map ...
-    ok, _ = is_quasi_iso(zero, 6)
-    assert not ok  # ... but misses the class of a
+    rep = is_quasi_iso(zero, 6)
+    assert rep.status == "fail"  # ... but misses the class of a
+    assert [w["degree"] for w in rep.witnesses] == [2]
     # x -> a in H(CP^2): theta(dy) = a*a = a2, while d(theta(y)) = 0
     broken = CDGAMorphism(a, h_cp2(), {"x": {"a": Fraction(1)}, "y": {}})
     assert broken.verify() == ["chain condition fails on y"]
@@ -93,28 +94,31 @@ def test_classifying_map_is_quasi_iso():
     b = h_s2()
     theta = CDGAMorphism(a, b, {"x": {"a": Fraction(1)}, "y": {}})
     assert theta.verify() == []
-    ok, table = is_quasi_iso(theta, 10)
-    assert ok
-    assert all(row["iso"] for row in table)
+    rep = is_quasi_iso(theta, 10)
+    assert rep.status == "pass" and rep.witnesses == ()
+
+
+def minimal(A, cutoff):
+    return all(a.status == "pass" for a in verify_minimal(A, cutoff))
 
 
 def test_verify_minimal_examples():
-    assert verify_minimal(free_s2(), 12)["pass"]
-    assert verify_minimal(
-        FreeCDGA([Generator(0, "x", 3)], {}), 12)["pass"]
+    assert minimal(free_s2(), 12)
+    assert minimal(FreeCDGA([Generator(0, "x", 3)], {}), 12)
     u = Generator(0, "u", 2)
     w = Generator(1, "w", 3)
-    assert verify_minimal(FreeCDGA([u, w], {}), 12)["pass"]
+    assert minimal(FreeCDGA([u, w], {}), 12)
 
 
 def test_verify_minimal_rejects_linear_differential():
     u = Generator(0, "u", 3)
     w = Generator(1, "w", 2)
     a = FreeCDGA([w, u], {"u": {((w, 2),): Fraction(1)}})
-    assert verify_minimal(a, 12)["pass"]
+    assert minimal(a, 12)
     b = FreeCDGA([Generator(0, "p", 2), Generator(1, "q", 1)], {})
-    rep = verify_minimal(b, 12)
-    assert not rep["pass"]  # degree-1 generator
+    degree_one, _ = verify_minimal(b, 12)
+    assert degree_one.status == "fail"
+    assert degree_one.witnesses == ({"check": "generator q", "degree": 1},)
 
 
 def test_builder_sphere2():
@@ -126,30 +130,30 @@ def test_builder_sphere2():
     )
     (mono, c), = dy.items()
     assert [(g.degree, e) for g, e in mono] == [(2, 2)]
-    assert verify_minimal(a, 12)["pass"]
-    assert is_quasi_iso(theta, 12)[0]
+    assert minimal(a, 12)
+    assert is_quasi_iso(theta, 12).status == "pass"
 
 
 def test_builder_sphere3():
     a, theta = build_minimal_model(h_s3(), 12)
     assert [g.degree for g in a.algebra.generators] == [3]
     assert a.differential.on_generator(a.algebra.generators[0]) == {}
-    assert verify_minimal(a, 12)["pass"]
-    assert is_quasi_iso(theta, 12)[0]
+    assert minimal(a, 12)
+    assert is_quasi_iso(theta, 12).status == "pass"
 
 
 def test_builder_cp2():
     a, theta = build_minimal_model(h_cp2(), 12)
     assert sorted(g.degree for g in a.algebra.generators) == [2, 5]
-    assert verify_minimal(a, 12)["pass"]
-    assert is_quasi_iso(theta, 12)[0]
+    assert minimal(a, 12)
+    assert is_quasi_iso(theta, 12).status == "pass"
 
 
 def test_builder_trivial():
     b = FiniteCDGA([("1", 0)], {}, {})
     a, theta = build_minimal_model(b, 12)
     assert a.algebra.generators == ()
-    assert is_quasi_iso(theta, 12)[0]
+    assert is_quasi_iso(theta, 12).status == "pass"
 
 
 def test_builder_rejects_non_1_connected():
@@ -179,7 +183,7 @@ def test_seed_invariance(finite):
     for seed in (None, 1, 2, 12345):
         if seed is not None:
             _, theta = build_minimal_model(finite(), cutoff, seed=seed)
-            assert is_quasi_iso(theta, cutoff)[0]
+            assert is_quasi_iso(theta, cutoff).status == "pass"
         ctx = F.LoopContext(finite(), cutoff, seed=seed)
         hh, sh = F.HH(ctx), F.SH(ctx)
         tables.append([(hh.weights(n), sh.weights(n))
@@ -216,7 +220,7 @@ def test_seeded_branches_fire_and_change_no_table(finite, generator,
     values, tables = [], []
     for seed in (None, 1, 2, 3):
         _, theta = build_minimal_model(finite(), cutoff + 3, seed=seed)
-        assert is_quasi_iso(theta, cutoff)[0]
+        assert is_quasi_iso(theta, cutoff).status == "pass"
         values.append(theta.values[generator])
         ctx = F.LoopContext(finite(), cutoff, seed=seed)
         hh, sh = F.HH(ctx), F.SH(ctx)
