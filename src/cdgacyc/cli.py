@@ -5,12 +5,17 @@ verify-minimal.  Input files are UTF-8 JSON in either free form
 (generators + differential) or finite form (basis + structure constants).
 All coefficients are exact rational strings; floats are rejected.
 Exit codes: 0 success / no check fails, 1 check failures, 2 bad input.
+
+A well-formed command line (the command, the file and exact long options)
+is read without argparse, which would cost a few milliseconds of every
+run; help, abbreviated options and every usage error go through the
+argparse parser of build_parser, the reference for both.
 """
 
-import argparse
 import json
 import re
 import sys
+import types
 from fractions import Fraction
 
 from cdgacyc import functors, gralg
@@ -29,7 +34,7 @@ class InputError(Exception):
     pass
 
 
-_COEFF_RE = re.compile(r"^-?\d+(/-?[1-9]\d*)?$")
+_COEFF_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
 
 def _no_floats(s):
@@ -185,8 +190,10 @@ def load_algebra(path):
             data = json.load(fh, parse_float=_no_floats)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: {exc}")
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply")
     if not isinstance(data, dict):
         raise InputError(f"{path}: expected a JSON object")
     if "generators" in data:
@@ -324,16 +331,55 @@ def cmd_minimal_model(algebra, args):
     return 0
 
 
+COMMANDS = ("cohomology", "hh", "ch", "ph", "sh", "euler", "check",
+            "minimal-model", "verify-minimal")
+_VALUED = {"--cutoff": int, "--weight-max": int, "--emit": str, "--seed": int}
+_FLAGS = ("--per-weight", "--json")
+
+
+def parse_well_formed(argv):
+    """The namespace build_parser().parse_args(argv) returns, when argv is
+    the command, the file and exact long options, each option's value
+    after "=" or as the next token and not starting with "-"; None for
+    anything else (help, abbreviations, "--", every usage error)."""
+    found = {"cutoff": 12, "weight_max": None, "per_weight": False,
+             "json": False, "emit": None, "seed": None}
+    positional = []
+    tokens = iter(argv)
+    for tok in tokens:
+        if not tok.startswith("-"):
+            positional.append(tok)
+            continue
+        opt, eq, value = tok.partition("=")
+        key = opt[2:].replace("-", "_")
+        if opt in _FLAGS and not eq:
+            found[key] = True
+            continue
+        if opt not in _VALUED:
+            return None
+        if not eq:
+            value = next(tokens, "-")  # a missing value reads as "-"
+        if value.startswith("-"):
+            return None
+        try:
+            found[key] = _VALUED[opt](value)
+        except ValueError:
+            return None
+    if len(positional) != 2 or positional[0] not in COMMANDS:
+        return None
+    return types.SimpleNamespace(command=positional[0], file=positional[1],
+                                 **found)
+
+
 def build_parser():
+    import argparse
+
     p = argparse.ArgumentParser(
         prog="cdgacyc",
         description="Exact cohomology of commutative DG algebras "
                     "via the free-loop complex",
     )
-    p.add_argument("command", choices=[
-        "cohomology", "hh", "ch", "ph", "sh", "euler", "check",
-        "minimal-model", "verify-minimal",
-    ])
+    p.add_argument("command", choices=COMMANDS)
     p.add_argument("file")
     p.add_argument("--cutoff", type=int, default=12)
     p.add_argument("--weight-max", type=int, default=None)
@@ -345,7 +391,9 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = parse_well_formed(argv) or build_parser().parse_args(argv)
     try:
         for flag, value in (("--cutoff", args.cutoff),
                             ("--weight-max", args.weight_max)):

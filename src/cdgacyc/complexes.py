@@ -66,7 +66,13 @@ class UnsupportedConfiguration(ComplexError):
 
 
 class ConsistencyError(ComplexError):
-    """Internal structure violated; carries a witness description."""
+    """Internal structure violated: what fails (check) and, where it is
+    known, the degree it fails at."""
+
+    def __init__(self, check, degree=None):
+        super().__init__(check if degree is None
+                         else f"{check} at degree {degree}")
+        self.check, self.degree = check, degree
 
 
 class Skip(Exception):
@@ -90,24 +96,36 @@ def _describe(witness):
     return f"{witness['check']} at {where}" if where else witness["check"]
 
 
+def located(fn, *args, **kwargs):
+    """fn's witnesses, or the one witness of the inconsistency it raises
+    (ConsistencyError, LinalgError): what fails, its degree where it has
+    one, and NotChainCompatible's vector."""
+    try:
+        return fn(*args, **kwargs)
+    except ConsistencyError as exc:
+        found = {"check": exc.check}
+        if exc.degree is not None:
+            found["degree"] = exc.degree
+    except linalg.LinalgError as exc:
+        found = {"check": str(exc)}
+        if isinstance(exc, linalg.NotChainCompatible):
+            found["vector"] = exc.witness
+    return [found]
+
+
 def audit(name):
     """Decorator: fn returns the witnesses it finds (or another audit's
     record, reported under this name) and raises Skip when it does not
     apply; the audit returns Audit(name, ...).  An inconsistency raised on
-    the way (ConsistencyError, LinalgError) fails the audit with its
-    message as the reason, and NotChainCompatible's vector as a witness.
+    the way fails the audit with its located witness (see located).
     """
     def decorate(fn):
         @functools.wraps(fn)
         def run(*args, **kwargs):
             try:
-                found = fn(*args, **kwargs)
+                found = located(fn, *args, **kwargs)
             except Skip as exc:
                 return Audit(name, "skipped", str(exc))
-            except (ConsistencyError, linalg.LinalgError) as exc:
-                found = [{"check": str(exc)}]
-                if isinstance(exc, linalg.NotChainCompatible):
-                    found[0]["vector"] = exc.witness
             if isinstance(found, Audit):
                 return found._replace(name=name)
             return Audit(name, "fail" if found else "pass",
@@ -189,7 +207,7 @@ class ChainMap:
             lhs = self.matrix(n + 1) @ source.d(n)
             rhs = target.d(n) @ self.matrix(n)
             if lhs != rhs:
-                raise ConsistencyError(f"map does not commute with d at {n}")
+                raise ConsistencyError("map does not commute with d", n)
         self._induced = {}
 
     def matrix(self, n):
@@ -441,8 +459,7 @@ def _slot_complex(M, slot_table):
                     for row, v in columns.get(i, ()):
                         if row not in pos:
                             raise ConsistencyError(
-                                f"{name} breaks the weight grading at degree {m}"
-                            )
+                                f"{name} breaks the weight grading", m)
                         entries[(pos[row], col + c)] = v
             col += len(idx)
         diff[r] = SparseMatrix(rows, col, entries)
@@ -570,15 +587,15 @@ class ShortExactSequence:
         for n in degrees:
             comp = proj.matrix(n) @ incl.matrix(n)
             if not comp.is_zero():
-                raise ConsistencyError(f"proj.incl != 0 at degree {n}")
+                raise ConsistencyError("proj.incl != 0", n)
             ri = linalg.rank(incl.matrix(n))
             rp = linalg.rank(proj.matrix(n))
             if ri != a.dim(n):
-                raise ConsistencyError(f"inclusion not injective at {n}")
+                raise ConsistencyError("inclusion not injective", n)
             if rp != c.dim(n):
-                raise ConsistencyError(f"projection not surjective at {n}")
+                raise ConsistencyError("projection not surjective", n)
             if a.dim(n) + c.dim(n) != b.dim(n):
-                raise ConsistencyError(f"dimensions do not add up at {n}")
+                raise ConsistencyError("dimensions do not add up", n)
         self._connecting = {}
 
     def connecting(self, r):
@@ -590,15 +607,15 @@ class ShortExactSequence:
         ha = self.a.cohomology(r + 1)
         lifts = linalg.solve(self.proj.matrix(r), hc.representatives)
         if None in lifts:
-            raise ConsistencyError(f"cocycle fails to lift at degree {r}")
+            raise ConsistencyError("cocycle fails to lift", r)
         d_b = self.b.d(r)
         pulled = linalg.solve(self.incl.matrix(r + 1),
                               [d_b.apply(b) for b in lifts])
         if None in pulled:
-            raise ConsistencyError(f"d(lift) not in the subcomplex at {r}")
+            raise ConsistencyError("d(lift) not in the subcomplex", r)
         cols = ha.coordinates(pulled)
         if None in cols:
-            raise ConsistencyError(f"connecting image not a cocycle at {r}")
+            raise ConsistencyError("connecting image not a cocycle", r)
         self._connecting[r] = SparseMatrix.from_columns(ha.dim, cols)
         return self._connecting[r]
 
@@ -710,7 +727,7 @@ def beta_acyclic_check(M):
         delta = M.delta_m(n)
         cols = linalg.solve(tgt, [delta.apply(v) for v in im_bases[n]])
         if None in cols:
-            raise ConsistencyError(f"delta leaves Im(beta) at degree {n}")
+            raise ConsistencyError("delta leaves Im(beta)", n)
         im_diff[n] = SparseMatrix.from_columns(len(im_bases[n + 1]), cols)
     im_complex = CochainComplex(im_labels, im_diff)
 

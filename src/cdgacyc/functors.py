@@ -28,6 +28,7 @@ from cdgacyc.complexes import (
     label_map,
     label_projection,
     ladder_audit,
+    located,
     mapping_cone,
     plus_complex,
     plus_power_matrix,
@@ -506,7 +507,8 @@ def fig2_audit(ctx):
     Row 2: 0 -> +C^{*-2}(w+1) -> PC^*(w) -> -C^*(w) -> 0.
     The verticals between the rows are the identity on the first node,
     the inclusion +C -> PC and the top-slot inclusion C -> -C; the rows
-    and squares are one ladder_audit, whose witnesses carry their weight.
+    and squares are one ladder_audit, whose witnesses carry their weight;
+    an inconsistency raised at one weight is that weight's witness.
     Also checks the intertwining of S with the power maps on the total
     +complex.  Below cutoff 2 no degree is compared, and the audit is
     skipped.
@@ -520,29 +522,9 @@ def fig2_audit(ctx):
     for w in range(-(cutoff // 2) - 1, cutoff // 2 + 2):
         # certified stretch for the minus/periodic bands
         r_hi = min(cutoff - 1, top - 2 * w - 2)
-        if r_hi < 1:
-            continue
-        plus_w = ctx.band(w, "plus", r_hi + 2)
-        plus_w1 = shift_complex(ctx.band(w + 1, "plus", r_hi), 2)
-        slice_w = ctx.band(w, "slice", r_hi + 2)
-        per_w = band_complex(M, w, "periodic", 0, r_hi + 2)
-        minus_w = band_complex(M, w, "minus", 0, r_hi + 2)
-
-        row1 = ShortExactSequence(
-            label_inclusion(plus_w1, plus_w),
-            label_projection(plus_w, slice_w),
-            degrees=range(0, r_hi + 2),
-        )
-        row2 = ShortExactSequence(
-            label_inclusion(plus_w1, per_w),
-            label_projection(per_w, minus_w),
-            degrees=range(0, r_hi + 2),
-        )
-        verticals = (label_inclusion(plus_w1, plus_w1),
-                     label_inclusion(plus_w, per_w),
-                     label_inclusion(slice_w, minus_w))
-        bad += [dict(x, weight=w)
-                for x in ladder_audit(row1, row2, verticals, r_hi)]
+        if r_hi >= 1:
+            bad += [dict(x, weight=w)
+                    for x in located(_fig2_weight, ctx, M, w, r_hi)]
 
     # intertwining on the total +complex: S . +Psi_k = k . +Psi_k . S,
     # where S: +C^{*-2} -> +C^* is the slotwise inclusion
@@ -562,6 +544,29 @@ def fig2_audit(ctx):
     return bad
 
 
+def _fig2_weight(ctx, M, w, r_hi):
+    plus_w = ctx.band(w, "plus", r_hi + 2)
+    plus_w1 = shift_complex(ctx.band(w + 1, "plus", r_hi), 2)
+    slice_w = ctx.band(w, "slice", r_hi + 2)
+    per_w = band_complex(M, w, "periodic", 0, r_hi + 2)
+    minus_w = band_complex(M, w, "minus", 0, r_hi + 2)
+
+    row1 = ShortExactSequence(
+        label_inclusion(plus_w1, plus_w),
+        label_projection(plus_w, slice_w),
+        degrees=range(0, r_hi + 2),
+    )
+    row2 = ShortExactSequence(
+        label_inclusion(plus_w1, per_w),
+        label_projection(per_w, minus_w),
+        degrees=range(0, r_hi + 2),
+    )
+    verticals = (label_inclusion(plus_w1, plus_w1),
+                 label_inclusion(plus_w, per_w),
+                 label_inclusion(slice_w, minus_w))
+    return ladder_audit(row1, row2, verticals, r_hi)
+
+
 @audit("comparison diagram")
 def fig7_audit(ctx):
     """Audit of the comparison diagram between the CH/HH sequence and the
@@ -575,8 +580,9 @@ def fig7_audit(ctx):
     map; its middle node is the periodic base complex, i.e. the K-groups
     per weight.  The rows and squares are one ladder_audit, and the
     triangle identity T^r . S^{r-2} = H(Ibar) ties the rows to the
-    colimit defining PH.  Each witness carries its weight.  Below cutoff
-    2 no degree is compared, and the audit is skipped.
+    colimit defining PH.  Each witness carries its weight, and an
+    inconsistency raised at one weight is that weight's witness.  Below
+    cutoff 2 no degree is compared, and the audit is skipped.
     """
     cutoff = ctx.cutoff
     if cutoff < 2:
@@ -584,7 +590,7 @@ def fig7_audit(ctx):
     bound, _ = ctx.base_bound()
     return [dict(x, weight=w)
             for w in range(-(cutoff // 2) - 1, max(2, bound // 2 + 1) + 1)
-            for x in _fig7_weight(ctx, w)]
+            for x in located(_fig7_weight, ctx, w)]
 
 
 def _fig7_weight(ctx, w):

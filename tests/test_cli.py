@@ -1,15 +1,23 @@
 """Command line front end: parsing, commands, exit codes."""
 
+import io
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdgacyc import cli, free_loop, functors
 from cdgacyc.free_loop import LoopAlgebra
 from cdgacyc.minimal_model import verify_minimal
 
-FIXTURES = Path(__file__).resolve().parent.parent / "src" / "cdgacyc" / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "src" / "cdgacyc" / "fixtures"
 
 S2 = str(FIXTURES / "sphere2.json")
 S3 = str(FIXTURES / "sphere3.json")
@@ -201,16 +209,31 @@ def test_inconsistency_fails_its_audit_and_the_others_still_run(
         return lambda r, lab: None if r == 3 else image(r, lab)
 
     monkeypatch.setattr(functors, "_top_slot", dropping)
+    # record the weights the comparison diagram checks
+    checked = []
+    fig7_weight = functors._fig7_weight
+
+    def recording(ctx, w):
+        checked.append(w)
+        return fig7_weight(ctx, w)
+
+    monkeypatch.setattr(functors, "_fig7_weight", recording)
     code, out, _ = run(["check", S2, "--cutoff", "6"], capsys)
     lines = out.splitlines()
     assert code == 1
     assert len(lines) == 7
-    assert "FAIL  comparison diagram  (map does not commute with d at 3)" in (
-        lines)
+    assert ("FAIL  comparison diagram  (map does not commute with d at "
+            "degree 3, weight 0)") in lines
     code, out, _ = run(["check", S2, "--cutoff", "6", "--json"], capsys)
     [record] = [r for r in json.loads(out) if r["status"] == "fail"]
     assert code == 1
-    assert record["witnesses"] == [{"check": record["reason"]}]
+    assert record["witnesses"]
+    for witness in record["witnesses"]:
+        assert witness == {"check": "map does not commute with d",
+                           "degree": 3, "weight": witness["weight"]}
+    # the weights after the first failing one are still checked
+    failing = min(w["weight"] for w in record["witnesses"])
+    assert max(checked) > failing
 
 
 def test_verify_minimal_fails_with_witness(torus, capsys):
@@ -536,11 +559,28 @@ X2_Y3 = [{"name": "x", "degree": 2}, {"name": "y", "degree": 3}]
                 {"name": "b", "degree": 4}],
       "products": [["a", "a", [{"monomial": [["b", 1]]}]], ["a", "a", []]]},
      "pair a,a"),
+    ({"generators": X2_Y3,
+      "differential": {"y": [{"coeff": "1/-2", "monomial": [["x", 2]]}]}},
+     "bad coefficient '1/-2'"),
 ])
 def test_malformed_input_exits_2(doc, named, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     code, out, err = run(["hh", str(bad), "--cutoff", "4"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and named in err
+
+
+@pytest.mark.parametrize("raw, named", [
+    ('{"generators": [{"name": "\xe9", "degree": 2}]}'.encode("latin-1"),
+     "can't decode byte 0xe9"),
+    (b"[" * 100_000 + b"]" * 100_000, "JSON nested too deeply"),
+])
+def test_unreadable_json_exits_2(raw, named, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(raw)
+    code, out, err = run(["hh", str(bad), "--cutoff", "2"], capsys)
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and named in err
@@ -552,3 +592,147 @@ def test_trivial_fixture(capsys):
     dims = [int(line.split()[2]) for line in out.splitlines()
             if line.strip().startswith(tuple("0123456789"))]
     assert dims == [1, 0, 0, 0, 0]
+
+
+# --- the command line: well-formed argv without argparse, the rest with it
+
+OPTIONS = ("--cutoff", "--weight-max", "--per-weight", "--json", "--emit",
+           "--seed")
+ABBREVIATED = tuple(opt[:5] for opt in OPTIONS)
+VALUES = ("3", "-1", " 4", "1_0", "x")
+EQ_FORMS = tuple(f"{opt}={v}" for opt in OPTIONS + ABBREVIATED for v in VALUES)
+TOKENS = ("hh", "minimal-model", "verify-minimal", "hx", "x.json", "-",
+          "--", "-h", *OPTIONS, *ABBREVIATED, *VALUES, *EQ_FORMS)
+
+
+def shuffled(parts):
+    """The pieces of parts in every order, each piece a tuple of tokens."""
+    head, options, noise = parts
+    return st.permutations([head, *options, *noise]).map(
+        lambda pieces: [tok for piece in pieces for tok in piece])
+
+
+# argv in pieces: the command with its file, options in every form, and a
+# few single tokens of any kind
+ARGV = st.tuples(
+    st.tuples(st.sampled_from(("hh", "minimal-model", "hx")),
+              st.sampled_from(("x.json", "y.json", "-", "--"))),
+    st.lists(st.one_of(
+        st.tuples(st.sampled_from(OPTIONS + ABBREVIATED),
+                  st.sampled_from(VALUES)),
+        st.tuples(st.sampled_from(OPTIONS + ABBREVIATED + EQ_FORMS)),
+    ), max_size=3),
+    st.lists(st.tuples(st.sampled_from(TOKENS)), max_size=2),
+).flatmap(shuffled)
+
+
+def argparse_namespace(argv):
+    """vars() of argparse's namespace for argv, or None where it exits."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@given(ARGV)
+@settings(max_examples=400, deadline=None)
+def test_fast_path_agrees_with_argparse(argv):
+    fast = cli.parse_well_formed(argv)
+    assert fast is None or vars(fast) == argparse_namespace(argv)
+
+
+# well-formed argv: the command, exact long options, and the file at any
+# place between the options
+OPTION = st.one_of(
+    st.sampled_from((["--per-weight"], ["--json"])),
+    st.tuples(st.sampled_from(("--cutoff", "--weight-max", "--seed",
+                               "--emit")),
+              st.sampled_from(("0", "3", " 4", "1_0", "+2")),
+              st.booleans()).map(
+        lambda o: [f"{o[0]}={o[1]}"] if o[2] else [o[0], o[1]]),
+)
+
+
+def well_formed(command, file, options, at):
+    pieces = [*options[:at], [file], *options[at:]]
+    return [command, *(tok for piece in pieces for tok in piece)]
+
+
+WELL_FORMED = st.builds(well_formed, st.sampled_from(cli.COMMANDS),
+                        st.sampled_from(("x.json", "a b", "3")),
+                        st.lists(OPTION, max_size=4), st.integers(0, 4))
+
+
+@given(WELL_FORMED)
+@settings(max_examples=200, deadline=None)
+def test_well_formed_argv_takes_the_fast_path(argv):
+    fast = cli.parse_well_formed(argv)
+    assert fast is not None
+    assert vars(fast) == argparse_namespace(argv)
+
+
+def test_benchmark_and_test_argv_take_the_fast_path(tmp_path):
+    expected = json.loads((ROOT / "perfbench" / "expected.json").read_text(
+        encoding="utf-8"))["commands"]
+    shapes = [key.split() for key in expected] + [
+        ["minimal-model", S2H, "--cutoff", "12", "--seed", "3"],
+        ["minimal-model", S2H, "--cutoff", "4", "--emit",
+         str(tmp_path / "m.json")],
+        ["hh", S3],
+        ["hh", S3, "--cutoff", "6", "--json"],
+        ["check", S2, "--cutoff", "3", "--weight-max", "1", "--json"],
+        ["verify-minimal", S2, "--cutoff=10", "--json"],
+    ]
+    for argv in shapes:
+        fast = cli.parse_well_formed(argv)
+        assert fast is not None, argv
+        assert vars(fast) == argparse_namespace(argv)
+
+
+def test_well_formed_argv_imports_no_argparse():
+    # in a fresh interpreter: pytest itself imports argparse
+    code = (
+        "import sys\n"
+        "from cdgacyc import cli\n"
+        f"assert cli.main(['hh', {S2!r}, '--cutoff', '2']) == 0\n"
+        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["hx", S3], "invalid choice: 'hx'"),
+    (["hh", S3, "--cutoff", "x"], "invalid int value: 'x'"),
+    (["hh"], "required: file"),
+    (["hh", S3, "--bogus"], "unrecognized arguments: --bogus"),
+    (["hh", S3, "--json=1"], "ignored explicit argument '1'"),
+    (["hh", S3, "--emit"], "expected one argument"),
+])
+def test_argument_errors_exit_2_with_argparse_usage(argv, named, capsys):
+    with pytest.raises(SystemExit) as stop:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert stop.value.code == 2
+    assert out == ""
+    assert err.startswith("usage: cdgacyc") and named in err
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(argv)
+    assert capsys.readouterr().err == err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["-h"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: cdgacyc")
+
+
+def test_abbreviated_options_read_as_the_full_ones(capsys):
+    abbreviated = run(["hh", S3, "--cut", "4", "--per"], capsys)
+    assert abbreviated == run(["hh", S3, "--cutoff", "4", "--per-weight"],
+                              capsys)
