@@ -41,7 +41,10 @@ and the canonical maps of a cone are label maps.  A diagram audit is
 ladder_audit: a morphism of short exact sequences checked as both long
 exact sequences plus the three squares.  Each induced map and each
 connecting map is computed once per degree and cached, as cohomology
-is, so the sequences and the squares share them.
+is, so the sequences and the squares share them.  A composite through a
+zero group is zero by its shape, so the chain-map and proj.incl checks,
+the exactness test of a node and a ladder square form no product there,
+and a connecting map out of a zero group lifts nothing.
 
 An audit returns one Audit record, made by the audit decorator from the
 witnesses it finds: les_audit finds the nodes that are not exact,
@@ -204,6 +207,9 @@ class ChainMap:
                 raise ComplexError(f"chain map has wrong shape at degree {n}")
             self.mats[n] = m
         for n in check_degrees:
+            # both sides map C^n to C^{n+1}: zero where either is 0
+            if not (source.dim(n) and target.dim(n + 1)):
+                continue
             lhs = self.matrix(n + 1) @ source.d(n)
             rhs = target.d(n) @ self.matrix(n)
             if lhs != rhs:
@@ -548,25 +554,26 @@ def mapping_cone(f):
         ]
         if labs:
             labels[n] = labs
+    # -d1 is the differential of C1[1], and a block of the cone's
+    minus_d1 = {n - 1: c1.d(n).scale(-1) for n in c1.degrees}
     diff = {}
     for n in degrees:
-        d2 = c2.d(n)
-        d1 = c1.d(n + 1)
-        fm = f.matrix(n + 1)
-        rows = c2.dim(n + 1) + c1.dim(n + 2)
-        cols = c2.dim(n) + c1.dim(n + 1)
-        entries = {}
-        for (i, j), v in d2.entries.items():
-            entries[(i, j)] = v
-        for (i, j), v in fm.entries.items():
-            entries[(i, c2.dim(n) + j)] = v
-        for (i, j), v in d1.entries.items():
-            entries[(c2.dim(n + 1) + i, c2.dim(n) + j)] = -v
-        diff[n] = SparseMatrix(rows, cols, entries)
+        a, b = c2.dim(n), c2.dim(n + 1)
+        blocks = [(c2.d(n), 0, 0), (f.matrix(n + 1), 0, a)]
+        if n in minus_d1:
+            blocks.append((minus_d1[n], b, a))
+        forms = [(m.integer(), i0, j0) for m, i0, j0 in blocks]
+        den = math.lcm(*[d for (d, _), _, _ in forms])
+        nums = {}
+        for (d, part), i0, j0 in forms:
+            s = den // d
+            nums.update({(i + i0, j + j0): v * s for (i, j), v in part.items()})
+        diff[n] = SparseMatrix(b + c1.dim(n + 2), a + c1.dim(n + 1),
+                               integer=(den, nums))
     cone = CochainComplex(labels, diff)
     shifted = CochainComplex(
         {n - 1: [(1, lab) for lab in c1.labels[n]] for n in c1.degrees},
-        {n - 1: c1.d(n).scale(-1) for n in c1.degrees},
+        minus_d1,
     )
     include = label_map(c2, cone, lambda n, lab: (0, lab))
     project = label_map(cone, shifted,
@@ -585,8 +592,9 @@ class ShortExactSequence:
         a, b, c = incl.source, incl.target, proj.target
         self.a, self.b, self.c = a, b, c
         for n in degrees:
-            comp = proj.matrix(n) @ incl.matrix(n)
-            if not comp.is_zero():
+            # proj.incl maps A^n to C^n: zero where either is 0
+            if (a.dim(n) and c.dim(n)
+                    and not (proj.matrix(n) @ incl.matrix(n)).is_zero()):
                 raise ConsistencyError("proj.incl != 0", n)
             ri = linalg.rank(incl.matrix(n))
             rp = linalg.rank(proj.matrix(n))
@@ -605,6 +613,10 @@ class ShortExactSequence:
             return self._connecting[r]
         hc = self.c.cohomology(r)
         ha = self.a.cohomology(r + 1)
+        if not hc.dim:
+            # out of a zero group: nothing to lift
+            self._connecting[r] = SparseMatrix.zero(ha.dim, 0)
+            return self._connecting[r]
         lifts = linalg.solve(self.proj.matrix(r), hc.representatives)
         if None in lifts:
             raise ConsistencyError("cocycle fails to lift", r)
@@ -613,7 +625,9 @@ class ShortExactSequence:
                               [d_b.apply(b) for b in lifts])
         if None in pulled:
             raise ConsistencyError("d(lift) not in the subcomplex", r)
-        cols = ha.coordinates(pulled)
+        # in a zero ambient every pulled vector is 0, a class with no
+        # coordinates
+        cols = ha.coordinates(pulled) if ha.ambient else [{}] * len(pulled)
         if None in cols:
             raise ConsistencyError("connecting image not a cocycle", r)
         self._connecting[r] = SparseMatrix.from_columns(ha.dim, cols)
@@ -653,7 +667,10 @@ def les_audit(names, dims, maps):
     ranks = [linalg.rank(m) for m in maps]
     bad = []
     for i in range(1, len(dims) - 1):
-        if not ((maps[i] @ maps[i - 1]).is_zero()
+        into, out = maps[i - 1], maps[i]
+        # a composite through a zero group is zero: its ranks decide
+        through_zero = not (into.rows or out.cols)
+        if not ((through_zero or (out @ into).is_zero())
                 and ranks[i - 1] + ranks[i] == dims[i]):
             bad.append({"check": "not exact", "degree": names[i][1],
                         "node": names[i][0]})
@@ -675,18 +692,27 @@ def ladder_audit(top, bottom, verticals, r_hi):
     bad = [dict(w, check=f"row {row} {w['check']}")
            for row, ses in ((1, top), (2, bottom))
            for w in les_audit(*ses.les(1, r_hi))]
+
+    def differ(f, g, h, k):
+        """Whether f.g != h.k.  Two composites of one empty shape, from a
+        source or into a target group of dimension 0, are equal zeros."""
+        if (f.cols == g.rows and h.cols == k.rows and not (f.rows and g.cols)
+                and (f.rows, g.cols) == (h.rows, k.cols)):
+            return False
+        return f @ g != h @ k
+
     for r in range(1, r_hi + 1):
         squares = [
-            ("vb.i1 = i2.va", vb.induced(r) @ top.incl.induced(r),
-             bottom.incl.induced(r) @ va.induced(r)),
-            ("vc.p1 = p2.vb", vc.induced(r) @ top.proj.induced(r),
-             bottom.proj.induced(r) @ vb.induced(r)),
+            ("vb.i1 = i2.va", differ(vb.induced(r), top.incl.induced(r),
+                                     bottom.incl.induced(r), va.induced(r))),
+            ("vc.p1 = p2.vb", differ(vc.induced(r), top.proj.induced(r),
+                                     bottom.proj.induced(r), vb.induced(r))),
         ]
         if r < r_hi:
-            squares.append(("va.delta1 = delta2.vc",
-                            va.induced(r + 1) @ top.connecting(r),
-                            bottom.connecting(r) @ vc.induced(r)))
-        failing = [name for name, lhs, rhs in squares if lhs != rhs]
+            squares.append(("va.delta1 = delta2.vc", differ(
+                va.induced(r + 1), top.connecting(r),
+                bottom.connecting(r), vc.induced(r))))
+        failing = [name for name, differs in squares if differs]
         if failing:
             bad.append({"check": "square does not commute", "degree": r,
                         "square": failing[0]})

@@ -1,17 +1,27 @@
 """Exact sparse linear algebra over the rationals.
 
-Everything downstream (cohomology of every complex, induced maps, audits)
-reduces to the operations here: rank, kernel, image, subquotient bases and
-maps induced on subquotients.  Each is read off a sparse reduced row
-echelon form over Q, computed once per matrix and cached on it.  A
-subquotient Ker(d_out)/Im(d_in) works in kernel coordinates, the entries
-of a cocycle on the free columns of RREF(d_out): its dimension is
-nullity(d_out) - rank(d_in), and its representatives and the coordinates
-of a class come from one elimination of the image in those coordinates,
-made on first use, so no coordinate lookup or induced map eliminates
-anything.  ``solve`` appends a whole batch of right-hand sides to the
-matrix, so lifts never eliminate once per vector.  All arithmetic is
-exact; matrices are immutable after construction.
+Everything downstream (cohomology of every complex, induced maps,
+audits) reduces to the operations here: rank, kernel, image, subquotient
+bases and maps induced on subquotients.  Each is read off a sparse
+reduced row echelon form over Q, computed once per matrix and cached on
+it.  The elimination leaves its rows integral (``kernels.Echelon``): a
+rank reads only the pivots and divides nothing, and a reader that needs
+entries of a row divides just those.  A subquotient Ker(d_out)/Im(d_in)
+works in kernel coordinates, the entries of a cocycle on the free
+columns of RREF(d_out): its dimension is nullity(d_out) - rank(d_in),
+and its representatives and the coordinates of a class come from one
+elimination of the image in those coordinates, made on first use, so no
+coordinate lookup or induced map eliminates anything.  ``solve`` appends
+a whole batch of right-hand sides to the matrix, so lifts never
+eliminate once per vector.  All arithmetic is exact; matrices are
+immutable after construction.
+
+What the shapes alone fix is returned without computing it.  The map
+induced into or out of a subquotient of a zero ambient is the zero
+matrix of its shape, with no coordinates read; a zero ambient needs no
+d_out . d_in test; a product with a zero operand is the zero of its
+shape, and ``SparseMatrix.zero`` gives one shared, read-only instance
+per shape.
 
 A vector is a sparse dict ``{index: Fraction}`` with no stored zeros and
 every index in range of its ambient space; the zero vector is ``{}``.
@@ -31,19 +41,22 @@ Arithmetic runs over Z.  A matrix's integer form is a pair ``(den,
 {(row, col): int})`` with den > 0, no stored zero, and the matrix equal
 to the integer matrix divided by den; it is built once per matrix.
 Products, sums, differences, scalings, equality, zero tests and the
-cocycle test ``d_out . v = 0`` read only integer forms, and a matrix made
-by arithmetic is born in integer form: its ``Fraction`` entries are
-built when something reads ``entries``.  A relabelling (a label map,
-the identity) is the 0/1 matrix of an injective column -> row map, kept
-as that map: applying it or multiplying by it on either side moves
-entries by index, with no arithmetic, and its rank is its number of
-entries.  A map that is not injective gives a general matrix.
+cocycle test ``d_out . v = 0`` read only integer forms (the cocycle
+test through an integer column index of d_out, touching only the columns
+that v hits), and a matrix made by arithmetic is born in integer form:
+its ``Fraction`` entries are built when something reads ``entries``.  A
+relabelling (a label map, the identity) is the 0/1 matrix of an
+injective column -> row map, kept as that map: applying it or
+multiplying by it on either side moves entries by index, with no
+arithmetic, and its rank is its number of entries.  A map that is not
+injective gives a general matrix.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
+from types import MappingProxyType
 
-from cdgacyc.kernels import bareiss
+from cdgacyc.kernels import Echelon, bareiss
 
 _ONE = Fraction(1)
 
@@ -65,7 +78,7 @@ class SparseMatrix:
     """
 
     __slots__ = ("rows", "cols", "_entries", "_integer", "_image",
-                 "_echelon", "_columns")
+                 "_echelon", "_columns", "_integer_columns")
 
     def __init__(self, rows, cols, entries=None, integer=None, image=None):
         """A matrix of shape rows x cols, from its entries, its integer
@@ -80,6 +93,7 @@ class SparseMatrix:
         self._image = image
         self._echelon = None
         self._columns = None
+        self._integer_columns = None
 
     @classmethod
     def validated(cls, rows, cols, entries):
@@ -104,7 +118,13 @@ class SparseMatrix:
 
     @classmethod
     def zero(cls, rows, cols):
-        return cls(rows, cols, {})
+        """The rows x cols zero matrix: one shared instance per shape,
+        its entries, integer form and column indexes read-only."""
+        m = _ZEROS.get((rows, cols))
+        if m is None:
+            m = _ZEROS[(rows, cols)] = cls(rows, cols, _EMPTY, (1, _EMPTY))
+            m._columns = m._integer_columns = _EMPTY
+        return m
 
     @classmethod
     def identity(cls, n):
@@ -160,6 +180,8 @@ class SparseMatrix:
         return self._integer
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not (isinstance(other, SparseMatrix) and self.rows == other.rows
                 and self.cols == other.cols):
             return False
@@ -214,7 +236,7 @@ class SparseMatrix:
         """c times the matrix, for an int or Fraction c."""
         p, q = c.as_integer_ratio()
         if not p:
-            return SparseMatrix(self.rows, self.cols, integer=(1, {}))
+            return SparseMatrix.zero(self.rows, self.cols)
         den, nums = self.integer()
         return _born(self.rows, self.cols, den * q,
                      {k: p * v for k, v in nums.items()})
@@ -224,7 +246,7 @@ class SparseMatrix:
             raise LinalgError("shape mismatch in @")
         rows, cols = self.rows, other.cols
         if self.is_zero() or other.is_zero():
-            return SparseMatrix(rows, cols, integer=(1, {}))
+            return SparseMatrix.zero(rows, cols)
         outer, inner = self._image, other._image
         if outer is not None and inner is not None:
             return SparseMatrix(rows, cols, image={
@@ -276,22 +298,33 @@ class SparseMatrix:
     def annihilates(self, vectors):
         """For each {index: Fraction} vector v, whether this matrix times v
         is zero, decided over Z: each v is scaled by the lcm of its
-        denominators, and no product vector is built."""
-        nums = {}
-        for k, v in enumerate(vectors):
+        denominators and meets only the columns of the integer form that
+        it hits, read through an integer column index built once."""
+        cols = self._integer_columns
+        if cols is None:
+            cols = self._integer_columns = {}
+            for (i, j), w in self.integer()[1].items():
+                cols.setdefault(j, []).append((i, w))
+        out = []
+        for v in vectors:
             den = lcm(*[x.denominator for x in v.values()])
-            nums.update({(j, k): x.numerator * (den // x.denominator)
-                         for j, x in v.items()})
-        hit = {k for _, k in _product(self.integer()[1], nums)}
-        return [k not in hit for k in range(len(vectors))]
+            acc = {}
+            for j, x in v.items():
+                terms = cols.get(j)
+                if terms:
+                    y = x.numerator * (den // x.denominator)
+                    for i, w in terms:
+                        acc[i] = acc.get(i, 0) + w * y
+            out.append(not any(acc.values()))
+        return out
 
     def echelon(self):
-        """Reduced row echelon form, cached: (nonzero rows as {col: Fraction}
-        dicts in pivot order, ascending pivot columns).  A matrix with no
-        entries is not eliminated; one with its integer form built is
-        eliminated from that form."""
+        """Reduced row echelon form, cached: (its rows as a kernels.Echelon,
+        ascending pivot columns).  A matrix with no entries is not
+        eliminated; one with its integer form built is eliminated from
+        that form."""
         if self._echelon is None and self.is_zero():
-            self._echelon = ([], [])
+            self._echelon = (Echelon((), ()), ())
         elif self._echelon is None:
             entries = (self.entries if self._integer is None
                        else self._integer[1])
@@ -301,6 +334,10 @@ class SparseMatrix:
             self._echelon = bareiss([tuple(sorted(r)) for r in rows],
                                     self.cols)
         return self._echelon
+
+
+_ZEROS = {}
+_EMPTY = MappingProxyType({})
 
 
 def _born(rows, cols, den, nums):
@@ -352,10 +389,11 @@ def _kernel_vectors(m, frees):
     0 at every other free column."""
     rows, pivots = m.echelon()
     basis = {f: {f: _ONE} for f in frees}
-    for p, row in zip(pivots, rows):
+    for p, row in zip(pivots, rows.integral):
+        d = row[p]
         for j, x in row.items():
             if j in basis:
-                basis[j][p] = -x
+                basis[j][p] = Fraction(-x, d)
     return list(basis.values())
 
 
@@ -382,16 +420,18 @@ def solve(m, rhs):
     entries = dict(m.entries)
     for k, b in enumerate(rhs):
         entries.update({(i, n + k): x for i, x in b.items()})
-    rows, pivots = SparseMatrix(m.rows, n + len(rhs), entries).echelon()
+    echelon, pivots = SparseMatrix(m.rows, n + len(rhs), entries).echelon()
+    rows = echelon.integral
     r = sum(p < n for p in pivots)
     # b is outside the column space exactly when a row past rank(m) has
     # an entry in its column.
     outside = set().union(*rows[r:])
     out = [None if n + k in outside else {} for k in range(len(rhs))]
     for p, row in zip(pivots[:r], rows):
+        d = row[p]
         for c, x in row.items():
             if c >= n and out[c - n] is not None:
-                out[c - n][p] = x
+                out[c - n][p] = Fraction(x, d)
     return out
 
 
@@ -442,8 +482,9 @@ class SubquotientBasis:
                 rows = [[(pos[j], x) for j, x in v.items() if j in pos]
                         for v in self.image]
                 echelon, leads = bareiss(rows, len(free))
-                for c, row in zip(leads, echelon):
-                    table[free[last - c]] = {free[last - j]: x
+                for c, row in zip(leads, echelon.integral):
+                    d = row[c]
+                    table[free[last - c]] = {free[last - j]: Fraction(x, d)
                                              for j, x in row.items() if j != c}
             reps = {f: i for i, f in enumerate(
                 [f for f in free if f not in table])}
@@ -501,7 +542,7 @@ def cohomology_at(d_in, d_out):
     """
     if d_in.rows != d_out.cols:
         raise LinalgError("ambient dimension mismatch")
-    if not (d_out @ d_in).is_zero():
+    if d_in.rows and not (d_out @ d_in).is_zero():
         raise PreconditionError("d_out . d_in != 0")
     return SubquotientBasis(d_in, d_out)
 
@@ -525,6 +566,8 @@ def induced_map(f, source, target):
     """
     if f.cols != source.ambient or f.rows != target.ambient:
         raise LinalgError("shape mismatch for induced map")
+    if not (source.ambient and target.ambient):
+        return SparseMatrix.zero(target.dim, source.dim)
     k = len(source.image)
     coords = target.coordinates(
         [f.apply(v) for v in source.image + source.representatives]

@@ -402,3 +402,58 @@ def test_short_exact_sequence_rank_checks():
         _ses_in_degree_0(2, 3, 1, {(0, 0): 1, (0, 1): 1}, {(0, 2): 1})
     with pytest.raises(ConsistencyError, match="projection not surjective"):
         _ses_in_degree_0(1, 2, 1, {(0, 0): 1}, {})
+
+
+def test_proj_incl_is_checked_where_both_ends_are_nonzero():
+    with pytest.raises(ConsistencyError, match="proj.incl != 0 at degree 0"):
+        _ses_in_degree_0(1, 2, 1, {(0, 0): 1}, {(0, 0): 1})
+    # A or C of dimension 0: proj.incl is a zero matrix by its shape
+    _ses_in_degree_0(0, 1, 1, {}, {(0, 0): 1})
+    _ses_in_degree_0(1, 1, 0, {(0, 0): 1}, {})
+
+
+def test_chain_map_next_to_empty_degrees_still_commutes_or_raises():
+    # degrees 0 and 3 are empty on both sides, so only degree 1 can fail
+    src = CochainComplex({1: ["a"], 2: ["b"]}, {1: M_([[1]])})
+    tgt = CochainComplex({1: ["a"], 2: ["b"]}, {1: M_([[0]])})
+    ones = {1: M_([[1]]), 2: M_([[1]])}
+    ChainMap(src, src, ones, check_degrees=range(-1, 4))
+    with pytest.raises(ConsistencyError) as err:
+        ChainMap(src, tgt, ones, check_degrees=range(-1, 4))
+    assert (err.value.check, err.value.degree) == (
+        "map does not commute with d", 1)
+
+
+def test_les_audit_rejects_maps_that_disagree_with_the_nodes():
+    names = [("A", 1), ("B", 1), ("C", 1)]
+    one, empty = M_([[1]]), SparseMatrix.zero(0, 1)
+    witness = [{"check": "not exact", "degree": 1, "node": "B"}]
+    # maps through a group the dims call 0, and through a 0 the dims call 1
+    assert les_audit(names, [1, 0, 1], [one, one]) == witness
+    assert les_audit(names, [1, 1, 1],
+                     [empty, SparseMatrix.zero(1, 0)]) == witness
+    assert les_audit(names, [1, 0, 1],
+                     [empty, SparseMatrix.zero(1, 0)]) == []
+    # maps whose shapes disagree with each other cannot be composed
+    with pytest.raises(linalg.LinalgError, match="shape mismatch"):
+        les_audit(names, [1, 0, 1], [empty, one])
+
+
+def test_mapping_cone_blocks_keep_their_fractions():
+    # d is 1/2 on C1 and 3/2 on C2, and f = (1/3, 1) commutes with them
+    c1 = CochainComplex({0: ["a"], 1: ["b"]}, {0: M_([[Fraction(1, 2)]])})
+    c2 = CochainComplex({0: ["x"], 1: ["y"]}, {0: M_([[Fraction(3, 2)]])})
+    f = ChainMap(c1, c2, {0: M_([[Fraction(1, 3)]]), 1: M_([[1]])},
+                 check_degrees=[0])
+    cone, include, project = mapping_cone(f)
+    assert cone.labels == {-1: [(1, "a")], 0: [(0, "x"), (1, "b")],
+                           1: [(0, "y")]}
+    # [[d2, f], [0, -d1]] at degrees -1 and 0
+    assert cone.d(-1).entries == {(0, 0): Fraction(1, 3),
+                                  (1, 0): Fraction(-1, 2)}
+    assert cone.d(0).entries == {(0, 0): Fraction(3, 2), (0, 1): 1}
+    assert project.target.d(-1).entries == {(0, 0): Fraction(-1, 2)}
+    for m in (cone.d(-1), cone.d(0), project.target.d(-1)):
+        assert all(type(v) is Fraction for v in m.entries.values())
+    # f is a quasi-isomorphism of acyclic complexes: its cone is acyclic
+    assert [cone.betti(n) for n in (-1, 0, 1)] == [0, 0, 0]

@@ -104,3 +104,26 @@ def test_hilbert_matrix_reduces_to_the_identity():
     assert pivots == list(range(n))
     assert echelon == [{i: 1} for i in range(n)]
     assert exact(echelon)
+
+
+def test_ranks_divide_nothing(monkeypatch):
+    # RREF [[1, 0, -1/2], [0, 1, 1/2]]: its rows are read only as Fractions
+    rows = [[2, 4, 1], [1, 3, 1]]
+    d_out = linalg.SparseMatrix.validated(2, 3, {
+        (i, j): v for i, r in enumerate(rows) for j, v in enumerate(r)})
+    d_in = linalg.SparseMatrix.validated(3, 1, {(0, 0): 1, (1, 0): -1,
+                                                (2, 0): 2})
+
+    def forbidden(*args):
+        raise AssertionError("divided into a Fraction")
+
+    monkeypatch.setattr(kernels, "Fraction", forbidden)
+    monkeypatch.setattr(linalg, "Fraction", forbidden)
+    echelon, pivots = kernels.bareiss(sparse(rows), 3)
+    assert (pivots, len(echelon)) == ([0, 1], 2)
+    assert echelon.integral == [{0: 2, 2: -1}, {1: 2, 2: 1}]
+    assert (linalg.rank(d_out), linalg.nullity(d_out)) == (2, 1)
+    assert linalg.cohomology_at(d_in, d_out).dim == 0
+    monkeypatch.undo()
+    assert echelon == [{0: 1, 2: Fraction(-1, 2)}, {1: 1, 2: Fraction(1, 2)}]
+    assert exact(echelon)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdgacyc import linalg
+from cdgacyc import cli, linalg
 from cdgacyc.cli import load_algebra
 from cdgacyc.complexes import (band_complex, label_inclusion, mapping_cone,
                                plus_complex, plus_power_matrix, shift_complex)
@@ -724,3 +724,103 @@ def test_betti_builds_no_kernel_basis(monkeypatch):
     shapes = [(m.rows, m.cols) for m in amb.diff.values() if m.entries]
     assert len(calls) <= len(shapes)
     assert all((rows, ncols) in shapes for rows, ncols in calls)
+
+
+def test_induced_map_on_a_zero_ambient_is_the_zero_matrix():
+    # the long path reads no coordinates here and gives the same shapes
+    point = linalg.cohomology_at(SparseMatrix.zero(0, 0),
+                                 SparseMatrix.zero(0, 0))
+    plane = linalg.cohomology_at(SparseMatrix.zero(2, 0),
+                                 SparseMatrix.zero(0, 2))
+    line = linalg.cohomology_at(M([[1], [0]]), SparseMatrix.zero(0, 2))
+    assert (point.ambient, plane.dim, line.dim) == (0, 2, 1)
+    for f, source, target in [(SparseMatrix.zero(2, 0), point, plane),
+                              (SparseMatrix.zero(0, 2), plane, point),
+                              (SparseMatrix.zero(0, 2), line, point),
+                              (SparseMatrix.zero(2, 0), point, line)]:
+        m = linalg.induced_map(f, source, target)
+        assert (m.rows, m.cols) == (target.dim, source.dim)
+        assert m.is_zero()
+        assert m == SparseMatrix.from_columns(
+            target.dim, [{} for _ in range(source.dim)])
+    for f, source, target in [(SparseMatrix.zero(2, 1), point, plane),
+                              (SparseMatrix.zero(1, 2), plane, point),
+                              (SparseMatrix.zero(0, 0), point, plane)]:
+        with pytest.raises(linalg.LinalgError, match="shape mismatch"):
+            linalg.induced_map(f, source, target)
+
+
+def test_cohomology_at_checks_shapes_and_the_composite():
+    with pytest.raises(linalg.LinalgError, match="ambient dimension"):
+        linalg.cohomology_at(SparseMatrix.zero(0, 2), M([[1, 1]]))
+    with pytest.raises(linalg.LinalgError, match="ambient dimension"):
+        linalg.cohomology_at(M([[1, 1]]), SparseMatrix.zero(2, 0))
+    # a zero ambient is always a complex: its subquotient is 0
+    h = linalg.cohomology_at(SparseMatrix.zero(0, 3), SparseMatrix.zero(2, 0))
+    assert (h.dim, h.ambient, h.representatives) == (0, 0, [])
+    # a nonzero ambient still has d_out . d_in decided
+    with pytest.raises(linalg.PreconditionError):
+        linalg.cohomology_at(M([[1, 0], [0, 0]]), M([[1, 0]]))
+    assert linalg.cohomology_at(M([[0, 0], [1, 0]]), M([[1, 0]])).dim == 0
+
+
+def test_zero_matrices_are_shared_and_nothing_changes_them():
+    z = SparseMatrix.zero(2, 2)
+    assert SparseMatrix.zero(2, 2) is z
+    assert SparseMatrix.zero(2, 3) is not z
+    a = M([[1, 2], [3, 4]])
+    # a product with a zero operand, or with an empty shape, is the
+    # shared zero of its shape
+    assert a @ z is z and z @ a is z and a.scale(0) is z
+    assert SparseMatrix.zero(3, 0) @ SparseMatrix.zero(0, 2) \
+        is SparseMatrix.zero(3, 2)
+    # read z every way the package reads a matrix, and change what comes
+    # back
+    basis = linalg.kernel_basis(z)
+    basis[0][1] = Fraction(5)
+    assert linalg.solve(z, [{}, {0: Fraction(1)}]) == [{}, None]
+    h = linalg.cohomology_at(z, z)
+    h.representatives[0][1] = Fraction(7)
+    assert h.coordinates([{0: Fraction(1)}]) == [{0: Fraction(1)}]
+    assert z.apply({0: Fraction(1)}) == {}
+    assert z + a == a and a - z == a and (z - a) == a.scale(-1)
+    # every form of z is read-only
+    for form in (z.entries, z.integer()[1], z.columns()):
+        with pytest.raises(TypeError):
+            form[(0, 0)] = Fraction(1)
+    # another zero of the shape is still zero and eliminates as one
+    fresh = SparseMatrix.zero(2, 2)
+    assert fresh.is_zero() and fresh == SparseMatrix.validated(2, 2, {})
+    assert linalg.kernel_basis(fresh) == [{0: 1}, {1: 1}]
+    assert linalg.cohomology_at(fresh, fresh).representatives \
+        == [{0: 1}, {1: 1}]
+
+
+def test_check_leaves_zero_groups_to_the_shapes(monkeypatch, capsys):
+    # counts, not times: no coordinate lookup on a zero ambient, and every
+    # product of an empty shape is the shared zero
+    ambients, products, built = [], [], []
+    coordinates = linalg.SubquotientBasis.coordinates
+    matmul = SparseMatrix.__matmul__
+
+    def counted_coordinates(self, vectors):
+        ambients.append(self.ambient)
+        return coordinates(self, vectors)
+
+    def counted_matmul(a, b):
+        out = matmul(a, b)
+        products.append(out)
+        if not (out.rows and out.cols) and \
+                out is not SparseMatrix.zero(out.rows, out.cols):
+            built.append((out.rows, out.cols))
+        return out
+
+    monkeypatch.setattr(linalg.SubquotientBasis, "coordinates",
+                        counted_coordinates)
+    monkeypatch.setattr(SparseMatrix, "__matmul__", counted_matmul)
+    argv = ["check", str(FIXTURES / "product_s2_s3.json"), "--cutoff", "6"]
+    assert cli.main(argv) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert ambients and 0 not in ambients
+    assert any(not (m.rows and m.cols) for m in products)
+    assert built == []
