@@ -10,9 +10,20 @@ A well-formed command line (the command, the file and exact long options)
 is read without argparse, which would cost a few milliseconds of every
 run; help, abbreviated options and every usage error go through the
 argparse parser of build_parser, the reference for both.
+
+Run as a program (``python -m cdgacyc.cli`` or the ``cdgacyc`` script),
+a command goes through ``run``: it flushes its output and then ends the
+process with ``os._exit``, skipping interpreter teardown.  The teardown
+frees every module, cache and object the process is about to discard,
+about 9-13 ms of a run of some 50 ms, and the process holds nothing that
+needs it (a file written by ``--emit`` is closed before ``main``
+returns).  A flush that fails, and any exception or exit raised inside
+``main``, take the ordinary exit path.  ``main`` called as a library
+returns its exit code and ends nothing.
 """
 
 import json
+import os
 import re
 import sys
 import types
@@ -424,5 +435,21 @@ def main(argv=None):
         return 2
 
 
+def run():
+    """The program's entry point: main(), its output flushed, and the
+    process ended with main's exit code without interpreter teardown.
+    A flush that raises OSError (such as a closed pipe) exits through
+    sys.exit, so the interpreter reports it as it does any failed
+    flush at exit."""
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code or 0)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -398,12 +398,20 @@ def _kernel_vectors(m, frees):
 
 
 def image_basis(m):
-    """Columns of m forming a basis of its column space (pivot columns)."""
+    """Columns of m forming a basis of its column space (pivot columns).
+    A matrix born in integer form builds Fractions for these columns
+    only."""
     _, pivots = m.echelon()
     cols = {j: {} for j in pivots}
-    for (i, j), v in m.entries.items():
-        if j in cols:
-            cols[j][i] = v
+    if m._entries is None and m._image is None:
+        den, nums = m._integer
+        for (i, j), v in nums.items():
+            if j in cols:
+                cols[j][i] = Fraction(v, den)
+    else:
+        for (i, j), v in m.entries.items():
+            if j in cols:
+                cols[j][i] = v
     return list(cols.values())
 
 

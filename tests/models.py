@@ -3,11 +3,12 @@
 A model is a pair ``(generators, differential)``: ``generators`` lists
 ``(name, degree)`` and ``differential`` maps a generator name to a
 polynomial ``{((name, exp), ...): Fraction}``: spheres and projective
-spaces, and their tensor products.  Factors get distinct names
-from their tag, so tensor products are plain unions.  ``rescaled`` gives
-an isomorphic copy (x' = s_x x for a seeded nonzero rational s_x, so
-c * prod x^e in d(y) becomes c * s_y / prod s_x^e); every table of the
-package depends only on the isomorphism class.
+spaces, their tensor products, and a model that is not pure.  Factors
+get distinct names from their tag, so tensor products are plain unions.
+``rescaled`` gives an isomorphic copy (x' = s_x x for a seeded nonzero
+rational s_x, so c * prod x^e in d(y) becomes c * s_y / prod s_x^e);
+every table of the package depends only on the isomorphism class.
+``brute_form`` gives a model in the form ``tests/oracles.py`` takes.
 """
 
 from fractions import Fraction
@@ -30,6 +31,17 @@ def projective_space(n, tag):
     """CP^n: x of degree 2 and y of degree 2n + 1 with dy = x^(n+1)."""
     x, y = f"x{tag}", f"y{tag}"
     return [(x, 2), (y, 2 * n + 1)], {y: {((x, n + 1),): Fraction(1)}}
+
+
+def non_pure():
+    """Lambda(a2, b2, x3, y3, z4) with dx = a^2, dy = ab, dz = ay - bx.
+    The even generator z has dz != 0, so the model is not pure; with 3
+    even and 2 odd generators its cohomology is infinite."""
+    one = Fraction(1)
+    return ([("a", 2), ("b", 2), ("x", 3), ("y", 3), ("z", 4)],
+            {"x": {(("a", 2),): one},
+             "y": {(("a", 1), ("b", 1)): one},
+             "z": {(("a", 1), ("y", 1)): one, (("b", 1), ("x", 1)): -one}})
 
 
 def tensor(*models):
@@ -68,3 +80,19 @@ def free_cdga(model):
             for mono, c in p.items()}
         for y, p in diff.items()}
     return FreeCDGA(list(by_name.values()), values)
+
+
+def brute_form(model):
+    """The model as ``tests/oracles.BruteAlgebra`` takes it: the same
+    generators, and d as [(coeff, exponent tuple)] in generator order."""
+    gens, diff = model
+    slot = {name: i for i, (name, _) in enumerate(gens)}
+
+    def exponents(mono):
+        v = [0] * len(gens)
+        for x, e in mono:
+            v[slot[x]] = e
+        return tuple(v)
+
+    return gens, {y: [(c, exponents(m)) for m, c in p.items()]
+                  for y, p in diff.items()}

@@ -14,6 +14,7 @@ from cdgacyc.free_loop import base_cochain
 from cdgacyc.gralg import FreeCDGA, Generator
 
 import oracles
+from models import brute_form, free_cdga, non_pure
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "cdgacyc" / "fixtures"
 
@@ -62,6 +63,13 @@ def test_hh_sphere3_matches_oracle(ctx3):
 def test_hh_sphere2_matches_oracle(ctx2):
     hh = F.HH(ctx2)
     assert [hh.total(n) for n in range(13)] == oracles.hh_sphere2(13)
+
+
+def test_hh_of_a_non_pure_model_matches_oracle():
+    model = non_pure()
+    want = oracles.cohomology_dims(oracles.loop_of(*brute_form(model))[0], 7)
+    hh = F.HH(F.LoopContext(free_cdga(model), 6))
+    assert [hh.total(n) for n in range(7)] == want
 
 
 def test_hh_weights_sum_to_totals(ctx2):

@@ -103,6 +103,16 @@ def test_image_basis_spans_columns():
         assert linalg.solve(span, [column(m, j)])[0] is not None
 
 
+def test_image_basis_of_integer_born_matrix_matches_fraction_entries():
+    rows = [[1, 2, 3, 0], [2, 4, 6, 5], [0, 1, 1, -3]]
+    nums = {(i, j): v for i, r in enumerate(rows) for j, v in enumerate(r)
+            if v}
+    born = SparseMatrix(3, 4, integer=(6, nums))
+    built = SparseMatrix(3, 4, {k: Fraction(v, 6) for k, v in nums.items()})
+    assert linalg.image_basis(born) == linalg.image_basis(built)
+    assert born._entries is None  # no Fraction built for a dropped column
+
+
 def test_matrix_algebra():
     a = M([[1, 2], [3, 4]])
     b = M([[0, 1], [1, 0]])
