@@ -53,7 +53,6 @@ ladder_audit those nodes and its first failing square.
 
 import functools
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 from cdgacyc import linalg
@@ -353,11 +352,11 @@ class MixedComplex:
         a stored entry v is nonzero, so they agree iff k^{w_i} = c k^{w_j},
         an identity of integers (weights are nonnegative ints).
         """
-        if mat is None or not mat.entries:
+        if mat is None or mat.is_zero():
             return True
         left = [k ** w for w in self.weights[n_out]]
         right = [c * k ** w for w in self.weights[n_in]]
-        return all(left[i] == right[j] for i, j in mat.entries)
+        return all(left[i] == right[j] for i, j in mat.integer()[1])
 
     def weight_of(self, n, i):
         return self.weights[n][i]
@@ -373,16 +372,7 @@ class MixedComplex:
 
     def power_matrix(self, k, n):
         """Psi_k on C^n: diagonal k^weight."""
-        if k == 0:
-            raise ComplexError("Psi_0 is not defined")
-        return SparseMatrix(
-            self.dim(n),
-            self.dim(n),
-            {
-                (i, i): _power(k, self.weight_of(n, i))
-                for i in range(self.dim(n))
-            },
-        )
+        return _powers(k, self.weights.get(n, []))
 
     def cochain(self):
         """(C, delta) as a plain cochain complex."""
@@ -403,7 +393,7 @@ class MixedComplex:
             kept_in = keep.get(n, [])
             kept_out = {i: r for r, i in enumerate(keep.get(n_out, []))}
             cols = mat.columns()
-            entries = {}
+            nums = {}
             for c, i in enumerate(kept_in):
                 for row, v in cols.get(i, ()):
                     if row not in kept_out:
@@ -411,8 +401,9 @@ class MixedComplex:
                             f"subcomplex not closed: degree {n} index {i} "
                             f"maps onto dropped index {row} at degree {n_out}"
                         )
-                    entries[(kept_out[row], c)] = v
-            return SparseMatrix(len(keep.get(n_out, [])), len(kept_in), entries)
+                    nums[(kept_out[row], c)] = v
+            return SparseMatrix(len(keep.get(n_out, [])), len(kept_in),
+                                integer=(mat.integer()[0], nums))
 
         delta = {
             n: restrict(self.delta_m(n), n, n + 1)
@@ -427,11 +418,17 @@ class MixedComplex:
         return MixedComplex(labels, delta, beta, weights=weights)
 
 
-@functools.cache
-def _power(k, e):
-    """k**e as an exact Fraction, from integer powers (k a nonzero int);
-    one Fraction per (k, e)."""
-    return Fraction(k ** e) if e >= 0 else Fraction(1, k ** -e)
+def _powers(k, exponents):
+    """The diagonal matrix of k**e for the listed int exponents e, k a
+    nonzero int, in integer form over den = |k|**s, s = max(0, -min e)."""
+    if k == 0:
+        raise ComplexError("Psi_0 is not defined")
+    s = -min([0, *exponents])
+    den = k ** s
+    sign = 1 if den > 0 else -1
+    return SparseMatrix(len(exponents), len(exponents), integer=(
+        sign * den, {(i, i): sign * k ** (e + s)
+                     for i, e in enumerate(exponents)}))
 
 
 def _slot_complex(M, slot_table):
@@ -453,22 +450,26 @@ def _slot_complex(M, slot_table):
         for m, idx in slot_table[r + 1]:
             tgt_pos[m] = {i: rows + k for k, i in enumerate(idx)}
             rows += len(idx)
-        entries, col = {}, 0
+        blocks, col = [], 0
         for m, idx in slot_table[r]:
             for name, mat, m_out in (("delta", M.delta_m, m + 1),
                                      ("beta", M.beta_m, m - 1)):
-                pos = tgt_pos.get(m_out)
-                if pos is None:
-                    continue
-                columns = mat(m).columns()
-                for c, i in enumerate(idx):
-                    for row, v in columns.get(i, ()):
-                        if row not in pos:
-                            raise ConsistencyError(
-                                f"{name} breaks the weight grading", m)
-                        entries[(pos[row], col + c)] = v
+                if m_out in tgt_pos:
+                    blocks.append((mat(m), name, m, idx, tgt_pos[m_out], col))
             col += len(idx)
-        diff[r] = SparseMatrix(rows, col, entries)
+        # the blocks' numerators over their common denominator
+        den = math.lcm(*[block[0].integer()[0] for block in blocks])
+        nums = {}
+        for mat, name, m, idx, pos, col0 in blocks:
+            s = den // mat.integer()[0]
+            columns = mat.columns()
+            for c, i in enumerate(idx):
+                for row, v in columns.get(i, ()):
+                    if row not in pos:
+                        raise ConsistencyError(
+                            f"{name} breaks the weight grading", m)
+                    nums[(pos[row], col0 + c)] = v * s
+        diff[r] = SparseMatrix(rows, col, integer=(den, nums))
     return CochainComplex(labels, diff)
 
 
@@ -525,16 +526,13 @@ def plus_complex(M, r_min=0, r_max=None):
 def plus_power_matrix(M, plus, k, r):
     """The +Psi_k matrix on degree r of the total +complex: slot of
     underlying degree m is scaled by k^((m-r)/2) times Psi_k."""
-    if k == 0:
-        raise ComplexError("Psi_0 is not defined")
     index = {}
-    entries = {}
-    for j, (m, lab) in enumerate(plus.labels.get(r, [])):
+    exponents = []
+    for m, lab in plus.labels.get(r, []):
         if m not in index:
             index[m] = {label: i for i, label in enumerate(M.labels[m])}
-        i = index[m][lab]
-        entries[(j, j)] = _power(k, (m - r) // 2 + M.weight_of(m, i))
-    return SparseMatrix(plus.dim(r), plus.dim(r), entries)
+        exponents.append((m - r) // 2 + M.weight_of(m, index[m][lab]))
+    return _powers(k, exponents)
 
 
 def mapping_cone(f):

@@ -303,6 +303,3 @@ class FreeCDGA:
 
     def max_generator_degree(self):
         return max((g.degree for g in self.algebra.generators), default=0)
-
-    def is_simply_connected(self):
-        return all(g.degree >= 2 for g in self.algebra.generators)

@@ -28,28 +28,30 @@ every index in range of its ambient space; the zero vector is ``{}``.
 Kernel and image bases, representatives, right-hand sides, solutions,
 coordinates and matrix-vector products all take and give this form.
 
-A matrix holds the same invariant: its entries map ``(row, col)`` in
-range of its shape to nonzero ``Fraction``s.  The constructor trusts its
-caller, since every matrix the package builds is made from exact
-entries; the arithmetic here drops the zeros it creates.  Entries from
-outside (structure constants of a finite algebra, matrices written by
-hand) go through ``SparseMatrix.validated``, which converts them,
-checks the shape and the indices, drops zeros and raises
-``LinalgError`` on anything else.
+A matrix stores one form, its integer form: a pair ``(den, {(row, col):
+int})`` with den > 0, no stored zero, every index in range of its
+shape, and the matrix equal to the integer matrix divided by den.  Its
+``entries``, ``{(row, col): Fraction}`` with the same invariant, are a
+read-only view of that form, built the first time they are read.  The
+constructor trusts its caller, since every matrix the package builds is
+made from exact data: builders that hold integers (power maps, slots,
+cones, arithmetic) give the integer form, and a {(row, col): Fraction}
+dict is converted once.  Entries from outside (structure constants of a
+finite algebra, matrices written by hand) go through
+``SparseMatrix.validated``, which converts them, checks the shape and
+the indices, drops zeros and raises ``LinalgError`` on anything else.
 
-Arithmetic runs over Z.  A matrix's integer form is a pair ``(den,
-{(row, col): int})`` with den > 0, no stored zero, and the matrix equal
-to the integer matrix divided by den; it is built once per matrix.
-Products, sums, differences, scalings, equality, zero tests and the
-cocycle test ``d_out . v = 0`` read only integer forms (the cocycle
-test through an integer column index of d_out, touching only the columns
-that v hits), and a matrix made by arithmetic is born in integer form:
-its ``Fraction`` entries are built when something reads ``entries``.  A
+Arithmetic runs over Z.  Products, sums, differences, scalings,
+equality, zero tests and elimination read the integer form, and a
+matrix made by arithmetic is born in it.  One integer column index per
+matrix serves matrix-vector products, the cocycle test ``d_out . v = 0``
+and the slot builders of ``complexes``: a vector is scaled by the lcm of
+its denominators and meets only the columns that it hits.  A
 relabelling (a label map, the identity) is the 0/1 matrix of an
-injective column -> row map, kept as that map: applying it or
-multiplying by it on either side moves entries by index, with no
-arithmetic, and its rank is its number of entries.  A map that is not
-injective gives a general matrix.
+injective column -> row map and keeps that map beside its integer form:
+applying it or multiplying by it on either side moves entries by index,
+with no arithmetic, and its rank is its number of entries.  A map that
+is not injective gives a general matrix.
 """
 
 from fractions import Fraction
@@ -72,28 +74,33 @@ class PreconditionError(LinalgError):
 class SparseMatrix:
     """Immutable sparse matrix over Q, entries indexed (row, col).
 
-    It keeps up to three forms of its entries, each built on first use:
-    the ``entries`` dict of Fractions, the integer form and, for a
-    relabelling, its column -> row map.
+    It stores one form, the integer form (den, {(row, col): int}), with
+    one column index over it built on first use; ``entries`` is a
+    read-only Fraction view of it, built the first time it is read.  A
+    relabelling also keeps its column -> row map.
     """
 
-    __slots__ = ("rows", "cols", "_entries", "_integer", "_image",
-                 "_echelon", "_columns", "_integer_columns")
+    __slots__ = ("rows", "cols", "_integer", "_image", "_entries",
+                 "_columns", "_echelon")
 
     def __init__(self, rows, cols, entries=None, integer=None, image=None):
-        """A matrix of shape rows x cols, from its entries, its integer
-        form or its relabelling map, taken as they are: a fresh
-        {(row, col): Fraction} dict, a pair (den, {(row, col): int}) with
-        den > 0, or an injective {col: row} dict; indices in range and no
-        stored zero.  Callers give at least one."""
+        """A matrix of shape rows x cols from its integer form, a pair
+        (den, {(row, col): int}) with den > 0 taken as it is, or else from
+        a {(row, col): Fraction} dict, converted here; indices in range
+        and no stored zero.  A relabelling passes its injective
+        {col: row} map beside its integer form."""
+        if integer is None:
+            ratios = {k: v.as_integer_ratio() for k, v in entries.items()}
+            den = lcm(*[d for _, d in ratios.values()])
+            integer = (den, {k: n * (den // d)
+                             for k, (n, d) in ratios.items()})
         self.rows = rows
         self.cols = cols
-        self._entries = entries
         self._integer = integer
         self._image = image
-        self._echelon = None
+        self._entries = None
         self._columns = None
-        self._integer_columns = None
+        self._echelon = None
 
     @classmethod
     def validated(cls, rows, cols, entries):
@@ -119,11 +126,11 @@ class SparseMatrix:
     @classmethod
     def zero(cls, rows, cols):
         """The rows x cols zero matrix: one shared instance per shape,
-        its entries, integer form and column indexes read-only."""
+        its integer form, column index and entries read-only."""
         m = _ZEROS.get((rows, cols))
         if m is None:
-            m = _ZEROS[(rows, cols)] = cls(rows, cols, _EMPTY, (1, _EMPTY))
-            m._columns = m._integer_columns = _EMPTY
+            m = _ZEROS[(rows, cols)] = cls(rows, cols, integer=(1, _EMPTY))
+            m._columns = _EMPTY
         return m
 
     @classmethod
@@ -136,9 +143,10 @@ class SparseMatrix:
         image.  An injective image gives a relabelling, whose products and
         applications move entries by index; any other gives the general
         matrix with the same entries."""
+        integer = (1, {(i, j): 1 for j, i in image.items()})
         if len(set(image.values())) == len(image):
-            return cls(rows, cols, image=image)
-        return cls(rows, cols, {(i, j): _ONE for j, i in image.items()})
+            return cls(rows, cols, integer=integer, image=image)
+        return cls(rows, cols, integer=integer)
 
     @classmethod
     def scalar(cls, n, c):
@@ -149,34 +157,25 @@ class SparseMatrix:
 
     @classmethod
     def from_columns(cls, ambient, columns):
+        """The matrix with these {index: Fraction} columns; with no row or
+        no column, the shared zero of its shape."""
+        if not (ambient and columns):
+            return cls.zero(ambient, len(columns))
         return cls(ambient, len(columns), {
             (i, j): x for j, v in enumerate(columns) for i, x in v.items()})
 
     @property
     def entries(self):
-        """{(row, col): nonzero Fraction}."""
+        """{(row, col): nonzero Fraction}, read-only."""
         if self._entries is None:
-            if self._image is not None:
-                self._entries = {(i, j): _ONE for j, i in self._image.items()}
-            else:
-                den, nums = self._integer
-                self._entries = ({k: Fraction(v) for k, v in nums.items()}
-                                 if den == 1 else
-                                 {k: Fraction(v, den) for k, v in nums.items()})
+            den, nums = self._integer
+            self._entries = MappingProxyType(
+                {k: Fraction(v, den) for k, v in nums.items()})
         return self._entries
 
     def integer(self):
         """(den, {(row, col): nonzero int}): the matrix is the integer
-        matrix divided by den > 0.  Built once per matrix."""
-        if self._integer is None:
-            if self._image is not None:
-                self._integer = (1, {(i, j): 1 for j, i in self._image.items()})
-            else:
-                ratios = {k: v.as_integer_ratio()
-                          for k, v in self._entries.items()}
-                den = lcm(*[d for _, d in ratios.values()])
-                self._integer = (den, {k: n * (den // d)
-                                       for k, (n, d) in ratios.items()})
+        matrix divided by den > 0."""
         return self._integer
 
     def __eq__(self, other):
@@ -187,8 +186,8 @@ class SparseMatrix:
             return False
         if self._image is not None and other._image is not None:
             return self._image == other._image
-        a, left = self.integer()
-        b, right = other.integer()
+        a, left = self._integer
+        b, right = other._integer
         if len(left) != len(right):
             return False
         if a == b:
@@ -196,22 +195,17 @@ class SparseMatrix:
         return all(b * v == a * right.get(k, 0) for k, v in left.items())
 
     def __repr__(self):
-        return f"SparseMatrix({self.rows}x{self.cols}, {self._nnz()} entries)"
-
-    def _nnz(self):
-        for form in (self._image, self._entries):
-            if form is not None:
-                return len(form)
-        return len(self._integer[1])
+        return (f"SparseMatrix({self.rows}x{self.cols}, "
+                f"{len(self._integer[1])} entries)")
 
     def is_zero(self):
-        return not self._nnz()
+        return not self._integer[1]
 
     def _combine(self, other, sign):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise LinalgError("shape mismatch in + or -")
-        a, left = self.integer()
-        b, right = other.integer()
+        a, left = self._integer
+        b, right = other._integer
         den = lcm(a, b)
         p, q = den // a, sign * (den // b)
         nums = {k: v * p for k, v in left.items()} if p != 1 else dict(left)
@@ -237,7 +231,7 @@ class SparseMatrix:
         p, q = c.as_integer_ratio()
         if not p:
             return SparseMatrix.zero(self.rows, self.cols)
-        den, nums = self.integer()
+        den, nums = self._integer
         return _born(self.rows, self.cols, den * q,
                      {k: p * v for k, v in nums.items()})
 
@@ -248,91 +242,67 @@ class SparseMatrix:
         if self.is_zero() or other.is_zero():
             return SparseMatrix.zero(rows, cols)
         outer, inner = self._image, other._image
+        a, left = self._integer
+        b, right = other._integer
         if outer is not None and inner is not None:
-            return SparseMatrix(rows, cols, image={
+            return SparseMatrix.relabelling(rows, cols, {
                 j: outer[i] for j, i in inner.items() if i in outer})
         if outer is not None:
             # row i of other is row outer[i] of the product
-            return other._moved(rows, cols, lambda d: {
-                (outer[i], j): v for (i, j), v in d.items() if i in outer})
+            return SparseMatrix(rows, cols, integer=(b, {
+                (outer[i], j): v for (i, j), v in right.items()
+                if i in outer}))
         if inner is not None:
             # column j of the product is column inner[j] of self
             back = {i: j for j, i in inner.items()}
-            return self._moved(rows, cols, lambda d: {
-                (i, back[j]): v for (i, j), v in d.items() if j in back})
-        a, left = self.integer()
-        b, right = other.integer()
+            return SparseMatrix(rows, cols, integer=(a, {
+                (i, back[j]): v for (i, j), v in left.items() if j in back}))
         return _born(rows, cols, a * b, _product(left, right))
 
-    def _moved(self, rows, cols, move):
-        """The rows x cols matrix whose entries are this one's moved by
-        move, from the integer form when it is built."""
-        if self._integer is not None:
-            den, nums = self._integer
-            return SparseMatrix(rows, cols, integer=(den, move(nums)))
-        return SparseMatrix(rows, cols, move(self._entries))
-
     def columns(self):
-        """Column j -> [(row, value)] of the nonzero entries, built once
-        per matrix; columns with no entry are absent."""
+        """Column j -> [(row, int)] of the integer form's entries, built
+        once per matrix; columns with no entry are absent."""
         if self._columns is None:
             self._columns = {}
-            for (i, j), v in self.entries.items():
+            for (i, j), v in self._integer[1].items():
                 self._columns.setdefault(j, []).append((i, v))
         return self._columns
 
+    def _times(self, vec):
+        """(den, {row: int}): this matrix times the {index: Fraction}
+        vector is the integer vector divided by den.  vec is scaled by
+        the lcm of its denominators and meets only the columns that it
+        hits."""
+        cols = self.columns()
+        scale = lcm(*[x.denominator for x in vec.values()])
+        acc = {}
+        for j, x in vec.items():
+            terms = cols.get(j)
+            if terms:
+                y = x.numerator * (scale // x.denominator)
+                for i, w in terms:
+                    acc[i] = acc.get(i, 0) + w * y
+        return self._integer[0] * scale, acc
+
     def apply(self, vec):
         """Matrix times a column vector, both {index: Fraction} dicts,
-        read through the column index; a relabelling moves the entries."""
+        computed over Z; a relabelling moves the entries."""
         image = self._image
         if image is not None:
             return {image[j]: x for j, x in vec.items() if j in image}
-        cols = self.columns()
-        out = {}
-        for j, x in vec.items():
-            for i, v in cols.get(j, ()):
-                y = out.get(i)
-                out[i] = v * x if y is None else y + v * x
-        return {i: x for i, x in out.items() if x}
+        den, acc = self._times(vec)
+        return {i: Fraction(x, den) for i, x in acc.items() if x}
 
     def annihilates(self, vectors):
         """For each {index: Fraction} vector v, whether this matrix times v
-        is zero, decided over Z: each v is scaled by the lcm of its
-        denominators and meets only the columns of the integer form that
-        it hits, read through an integer column index built once."""
-        cols = self._integer_columns
-        if cols is None:
-            cols = self._integer_columns = {}
-            for (i, j), w in self.integer()[1].items():
-                cols.setdefault(j, []).append((i, w))
-        out = []
-        for v in vectors:
-            den = lcm(*[x.denominator for x in v.values()])
-            acc = {}
-            for j, x in v.items():
-                terms = cols.get(j)
-                if terms:
-                    y = x.numerator * (den // x.denominator)
-                    for i, w in terms:
-                        acc[i] = acc.get(i, 0) + w * y
-            out.append(not any(acc.values()))
-        return out
+        is zero, decided over Z."""
+        return [not any(self._times(v)[1].values()) for v in vectors]
 
     def echelon(self):
-        """Reduced row echelon form, cached: (its rows as a kernels.Echelon,
-        ascending pivot columns).  A matrix with no entries is not
-        eliminated; one with its integer form built is eliminated from
-        that form."""
-        if self._echelon is None and self.is_zero():
-            self._echelon = (Echelon((), ()), ())
-        elif self._echelon is None:
-            entries = (self.entries if self._integer is None
-                       else self._integer[1])
-            rows = [[] for _ in range(self.rows)]
-            for (i, j), v in entries.items():
-                rows[i].append((j, v))
-            self._echelon = bareiss([tuple(sorted(r)) for r in rows],
-                                    self.cols)
+        """Reduced row echelon form of the integer form, cached: (its rows
+        as a kernels.Echelon, ascending pivot columns)."""
+        if self._echelon is None:
+            self._echelon = _rref(self.rows, self.cols, self._integer[1])
         return self._echelon
 
 
@@ -367,6 +337,17 @@ def _product(left, right):
     return {key: x for key, x in acc.items() if x}
 
 
+def _rref(nrows, ncols, entries):
+    """bareiss of the nrows x ncols matrix with these {(row, col): value}
+    entries; a matrix with no entries is not eliminated."""
+    if not entries:
+        return Echelon((), ()), ()
+    rows = [[] for _ in range(nrows)]
+    for (i, j), v in entries.items():
+        rows[i].append((j, v))
+    return bareiss([tuple(sorted(r)) for r in rows], ncols)
+
+
 def rank(m):
     """Rank of m; a relabelling's is its number of entries."""
     if m._image is not None:
@@ -398,21 +379,11 @@ def _kernel_vectors(m, frees):
 
 
 def image_basis(m):
-    """Columns of m forming a basis of its column space (pivot columns).
-    A matrix born in integer form builds Fractions for these columns
-    only."""
+    """Columns of m forming a basis of its column space (pivot columns),
+    with a Fraction built only for their entries."""
     _, pivots = m.echelon()
-    cols = {j: {} for j in pivots}
-    if m._entries is None and m._image is None:
-        den, nums = m._integer
-        for (i, j), v in nums.items():
-            if j in cols:
-                cols[j][i] = Fraction(v, den)
-    else:
-        for (i, j), v in m.entries.items():
-            if j in cols:
-                cols[j][i] = v
-    return list(cols.values())
+    den, columns = m._integer[0], m.columns()
+    return [{i: Fraction(v, den) for i, v in columns[j]} for j in pivots]
 
 
 def solve(m, rhs):
@@ -420,16 +391,18 @@ def solve(m, rhs):
 
     Each b and each answer is an {index: Fraction} vector.  The answer is
     the solution whose free coordinates are zero, or None when b is not
-    in the column space of m.
+    in the column space of m.  [den m | b] is eliminated, with den m the
+    integer form of m, and x is den times its solution.
     """
     if not rhs:
         return []
     n = m.cols
-    entries = dict(m.entries)
+    den, nums = m._integer
+    entries = dict(nums)
     for k, b in enumerate(rhs):
         entries.update({(i, n + k): x for i, x in b.items()})
-    echelon, pivots = SparseMatrix(m.rows, n + len(rhs), entries).echelon()
-    rows = echelon.integral
+    rows, pivots = _rref(m.rows, n + len(rhs), entries)
+    rows = rows.integral
     r = sum(p < n for p in pivots)
     # b is outside the column space exactly when a row past rank(m) has
     # an entry in its column.
@@ -439,7 +412,7 @@ def solve(m, rhs):
         d = row[p]
         for c, x in row.items():
             if c >= n and out[c - n] is not None:
-                out[c - n][p] = Fraction(x, d)
+                out[c - n][p] = Fraction(x * den, d)
     return out
 
 

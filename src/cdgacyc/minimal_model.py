@@ -337,9 +337,10 @@ def build_minimal_model(B, cutoff, seed=None):
         hn_tgt = tgt_c.cohomology(n)
         m = linalg.induced_map(theta.matrix(n), hn_src, hn_tgt)
         # unit vectors outside the image: pivot columns of [image | units]
-        d = m.rows
-        units = {(i, m.cols + i): Fraction(1) for i in range(d)}
-        _, pivots = SparseMatrix(d, m.cols + d, m.entries | units).echelon()
+        d, (den, nums) = m.rows, m.integer()
+        units = {(i, m.cols + i): den for i in range(d)}
+        _, pivots = SparseMatrix(d, m.cols + d,
+                                 integer=(den, nums | units)).echelon()
         missing = [{j - m.cols: Fraction(1)} for j in pivots if j >= m.cols]
         if rng and len(missing) > 1:
             missing = _mix(rng, missing)

@@ -198,9 +198,3 @@ def test_derivation_degree_check():
 def test_free_cdga_rejects_nonpositive_degrees():
     with pytest.raises(AlgebraError):
         FreeCDGA([Generator(0, "u", 0)], {})
-
-
-def test_simply_connected():
-    assert FreeCDGA([X, Y], {"y": {mono((X, 2)): Fraction(1)}}) \
-        .is_simply_connected()
-    assert not FreeCDGA([Generator(0, "t", 1)], {}).is_simply_connected()

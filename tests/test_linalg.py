@@ -439,9 +439,9 @@ def rational_operands(draw):
     return mat(r, k), mat(r, k), mat(k, n)
 
 
-@given(rational_operands(), scalars, scalars)
+@given(rational_operands(), scalars, scalars, st.data())
 @settings(max_examples=100, deadline=None)
-def test_integer_arithmetic_matches_dense_fractions(ops, c, e):
+def test_integer_arithmetic_matches_dense_fractions(ops, c, e, data):
     (a, da), (b, db), (m, dm) = ops
     n = m.cols
     # born matrices (scaled, summed) as operands, so that their integer
@@ -469,6 +469,17 @@ def test_integer_arithmetic_matches_dense_fractions(ops, c, e):
     assert (ca - eb).is_zero() == (dca == deb)
     assert (a == a.scale(Fraction(1, 3))) == a.is_zero()
     assert ca == from_dense(a.rows, a.cols, dca)
+    # a born matrix applied to a vector, over Z: no entry becomes a
+    # Fraction on the way
+    born = a.scale(c) + b.scale(e)
+    vec = to_sparse(data.draw(st.lists(rationals, min_size=a.cols,
+                                       max_size=a.cols)))
+    out = born.apply(vec)
+    assert born._entries is None
+    assert_sparse(out, a.rows)
+    ref = dense_mul(dense_add(dca, deb), [[vec.get(j, Fraction(0))]
+                                          for j in range(a.cols)], 1)
+    assert to_dense(out, a.rows) == [x for x, in ref]
 
 
 @st.composite
