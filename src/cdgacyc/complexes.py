@@ -29,11 +29,12 @@ so no complex is built with a check of degrees nobody reads.  The
 matrix-level mixed-complex axioms are MixedComplex.validate, run as an
 audit.
 
-A truncation to a smaller top and an even shift are built on the same
-matrices and share the cohomology cache of the complex they come from,
-in every degree whose two differentials they share: only a
-truncation's top degree, where its d is zero, is a subquotient of its
-own.
+A truncation, an even shift and a cone's shift C1[1] are built on the
+same matrices, up to sign, and share the cohomology cache of the
+complex they come from, in every degree whose two differentials they
+share: only a truncation's top degree, where its d is zero, is a
+subquotient of its own.  An identity matrix on one shared subquotient
+induces the identity, with no coordinates read.
 
 Chain maps between labelled complexes come from one builder, label_map,
 which sends each label to a label or to zero; inclusions, projections
@@ -140,8 +141,9 @@ class CochainComplex:
     """Finitely supported cochain complex: labels and d^n: C^n -> C^{n+1}.
 
     shares=(c, s, lo, hi) declares that for every lo <= n < hi this
-    complex's d^{n-1} and d^n are c's d^{n-s-1} and d^{n-s}, the same
-    matrices, so its H^n is c's H^{n-s} and is taken from c's cache.
+    complex's d^{n-1} and d^n are c's d^{n-s-1} and d^{n-s} up to sign
+    (-d has the kernel, image, RREF and pivots of d; only an image vector
+    may flip sign), so its H^n is c's H^{n-s}, taken from c's cache.
     """
 
     def __init__(self, labels, diff, shares=None):
@@ -222,9 +224,13 @@ class ChainMap:
 
     def induced(self, n):
         if n not in self._induced:
-            self._induced[n] = linalg.induced_map(
-                self.matrix(n), self.source.cohomology(n),
-                self.target.cohomology(n))
+            m, h = self.matrix(n), self.source.cohomology(n)
+            if h is self.target.cohomology(n) and m.integer() == (
+                    1, {(j, j): 1 for j in range(m.cols)}):
+                self._induced[n] = SparseMatrix.identity(h.dim)
+            else:
+                self._induced[n] = linalg.induced_map(
+                    m, h, self.target.cohomology(n))
         return self._induced[n]
 
 
@@ -481,14 +487,11 @@ def _slot_basis(M, r, kind, w):
     p = w + (r - m)/2.  Slots run over 0 <= m <= M.top with m = r mod 2
     and p >= 0.
     """
-    lo = r if kind in ("minus", "slice") else 0
-    hi = r if kind in ("plus", "slice") else M.top
+    lo = max(r if kind in ("minus", "slice") else 0, 0)
+    hi = min(r if kind in ("plus", "slice") else M.top, M.top, r + 2 * w)
     slots = []
-    for m in range(max(lo, 0), min(hi, M.top) + 1):
-        p = w + (r - m) // 2
-        if (r - m) % 2 or p < 0:
-            continue
-        idx = M.weight_indices(m, p)
+    for m in range(lo + (r - lo) % 2, hi + 1, 2):
+        idx = M.weight_indices(m, w + (r - m) // 2)
         if idx:
             slots.append((m, idx))
     return slots
@@ -542,6 +545,8 @@ def mapping_cone(f):
     (cone, include: C2 -> cone, project: cone -> C1[1]), where the
     degree-n piece of C1[1] is C1^{n+1} with differential -d1.  Labels
     are tagged (0, label2) and (1, label1), so both maps are label maps.
+    C1[1] shares C1's cohomology: its H^n is C1's H^{n+1} (Weibel, An
+    Introduction to Homological Algebra, 1.5).
     """
     c1, c2 = f.source, f.target
     degrees = sorted(set(c1.degrees) | set(c2.degrees) | {n - 1 for n in c1.degrees})
@@ -571,7 +576,7 @@ def mapping_cone(f):
     cone = CochainComplex(labels, diff)
     shifted = CochainComplex(
         {n - 1: [(1, lab) for lab in c1.labels[n]] for n in c1.degrees},
-        minus_d1,
+        minus_d1, shares=(c1, -1, -math.inf, math.inf),
     )
     include = label_map(c2, cone, lambda n, lab: (0, lab))
     project = label_map(cone, shifted,

@@ -22,6 +22,7 @@ from cdgacyc.complexes import (
     CochainComplex,
     Skip,
     audit,
+    _slot_basis,
     band_complex,
     beta_acyclic_check,
     label_inclusion,
@@ -103,12 +104,15 @@ class LoopContext:
 
     The mixed complex is built once, through max(top, cutoff + 1), which
     covers every degree HH, CH, PH, SH, euler and check read; only
-    PH_periodic asks for more, and then it is rebuilt larger.  A "plus" or
+    PH_periodic asks for more, and then it is rebuilt larger.  One band
+    per slot table: band assembles one of any kind per distinct table of
+    (m, p) slots in degrees 0..top (for w <= 0 the periodic band has the
+    plus band's slots, the minus band the slice's).  A "plus" or
     "slice" band's degree-r piece reads the mixed complex only in degrees
-    <= r, so one band per (w, kind) is assembled, through cutoff + 1, and
-    a reader with a smaller top gets its truncation, which shares the
-    band's matrices and its cohomology below that top.  The base complex
-    grows by the new degrees only, keeping its matrices and cohomology.
+    <= r, so it is assembled through cutoff + 1, and a reader with a
+    smaller top gets its truncation, which shares the band's matrices
+    and its cohomology below that top.  The base complex grows by the
+    new degrees only, keeping its matrices and cohomology.
 
     truncated says why an audit that expects the untruncated loop complex
     skips, or is None.
@@ -132,6 +136,7 @@ class LoopContext:
         self._base_top = -1
         self._plus = {}
         self._bands = {}
+        self._tables = {}
         self._cones = {}
 
     def mixed(self, top):
@@ -160,12 +165,17 @@ class LoopContext:
     def band(self, w, kind, top):
         key = (w, kind, top)
         if key not in self._bands:
-            full = max(top, self.cutoff + 1)
-            if top == full:
-                self._bands[key] = band_complex(self.mixed(top), w, kind, 0,
-                                                top)
+            if top < self.cutoff + 1 and kind in ("plus", "slice"):
+                self._bands[key] = self.band(w, kind,
+                                             self.cutoff + 1).truncated(top)
             else:
-                self._bands[key] = self.band(w, kind, full).truncated(top)
+                M = self.mixed(top)
+                slots = tuple(tuple((m, w + (r - m) // 2)
+                                    for m, _ in _slot_basis(M, r, kind, w))
+                              for r in range(top + 1))
+                if slots not in self._tables:
+                    self._tables[slots] = band_complex(M, w, kind, 0, top)
+                self._bands[key] = self._tables[slots]
         return self._bands[key]
 
     def base_bound(self):
@@ -524,7 +534,7 @@ def fig2_audit(ctx):
         r_hi = min(cutoff - 1, top - 2 * w - 2)
         if r_hi >= 1:
             bad += [dict(x, weight=w)
-                    for x in located(_fig2_weight, ctx, M, w, r_hi)]
+                    for x in located(_fig2_weight, ctx, w, r_hi)]
 
     # intertwining on the total +complex: S . +Psi_k = k . +Psi_k . S,
     # where S: +C^{*-2} -> +C^* is the slotwise inclusion
@@ -544,23 +554,23 @@ def fig2_audit(ctx):
     return bad
 
 
-def _fig2_weight(ctx, M, w, r_hi):
+def _fig2_weight(ctx, w, r_hi):
     plus_w = ctx.band(w, "plus", r_hi + 2)
     plus_w1 = shift_complex(ctx.band(w + 1, "plus", r_hi), 2)
     slice_w = ctx.band(w, "slice", r_hi + 2)
-    per_w = band_complex(M, w, "periodic", 0, r_hi + 2)
-    minus_w = band_complex(M, w, "minus", 0, r_hi + 2)
+    per_w = ctx.band(w, "periodic", r_hi + 2)
+    minus_w = ctx.band(w, "minus", r_hi + 2)
 
-    row1 = ShortExactSequence(
-        label_inclusion(plus_w1, plus_w),
-        label_projection(plus_w, slice_w),
-        degrees=range(0, r_hi + 2),
-    )
-    row2 = ShortExactSequence(
-        label_inclusion(plus_w1, per_w),
-        label_projection(per_w, minus_w),
-        degrees=range(0, r_hi + 2),
-    )
+
+    def row(middle, last):
+        return ShortExactSequence(label_inclusion(plus_w1, middle),
+                                  label_projection(middle, last),
+                                  degrees=range(0, r_hi + 2))
+
+    row1 = row(plus_w, slice_w)
+    # on the same bands (every w <= 0), row 2 is row 1
+    row2 = (row1 if per_w is plus_w and minus_w is slice_w
+            else row(per_w, minus_w))
     verticals = (label_inclusion(plus_w1, plus_w1),
                  label_inclusion(plus_w, per_w),
                  label_inclusion(slice_w, minus_w))

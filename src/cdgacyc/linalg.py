@@ -11,10 +11,14 @@ works in kernel coordinates, the entries of a cocycle on the free
 columns of RREF(d_out): its dimension is nullity(d_out) - rank(d_in),
 and its representatives and the coordinates of a class come from one
 elimination of the image in those coordinates, made on first use, so no
-coordinate lookup or induced map eliminates anything.  ``solve`` appends
-a whole batch of right-hand sides to the matrix, so lifts never
-eliminate once per vector.  All arithmetic is exact; matrices are
-immutable after construction.
+coordinate lookup or induced map eliminates anything.  This engine
+runs over Z: image, representatives and pivot table are integer vectors
+and rows, one integer reduction gives the coordinates of a class and
+the columns of an induced map, and the {index: Fraction} image and
+representatives are views built on first read.  ``solve`` appends a
+whole batch of right-hand sides to the matrix, so lifts never eliminate
+once per vector.  All arithmetic is exact; matrices are immutable after
+construction.
 
 What the shapes alone fix is returned without computing it.  The map
 induced into or out of a subquotient of a zero ambient is the zero
@@ -45,13 +49,13 @@ Arithmetic runs over Z.  Products, sums, differences, scalings,
 equality, zero tests and elimination read the integer form, and a
 matrix made by arithmetic is born in it.  One integer column index per
 matrix serves matrix-vector products, the cocycle test ``d_out . v = 0``
-and the slot builders of ``complexes``: a vector is scaled by the lcm of
-its denominators and meets only the columns that it hits.  A
-relabelling (a label map, the identity) is the 0/1 matrix of an
-injective column -> row map and keeps that map beside its integer form:
-applying it or multiplying by it on either side moves entries by index,
-with no arithmetic, and its rank is its number of entries.  A map that
-is not injective gives a general matrix.
+and the slot builders of ``complexes``: an integer vector meets only the
+columns that it hits, and a Fraction vector is first scaled by the lcm
+of its denominators.  A relabelling (a label map, the identity) is the
+0/1 matrix of an injective column -> row map and keeps that map beside
+its integer form: applying it or multiplying by it on either side moves
+entries by index, with no arithmetic, and its rank is its number of
+entries.  A map that is not injective gives a general matrix.
 """
 
 from fractions import Fraction
@@ -59,8 +63,6 @@ from math import gcd, lcm
 from types import MappingProxyType
 
 from cdgacyc.kernels import Echelon, bareiss
-
-_ONE = Fraction(1)
 
 
 class LinalgError(Exception):
@@ -268,35 +270,25 @@ class SparseMatrix:
                 self._columns.setdefault(j, []).append((i, v))
         return self._columns
 
-    def _times(self, vec):
-        """(den, {row: int}): this matrix times the {index: Fraction}
-        vector is the integer vector divided by den.  vec is scaled by
-        the lcm of its denominators and meets only the columns that it
-        hits."""
+    def _hits(self, u):
+        """{row: nonzero int}: the integer form's numerators times the
+        integer vector of the (index, int) pairs u, meeting only the
+        columns that u hits; a relabelling moves the entries."""
+        image = self._image
+        if image is not None:
+            return {image[j]: y for j, y in u if j in image}
         cols = self.columns()
-        scale = lcm(*[x.denominator for x in vec.values()])
         acc = {}
-        for j, x in vec.items():
-            terms = cols.get(j)
-            if terms:
-                y = x.numerator * (scale // x.denominator)
-                for i, w in terms:
-                    acc[i] = acc.get(i, 0) + w * y
-        return self._integer[0] * scale, acc
+        for j, y in u:
+            for i, w in cols.get(j, ()):
+                acc[i] = acc.get(i, 0) + w * y
+        return {i: x for i, x in acc.items() if x}
 
     def apply(self, vec):
         """Matrix times a column vector, both {index: Fraction} dicts,
-        computed over Z; a relabelling moves the entries."""
-        image = self._image
-        if image is not None:
-            return {image[j]: x for j, x in vec.items() if j in image}
-        den, acc = self._times(vec)
-        return {i: Fraction(x, den) for i, x in acc.items() if x}
-
-    def annihilates(self, vectors):
-        """For each {index: Fraction} vector v, whether this matrix times v
-        is zero, decided over Z."""
-        return [not any(self._times(v)[1].values()) for v in vectors]
+        computed over Z."""
+        s, u = _scaled(vec)
+        return _view(self._integer[0] * s, self._hits(u.items()))
 
     def echelon(self):
         """Reduced row echelon form of the integer form, cached: (its rows
@@ -308,6 +300,18 @@ class SparseMatrix:
 
 _ZEROS = {}
 _EMPTY = MappingProxyType({})
+
+
+def _scaled(vec):
+    """(s, {index: int}): the {index: Fraction} vector times the lcm s of
+    its denominators."""
+    s = lcm(*[x.denominator for x in vec.values()])
+    return s, {j: x.numerator * (s // x.denominator) for j, x in vec.items()}
+
+
+def _view(den, u):
+    """The {index: Fraction} vector u / den of an {index: int} vector u."""
+    return {i: Fraction(x, den) for i, x in u.items()}
 
 
 def _born(rows, cols, den, nums):
@@ -362,20 +366,25 @@ def nullity(m):
 def kernel_basis(m):
     """Exact basis of Ker m, one vector per free column, ascending."""
     pivots = set(m.echelon()[1])
-    return _kernel_vectors(m, [j for j in range(m.cols) if j not in pivots])
+    return [_view(*k) for k in _kernel_vectors(
+        m, [j for j in range(m.cols) if j not in pivots])]
 
 
 def _kernel_vectors(m, frees):
-    """The kernel vectors k_f of m for the free columns f listed: 1 at f,
-    0 at every other free column."""
+    """The kernel vectors k_f of m for the free columns f listed, 1 at f
+    and 0 at every other free column, each as (L, L k_f) with L k_f an
+    {index: int} vector."""
     rows, pivots = m.echelon()
-    basis = {f: {f: _ONE} for f in frees}
+    terms = {f: {} for f in frees}
     for p, row in zip(pivots, rows.integral):
-        d = row[p]
         for j, x in row.items():
-            if j in basis:
-                basis[j][p] = Fraction(-x, d)
-    return list(basis.values())
+            if j in terms:
+                terms[j][p] = (-x, row[p])
+    out = []
+    for f, ts in terms.items():
+        L = lcm(*[d for _, d in ts.values()])
+        out.append((L, {f: L} | {p: x * (L // d) for p, (x, d) in ts.items()}))
+    return out
 
 
 def image_basis(m):
@@ -428,20 +437,31 @@ class SubquotientBasis:
     free columns in descending order, so a pivot t is the highest free
     index of an image vector.  The representatives are the k_f whose f is
     not such a pivot: each is independent of the image and of the kernel
-    vectors before it.
+    vectors before it.  All three are kept over Z: the pivot columns of
+    d_in's integer column index, the representatives as (L, L k_f) and
+    the integral RREF rows; ``image`` and ``representatives`` are
+    Fraction views.
     """
 
-    __slots__ = ("ambient", "dim", "_d_in", "_d_out", "_image", "_table",
-                 "_representatives")
+    __slots__ = ("ambient", "dim", "_d_in", "_d_out", "_columns", "_table",
+                 "_kernel", "_image", "_representatives")
 
     def __init__(self, d_in, d_out):
         self.ambient = d_out.cols
         self.dim = nullity(d_out) - rank(d_in)
         self._d_in = d_in
         self._d_out = d_out
-        self._image = None
+        self._columns = None
         self._table = None
+        self._kernel = None
+        self._image = None
         self._representatives = None
+
+    def _image_columns(self):
+        if self._columns is None:
+            columns = self._d_in.columns()
+            self._columns = [columns[j] for j in self._d_in.echelon()[1]]
+        return self._columns
 
     @property
     def image(self):
@@ -450,62 +470,73 @@ class SubquotientBasis:
         return self._image
 
     def _pivot_table(self):
-        """({pivot t: its RREF row on F less the leading 1 at t},
-        {free column of a representative: its index})."""
+        """({pivot t: (d, its integral RREF row on F less the leading
+        entry d at t)}, {free column of a representative: its index})."""
         if self._table is None:
             pivots = set(self._d_out.echelon()[1])
             free = [j for j in range(self.ambient) if j not in pivots]
             table = {}
-            if self.image:
+            if self._image_columns():
                 # column c of the eliminated matrix is free[last - c]
                 last = len(free) - 1
                 pos = {f: last - c for c, f in enumerate(free)}
-                rows = [[(pos[j], x) for j, x in v.items() if j in pos]
-                        for v in self.image]
+                rows = [[(pos[j], x) for j, x in v if j in pos]
+                        for v in self._columns]
                 echelon, leads = bareiss(rows, len(free))
                 for c, row in zip(leads, echelon.integral):
-                    d = row[c]
-                    table[free[last - c]] = {free[last - j]: Fraction(x, d)
-                                             for j, x in row.items() if j != c}
+                    table[free[last - c]] = (row[c], {
+                        free[last - j]: x for j, x in row.items() if j != c})
             reps = {f: i for i, f in enumerate(
                 [f for f in free if f not in table])}
             self._table = (table, reps)
         return self._table
 
+    def _representative_vectors(self):
+        if self._kernel is None:
+            self._kernel = _kernel_vectors(
+                self._d_out, list(self._pivot_table()[1])) if self.dim else []
+        return self._kernel
+
     @property
     def representatives(self):
         if self._representatives is None:
-            self._representatives = _kernel_vectors(
-                self._d_out, list(self._pivot_table()[1])) if self.dim else []
+            self._representatives = [
+                _view(*k) for k in self._representative_vectors()]
         return self._representatives
+
+    def _reduce(self, u):
+        """(L, {index: int}): the coordinates of [u] are the ints over L,
+        for an {index: int} vector u; None where u is not a cocycle.
+
+        [representatives | image] is a basis of Ker(d_out).  A cocycle's
+        entries on F, less u_t times the pivot row of each pivot t, lie on
+        the representatives' columns, and they are its coordinates."""
+        if self._d_out._hits(u.items()):
+            return None
+        if not self.dim:
+            return 1, {}
+        table, reps = self._pivot_table()
+        hit = [t for t in u if t in table]
+        L = lcm(*[table[t][0] for t in hit])
+        x = {j: c * L for j, c in u.items() if j in reps}
+        for t in hit:
+            d, row = table[t]
+            c = u[t] * (L // d)
+            for j, y in row.items():
+                x[j] = x.get(j, 0) - c * y
+        return L, {reps[j]: c for j, c in x.items() if c}
 
     def coordinates(self, vectors):
         """Coordinates of each [v] on the representatives, or None where v
         is not a cocycle.  Vectors and coordinates are {index: Fraction}
-        dicts; a class that is zero has coordinates {}.
-
-        [representatives | image] is a basis of Ker(d_out).  A cocycle's
-        entries on F, less x_t times the pivot row of each pivot t, lie on
-        the representatives' columns, and they are its coordinates."""
-        cocycles = self._d_out.annihilates(vectors)
-        if not self.dim:
-            return [{} if ok else None for ok in cocycles]
-        table, reps = self._pivot_table()
+        dicts; a class that is zero has coordinates {}.  Each vector is
+        scaled to integers once, and each coordinate divided once."""
         out = []
-        for v, ok in zip(vectors, cocycles):
-            if not ok:
-                out.append(None)
-                continue
-            x = {j: c for j, c in v.items() if j in reps}
-            for t in [t for t in v if t in table]:
-                c = v[t]
-                for j, y in table[t].items():
-                    z = x.get(j, 0) - c * y
-                    if z:
-                        x[j] = z
-                    else:
-                        del x[j]
-            out.append({reps[j]: c for j, c in x.items()})
+        for v in vectors:
+            s, u = _scaled(v)
+            found = self._reduce(u)
+            out.append(None if found is None
+                       else _view(s * found[0], found[1]))
         return out
 
     def __repr__(self):
@@ -535,29 +566,35 @@ class NotChainCompatible(LinalgError):
 
 
 def induced_map(f, source, target):
-    """Matrix of the map induced by f on subquotients.
+    """Matrix of the map induced by f on subquotients, over Z.
 
     Checks that f carries source image into target image span and source
     kernel into target kernel span; raises NotChainCompatible with the
-    first failing vector (image vectors first) otherwise.  One batch of
-    target coordinates decides both: the columns [representatives |
-    image] are independent, so an image vector lands in the target image
-    exactly when its representative coordinates exist and are the empty
-    {index: Fraction} dict.
+    first failing vector (image vectors first) otherwise, read from
+    source.image or source.representatives.  f's numerators times each
+    integer image column and representative go through the target's
+    reduction: the columns [representatives | image] are independent, so
+    an image vector lands in the target image exactly when its
+    representative coordinates exist and are all zero.
     """
     if f.cols != source.ambient or f.rows != target.ambient:
         raise LinalgError("shape mismatch for induced map")
     if not (source.ambient and target.ambient):
         return SparseMatrix.zero(target.dim, source.dim)
-    k = len(source.image)
-    coords = target.coordinates(
-        [f.apply(v) for v in source.image + source.representatives]
-    )
-    for v, x in zip(source.image, coords[:k]):
-        if x is None or x:
-            raise NotChainCompatible("image not carried into image", v)
-    cols = coords[k:]
-    for v, x in zip(source.representatives, cols):
-        if x is None:
-            raise NotChainCompatible("kernel not carried into kernel", v)
-    return SparseMatrix.from_columns(target.dim, cols)
+    for i, u in enumerate(source._image_columns()):
+        found = target._reduce(f._hits(u))
+        if found is None or found[1]:
+            raise NotChainCompatible("image not carried into image",
+                                     source.image[i])
+    cols = []
+    for j, (L, u) in enumerate(source._representative_vectors()):
+        found = target._reduce(f._hits(u.items()))
+        if found is None:
+            raise NotChainCompatible("kernel not carried into kernel",
+                                     source.representatives[j])
+        cols.append((L * found[0], found[1]))
+    # column j is its ints over f's den times c
+    m = lcm(*[c for c, _ in cols])
+    return _born(target.dim, source.dim, f._integer[0] * m, {
+        (i, j): x * (m // c) for j, (c, xs) in enumerate(cols)
+        for i, x in xs.items()})

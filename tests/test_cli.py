@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdgacyc import cli, free_loop, functors
+from cdgacyc import cli, complexes, free_loop, functors
 from cdgacyc.free_loop import LoopAlgebra
 from cdgacyc.minimal_model import verify_minimal
 
@@ -323,15 +323,21 @@ def test_base_complex_rebuilt_only_when_it_grows(monkeypatch, capsys):
 
 def test_check_builds_each_band_and_cone_once(monkeypatch, capsys):
     # every reader of a plus band or slice shares the one band per
-    # (weight, kind), SH and the comparison diagram share one cone over
-    # Ibar per weight, and the base complex grows degree by degree
-    bands, blocks, ibar_cones = [], [], []
+    # (weight, kind), a band is assembled once per distinct slot table
+    # (so for w <= 0 the periodic and minus bands are the plus band and
+    # the slice), SH and the comparison diagram share one cone over Ibar
+    # per weight, and the base complex grows degree by degree
+    bands, tables, blocks, ibar_cones = [], [], [], []
     band = functors.band_complex
     block = functors._base_block
     cone = functors.mapping_cone
 
     def counted_band(M, w, kind, r_min, r_max):
         bands.append((w, kind))
+        tables.append(tuple(
+            tuple((m, w + (r - m) // 2)
+                  for m, _ in complexes._slot_basis(M, r, kind, w))
+            for r in range(r_min, r_max + 1)))
         return band(M, w, kind, r_min, r_max)
 
     def counted_block(ctx, w, top):
@@ -353,6 +359,10 @@ def test_check_builds_each_band_and_cone_once(monkeypatch, capsys):
     assert code == 0 and "FAIL" not in out
     shared = [b for b in bands if b[1] in ("plus", "slice")]
     assert shared and len(shared) == len(set(shared))
+    assert len(tables) == len(set(tables))
+    assert any(kind == "periodic" for _, kind in bands)
+    assert not [b for b in bands if b[1] in ("periodic", "minus")
+                and b[0] <= 0]
     assert blocks and len(blocks) == len(set(blocks)) == len(ibar_cones)
     _assert_each_base_degree_built_once(calls)
 

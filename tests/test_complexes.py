@@ -319,6 +319,34 @@ def test_ladder_audit_fails_with_scaled_vertical():
          "square": "va.delta1 = delta2.vc"}]
 
 
+def test_cone_shift_shares_the_cohomology_of_its_source(monkeypatch):
+    # C1[1] has differential -d1, so its H^n is C1's H^{n+1}, the same
+    # subquotient; an identity matrix on one shared subquotient induces
+    # the identity without reading coordinates
+    row1, _, (va, _, _) = sphere3_weight0_ladder()
+    c1 = row1.incl.source
+    _, _, project = mapping_cone(row1.incl)
+    _, _, again = mapping_cone(row1.incl)
+    shifted = project.target
+    degrees = range(-1, 9)
+    for n in degrees:
+        assert shifted.cohomology(n) is c1.cohomology(n + 1)
+    assert any(shifted.betti(n) for n in degrees)
+    identities = [va, label_inclusion(shifted, again.target)]
+    direct = [[linalg.induced_map(f.matrix(n), f.source.cohomology(n),
+                                  f.target.cohomology(n)) for n in degrees]
+              for f in identities]
+
+    def forbidden(*args):
+        raise AssertionError("an identity read coordinates")
+
+    monkeypatch.setattr(linalg, "induced_map", forbidden)
+    for f, want in zip(identities, direct):
+        got = [f.induced(n) for n in degrees]
+        assert got == want
+        assert all(m == SparseMatrix.identity(m.rows) for m in got)
+
+
 def test_coordinate_subcomplex_closure_check():
     loop = free_loop(sphere2())
     M = loop.mixed_complex(6)

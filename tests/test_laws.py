@@ -11,7 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdgacyc.functors import CH, HH, PH, PH_periodic, SH, LoopContext
+from cdgacyc.functors import (
+    CH,
+    HH,
+    PH,
+    PH_periodic,
+    SH,
+    LoopContext,
+    audits,
+    euler_series,
+)
 
 from models import (
     even_sphere,
@@ -164,3 +173,83 @@ def test_ph_equals_ph_periodic_on_certified_rows(spheres, seed):
 @settings(max_examples=10, deadline=None)
 def test_ph_equals_ph_periodic_where_both_certify_deep(spheres, seed):
     ph_against_periodic(spheres, 12, seed)
+
+
+def chi_h(model, cutoff):
+    """{weight: {"value", "certified"}} of chiH for the model."""
+    return euler_series(LoopContext(free_cdga(model), cutoff))["chiH"]
+
+
+def euler_product(left, right, w):
+    """sum over i of chiH_A(i) chiH_B(w - i) from the factors' series, or
+    None when a term is not known.  A term is known when both of its
+    coefficients are certified, or when one is a certified zero: every
+    weight slice of these models has finite cohomology, so the other
+    factor is a finite number."""
+    total = 0
+    for i in range(w + 1):
+        a, b = left.get(i), right.get(w - i)
+        if a is None or b is None:
+            return None
+        if a["certified"] and b["certified"]:
+            total += a["value"] * b["value"]
+        elif not any(x["certified"] and x["value"] == 0 for x in (a, b)):
+            return None
+    return total
+
+
+def assert_euler_multiplies(spheres, cutoff, seed):
+    """The certified chiH coefficients of the product that its factors'
+    series determine, after checking each against them."""
+    rng = random.Random(seed)
+    a, b = [rescaled(kind(degree, str(i)), rng)
+            for i, (kind, degree) in enumerate(spheres)]
+    left, right = chi_h(a, cutoff), chi_h(b, cutoff)
+    compared = {}
+    for w, row in chi_h(tensor(a, b), cutoff).items():
+        expected = euler_product(left, right, w)
+        if row["certified"] and expected is not None:
+            assert row["value"] == expected, w
+            compared[w] = expected
+    return compared
+
+
+@given(st.lists(st.sampled_from(SPHERES + PROJECTIVE), min_size=2,
+                max_size=2),
+       st.integers(0, 2**32 - 1), st.sampled_from([6, 8]))
+@settings(max_examples=20, deadline=None)
+def test_euler_series_multiplies(spheres, seed, cutoff):
+    assert_euler_multiplies(spheres, cutoff, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_euler_series_multiplies_on_s2_times_s2(seed):
+    # chiH(0) is the Euler characteristic of H(S^2 x S^2), 2 * 2
+    compared = assert_euler_multiplies([(even_sphere, 2), (even_sphere, 2)],
+                                       8, seed)
+    assert compared[0] == 4
+
+
+def assert_check_passes(spheres, cutoff, seed):
+    """Every audit of check passes on a rescaled product, except the SH
+    identity, which has no certified SH row this low (see
+    test_certified_rows_stable_under_a_larger_cutoff_deep) and skips."""
+    rng = random.Random(seed)
+    algebra = free_cdga(rescaled(tensor(*[
+        kind(degree, str(i)) for i, (kind, degree) in enumerate(spheres)]),
+        rng))
+    records = audits(LoopContext(algebra, cutoff))
+    assert [(r.name, r.status) for r in records
+            if r.status != "pass"] == [("SH dimension identity", "skipped")]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_check_passes_on_s2_s2_s3(seed):
+    assert_check_passes([(even_sphere, 2), (even_sphere, 2), (odd_sphere, 3)],
+                        6, seed)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [0, 1])
+def test_check_passes_on_s2_cubed(seed):
+    assert_check_passes([(even_sphere, 2)] * 3, 8, seed)

@@ -277,8 +277,10 @@ def _in_span(vectors, v, n):
 def test_not_chain_compatible_witness_order(src, tgt, data):
     source = linalg.cohomology_at(*src)
     target = linalg.cohomology_at(*tgt)
+    # a denominator other than 1 meets the integer path with den != 1
+    den = data.draw(st.integers(1, 3))
     f = SparseMatrix.validated(target.ambient, source.ambient, {
-        (i, j): data.draw(st.integers(-1, 1))
+        (i, j): Fraction(data.draw(st.integers(-1, 1)), den)
         for i in range(target.ambient) for j in range(source.ambient)})
     ker_span = list(target.representatives) + list(target.image)
     n = target.ambient
@@ -289,6 +291,10 @@ def test_not_chain_compatible_witness_order(src, tgt, data):
     if not bad_image and not bad_kernel:
         m = linalg.induced_map(f, source, target)
         assert (m.rows, m.cols) == (target.dim, source.dim)
+        # column j holds the target coordinates of f(representative j)
+        for j, rep in enumerate(source.representatives):
+            assert column(m, j) == _oracle_coordinates(target, tgt[1],
+                                                       f.apply(rep))
         return
     with pytest.raises(linalg.NotChainCompatible) as err:
         linalg.induced_map(f, source, target)
@@ -298,6 +304,21 @@ def test_not_chain_compatible_witness_order(src, tgt, data):
     else:
         assert err.value.witness == bad_kernel[0]
         assert "kernel not carried" in str(err.value)
+
+
+def test_induced_map_divides_by_every_scale():
+    # f = I/2; the source representative e2 - e0/2 is half an integer
+    # vector; the target's image (1, 0, 3) gives a pivot row led by 3
+    source = linalg.cohomology_at(SparseMatrix.zero(3, 0), M([[2, 0, 1]]))
+    d_out = SparseMatrix.zero(0, 3)
+    target = linalg.cohomology_at(M([[1], [0], [3]]), d_out)
+    f = SparseMatrix.scalar(3, Fraction(1, 2))
+    m = linalg.induced_map(f, source, target)
+    assert source.representatives == [{1: 1}, {2: 1, 0: Fraction(-1, 2)}]
+    assert m == M([[0, Fraction(-5, 12)], [Fraction(1, 2), 0]])
+    for j, rep in enumerate(source.representatives):
+        assert column(m, j) == _oracle_coordinates(target, d_out,
+                                                   f.apply(rep))
 
 
 def test_not_chain_compatible_names_first_failure():
@@ -510,7 +531,6 @@ def test_cocycle_test_matches_dense_fractions(case):
     m, d, vectors = case
     expected = [not any(sum((x * v.get(j, 0) for j, x in enumerate(r)),
                             Fraction(0)) for r in d) for v in vectors]
-    assert m.annihilates(vectors) == expected
     h = linalg.cohomology_at(SparseMatrix.zero(m.cols, 0), m)
     assert [x is not None for x in h.coordinates(vectors)] == expected
 
