@@ -13,16 +13,22 @@ of a degree-r slice has effective weight w = p + (m - r)/2.  Both delta
 (weight-preserving, slot degree +1) and beta (weight +1, slot degree -1)
 preserve w, so each derived complex splits into finite per-w bands.
 
-Slot tables: every band, weight slice and the total +complex is delta +
-beta restricted to a table {r: [(m, indices)]} that lists, for each
-degree r, the basis elements of C^m placed in it.  One builder,
-_slot_complex, assembles all of them; the kinds differ only in their
-tables (_slot_basis for bands and slices, all of C^{r-2k} for the
-+complex).
+Blocks: a mixed complex is stored as its (degree, weight) blocks C^{n,p},
+with delta blocks C^{n,p} -> C^{n+1,p} and beta blocks C^{n,p} ->
+C^{n-1,p+1}.  Every band, weight slice and the total +complex is delta +
+beta restricted to a slot table {r: [(m, p)]} that lists the blocks
+placed in each degree r, and d^r is those blocks put at their offsets.
+One builder, _slot_complex, makes all of them; the kinds differ only in
+their tables (_slot_basis for bands and slices, every block of C^{r-2k}
+for the +complex).  The per-degree delta and beta are assembled the same
+way, and one assembler, _assemble, also puts a mapping cone's blocks
+together.
 
 Each invariant is checked once, in one place.  Inputs are validated where
 they enter (the free CDGA, the finite CDGA and the loop algebra check
-their axioms on generators or structure constants).  d.d = 0 is checked
+their axioms on generators or structure constants), and the weight
+grading where the loop complex is built, block by block, so no assembly
+reads a column to check it.  d.d = 0 is checked
 only where cohomology is taken: linalg.cohomology_at raises for every
 degree whose Betti number, representatives or induced map is computed,
 so no complex is built with a check of degrees nobody reads.  The
@@ -279,44 +285,71 @@ def label_projection(amb, quot):
 
 
 class MixedComplex:
-    """(C, delta, beta) on degrees 0..top with weights and power maps.
+    """(C, delta, beta) on degrees 0..top, in (degree, weight) blocks.
 
-    labels: dict degree -> list of labels.
-    delta: dict degree n -> matrix C^n -> C^{n+1} (n in 0..top-1).
-    beta: dict degree n -> matrix C^n -> C^{n-1} (n in 1..top).
-    weights: dict degree -> list of nonnegative ints per label.
-    Construction checks shapes only; validate() checks the axioms.
+    blocks: dict (n, p) -> the labels of C^{n,p}, the degree-n basis
+    elements of weight p; an empty block is absent.
+    delta: dict (n, p) -> matrix C^{n,p} -> C^{n+1,p}.
+    beta: dict (n, p) -> matrix C^{n,p} -> C^{n-1,p+1}.
+    A block with no matrix is zero.  The per-degree readers (keys,
+    labels, weights, dim, delta_m, beta_m, power_matrix, cochain) stack
+    the blocks of a degree in weight order.  Construction checks shapes
+    only; validate() checks the axioms on the assembled matrices.
     """
 
-    def __init__(self, labels, delta, beta, weights):
-        self.labels = {n: list(v) for n, v in labels.items()}
-        self.top = max(self.labels, default=0)
-        self.delta = dict(delta)
-        self.beta = dict(beta)
-        self.weights = {n: list(v) for n, v in weights.items()}
-        self._by_weight = {}
-        for n, m in self.delta.items():
-            if m.rows != self.dim(n + 1) or m.cols != self.dim(n):
-                raise ComplexError(f"delta at {n} has wrong shape")
-        for n, m in self.beta.items():
-            if m.rows != self.dim(n - 1) or m.cols != self.dim(n):
-                raise ComplexError(f"beta at {n} has wrong shape")
-        for n, v in self.labels.items():
-            if len(self.weights.get(n, [])) != len(v):
-                raise ComplexError(f"weight list at {n} has wrong length")
+    def __init__(self, blocks, delta, beta, top):
+        self.blocks, self.delta, self.beta, self.top = blocks, delta, beta, top
+        self.keys = {n: [] for n in range(top + 1)}
+        self.labels = {n: [] for n in range(top + 1)}
+        self.weights = {n: [] for n in range(top + 1)}
+        for (n, p), labs in sorted(blocks.items()):
+            self.keys[n].append((n, p))
+            self.labels[n] += labs
+            self.weights[n] += [p] * len(labs)
+        for name, mats, dn, dp in (("delta", delta, 1, 0),
+                                   ("beta", beta, -1, 1)):
+            for (n, p), m in mats.items():
+                if (m.rows, m.cols) != (len(blocks.get((n + dn, p + dp), ())),
+                                        len(blocks.get((n, p), ()))):
+                    raise ComplexError(f"{name} at {(n, p)} has wrong shape")
+        self._by_degree = {}
 
     def dim(self, n):
         return len(self.labels.get(n, ()))
 
+    def block_matrix(self, row_keys, col_keys):
+        """delta + beta from the blocks col_keys into the blocks row_keys,
+        each stacked in its listed order; a block whose image lies in no
+        block of row_keys contributes nothing."""
+        rows, n_rows = self._stacked(row_keys)
+        cols, n_cols = self._stacked(col_keys)
+        return _assemble(n_rows, n_cols, [
+            (mats[(m, p)], rows[out], j0) for (m, p), j0 in cols.items()
+            for mats, out in ((self.delta, (m + 1, p)),
+                              (self.beta, (m - 1, p + 1)))
+            if (m, p) in mats and out in rows])
+
+    def _stacked(self, keys):
+        """({key: offset of its block}, total size) of the blocks keys."""
+        offsets, size = {}, 0
+        for key in keys:
+            offsets[key] = size
+            size += len(self.blocks[key])
+        return offsets, size
+
     def delta_m(self, n):
-        if n in self.delta:
-            return self.delta[n]
-        return SparseMatrix.zero(self.dim(n + 1), self.dim(n))
+        return self._degree_matrix(n, n + 1)
 
     def beta_m(self, n):
-        if n in self.beta:
-            return self.beta[n]
-        return SparseMatrix.zero(self.dim(n - 1), self.dim(n))
+        return self._degree_matrix(n, n - 1)
+
+    def _degree_matrix(self, n, n_out):
+        """delta (n_out = n + 1) or beta (n_out = n - 1) on C^n, assembled
+        once from its blocks."""
+        if (n, n_out) not in self._by_degree:
+            self._by_degree[(n, n_out)] = self.block_matrix(
+                self.keys.get(n_out, ()), self.keys.get(n, ()))
+        return self._by_degree[(n, n_out)]
 
     @audit("mixed complex axioms")
     def validate(self, ks=()):
@@ -344,10 +377,10 @@ class MixedComplex:
             if k == 0:
                 raise ComplexError("Psi_0 is not defined")
             for n in range(0, self.top):
-                check(self._scales_by(k, 1, n + 1, n, self.delta.get(n)),
+                check(self._scales_by(k, 1, n + 1, n, self.delta_m(n)),
                       f"Psi_{k}.delta != delta.Psi_{k}", n)
             for n in range(1, self.top + 1):
-                check(self._scales_by(k, k, n - 1, n, self.beta.get(n)),
+                check(self._scales_by(k, k, n - 1, n, self.beta_m(n)),
                       f"Psi_{k}.beta != k.beta.Psi_{k}", n)
         return bad
 
@@ -358,23 +391,11 @@ class MixedComplex:
         a stored entry v is nonzero, so they agree iff k^{w_i} = c k^{w_j},
         an identity of integers (weights are nonnegative ints).
         """
-        if mat is None or mat.is_zero():
+        if mat.is_zero():
             return True
         left = [k ** w for w in self.weights[n_out]]
         right = [c * k ** w for w in self.weights[n_in]]
         return all(left[i] == right[j] for i, j in mat.integer()[1])
-
-    def weight_of(self, n, i):
-        return self.weights[n][i]
-
-    def weight_indices(self, n, p):
-        """Indices of the degree-n labels of weight p, in label order."""
-        if n not in self._by_weight:
-            by_weight = {}
-            for i, q in enumerate(self.weights.get(n, [])):
-                by_weight.setdefault(q, []).append(i)
-            self._by_weight[n] = by_weight
-        return self._by_weight[n].get(p, [])
 
     def power_matrix(self, k, n):
         """Psi_k on C^n: diagonal k^weight."""
@@ -385,43 +406,6 @@ class MixedComplex:
         return CochainComplex(
             self.labels, {n: self.delta_m(n) for n in range(self.top)}
         )
-
-    def coordinate_subcomplex(self, keep):
-        """Mixed subcomplex spanned by the kept label indices.
-
-        keep: dict degree -> sorted list of indices.  Raises if delta or
-        beta carries a kept element outside the kept span.
-        """
-        labels = {n: [self.labels[n][i] for i in idx] for n, idx in keep.items()}
-        weights = {n: [self.weights[n][i] for i in idx] for n, idx in keep.items()}
-
-        def restrict(mat, n, n_out):
-            kept_in = keep.get(n, [])
-            kept_out = {i: r for r, i in enumerate(keep.get(n_out, []))}
-            cols = mat.columns()
-            nums = {}
-            for c, i in enumerate(kept_in):
-                for row, v in cols.get(i, ()):
-                    if row not in kept_out:
-                        raise ConsistencyError(
-                            f"subcomplex not closed: degree {n} index {i} "
-                            f"maps onto dropped index {row} at degree {n_out}"
-                        )
-                    nums[(kept_out[row], c)] = v
-            return SparseMatrix(len(keep.get(n_out, [])), len(kept_in),
-                                integer=(mat.integer()[0], nums))
-
-        delta = {
-            n: restrict(self.delta_m(n), n, n + 1)
-            for n in range(self.top)
-            if keep.get(n)
-        }
-        beta = {
-            n: restrict(self.beta_m(n), n, n - 1)
-            for n in range(1, self.top + 1)
-            if keep.get(n)
-        }
-        return MixedComplex(labels, delta, beta, weights=weights)
 
 
 def _powers(k, exponents):
@@ -437,64 +421,49 @@ def _powers(k, exponents):
                      for i, e in enumerate(exponents)}))
 
 
+def _assemble(rows, cols, pieces):
+    """The rows x cols matrix of the pieces (matrix, i0, j0), each placed
+    with its (0, 0) entry at (i0, j0), in integer form over their common
+    denominator; with no piece, the shared zero of its shape."""
+    if not pieces:
+        return SparseMatrix.zero(rows, cols)
+    forms = [(m.integer(), i0, j0) for m, i0, j0 in pieces]
+    den = math.lcm(*[d for (d, _), _, _ in forms])
+    nums = {}
+    for (d, part), i0, j0 in forms:
+        s = den // d
+        nums.update({(i + i0, j + j0): v * s for (i, j), v in part.items()})
+    return SparseMatrix(rows, cols, integer=(den, nums))
+
+
 def _slot_complex(M, slot_table):
     """delta + beta of M restricted to a table of slots.
 
-    slot_table maps each of a run of consecutive degrees r to its slots
-    [(m, indices)]: the listed basis elements of C^m.  The result has
-    degree-r labels (m, label) in slot order.  An image landing in a slot
-    degree outside that slot's indices breaks the grading and raises; an
-    image landing in a degree with no slot is dropped.
+    slot_table maps each of a run of consecutive degrees r to its slots,
+    blocks (m, p) of M.  The result has degree-r labels (m, label) in
+    slot order, and d^r is M.block_matrix from the degree-r slots into
+    the degree-(r + 1) ones: an image landing in a block with no slot
+    there is dropped.
     """
-    labels = {
-        r: [(m, M.labels[m][i]) for m, idx in slots for i in idx]
-        for r, slots in slot_table.items()
-    }
-    diff = {}
-    for r in sorted(slot_table)[:-1]:
-        tgt_pos, rows = {}, 0
-        for m, idx in slot_table[r + 1]:
-            tgt_pos[m] = {i: rows + k for k, i in enumerate(idx)}
-            rows += len(idx)
-        blocks, col = [], 0
-        for m, idx in slot_table[r]:
-            for name, mat, m_out in (("delta", M.delta_m, m + 1),
-                                     ("beta", M.beta_m, m - 1)):
-                if m_out in tgt_pos:
-                    blocks.append((mat(m), name, m, idx, tgt_pos[m_out], col))
-            col += len(idx)
-        # the blocks' numerators over their common denominator
-        den = math.lcm(*[block[0].integer()[0] for block in blocks])
-        nums = {}
-        for mat, name, m, idx, pos, col0 in blocks:
-            s = den // mat.integer()[0]
-            columns = mat.columns()
-            for c, i in enumerate(idx):
-                for row, v in columns.get(i, ()):
-                    if row not in pos:
-                        raise ConsistencyError(
-                            f"{name} breaks the weight grading", m)
-                    nums[(pos[row], col0 + c)] = v * s
-        diff[r] = SparseMatrix(rows, col, integer=(den, nums))
-    return CochainComplex(labels, diff)
+    labels = {r: [(m, lab) for m, p in slots for lab in M.blocks[(m, p)]]
+              for r, slots in slot_table.items()}
+    return CochainComplex(labels, {
+        r: M.block_matrix(slot_table[r + 1], slot_table[r])
+        for r in sorted(slot_table)[:-1]})
 
 
 def _slot_basis(M, r, kind, w):
-    """Slots (m, indices) of the degree-r slice of a band.
+    """Slots, blocks (m, p) of M, of the degree-r slice of a band.
 
     kind: "plus" (m <= r), "minus" (m >= r), "periodic" (all m) or
     "slice" (m = r); w is the effective weight, so slot m carries weight
     p = w + (r - m)/2.  Slots run over 0 <= m <= M.top with m = r mod 2
-    and p >= 0.
+    and p >= 0, and are the blocks of M among them.
     """
     lo = max(r if kind in ("minus", "slice") else 0, 0)
     hi = min(r if kind in ("plus", "slice") else M.top, M.top, r + 2 * w)
-    slots = []
-    for m in range(lo + (r - lo) % 2, hi + 1, 2):
-        idx = M.weight_indices(m, w + (r - m) // 2)
-        if idx:
-            slots.append((m, idx))
-    return slots
+    return [(m, w + (r - m) // 2) for m in range(lo + (r - lo) % 2, hi + 1, 2)
+            if (m, w + (r - m) // 2) in M.blocks]
 
 
 def band_complex(M, w, kind, r_min, r_max):
@@ -520,22 +489,21 @@ def plus_complex(M, r_min=0, r_max=None):
     with differential (delta w_{r-2j} + beta w_{r-2j+2}) in slot j."""
     if r_max is None:
         r_max = M.top
-    return _slot_complex(M, {
-        r: [(m, range(M.dim(m))) for m in range(r % 2, r + 1, 2) if M.dim(m)]
-        for r in range(r_min, r_max + 1)
-    })
+    return _slot_complex(M, {r: _plus_slots(M, r)
+                             for r in range(r_min, r_max + 1)})
 
 
-def plus_power_matrix(M, plus, k, r):
+def _plus_slots(M, r):
+    """Every block of C^m, m <= r and m = r mod 2: degree r of the
+    +complex."""
+    return [key for m in range(r % 2, r + 1, 2) for key in M.keys.get(m, ())]
+
+
+def plus_power_matrix(M, k, r):
     """The +Psi_k matrix on degree r of the total +complex: slot of
     underlying degree m is scaled by k^((m-r)/2) times Psi_k."""
-    index = {}
-    exponents = []
-    for m, lab in plus.labels.get(r, []):
-        if m not in index:
-            index[m] = {label: i for i, label in enumerate(M.labels[m])}
-        exponents.append((m - r) // 2 + M.weight_of(m, index[m][lab]))
-    return _powers(k, exponents)
+    return _powers(k, [(m - r) // 2 + p for m, p in _plus_slots(M, r)
+                       for _ in M.blocks[(m, p)]])
 
 
 def mapping_cone(f):
@@ -562,17 +530,10 @@ def mapping_cone(f):
     diff = {}
     for n in degrees:
         a, b = c2.dim(n), c2.dim(n + 1)
-        blocks = [(c2.d(n), 0, 0), (f.matrix(n + 1), 0, a)]
+        pieces = [(c2.d(n), 0, 0), (f.matrix(n + 1), 0, a)]
         if n in minus_d1:
-            blocks.append((minus_d1[n], b, a))
-        forms = [(m.integer(), i0, j0) for m, i0, j0 in blocks]
-        den = math.lcm(*[d for (d, _), _, _ in forms])
-        nums = {}
-        for (d, part), i0, j0 in forms:
-            s = den // d
-            nums.update({(i + i0, j + j0): v * s for (i, j), v in part.items()})
-        diff[n] = SparseMatrix(b + c1.dim(n + 2), a + c1.dim(n + 1),
-                               integer=(den, nums))
+            pieces.append((minus_d1[n], b, a))
+        diff[n] = _assemble(b + c1.dim(n + 2), a + c1.dim(n + 1), pieces)
     cone = CochainComplex(labels, diff)
     shifted = CochainComplex(
         {n - 1: [(1, lab) for lab in c1.labels[n]] for n in c1.degrees},

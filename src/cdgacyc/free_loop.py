@@ -4,8 +4,10 @@ From (L[V], d) build L[V + Vbar] with degree(vbar) = degree(v) - 1, the
 exterior differential delta (delta v = d v, delta vbar = -i(d v)), the
 interior differential i (i v = vbar, i vbar = 0), the weight grading
 (total exponent of barred factors), on which the power maps Psi_k act by
-k^weight.  Also provides the augmentation ideal and the polynomial-circle
-model C (x) L[u].
+k^weight.  delta preserves the weight and i raises it by one, so the loop
+mixed complex is built as (degree, weight) blocks, and grown by new
+degrees only.  Also provides the augmentation ideal and the
+polynomial-circle model C (x) L[u].
 """
 
 import math
@@ -22,23 +24,24 @@ from cdgacyc.gralg import Derivation, Generator
 from cdgacyc.linalg import SparseMatrix
 
 
-def derivation_matrix(derv, basis_in, index_out, dim_out, on_missing="error"):
+def derivation_matrix(derv, basis_in, index_out):
     """Matrix of a derivation between two monomial bases.
 
-    index_out maps monomials to row indices; images hitting monomials
-    absent from index_out either raise (on_missing="error") or are
-    silently dropped (on_missing="drop", used for weight truncation).
+    index_out maps the target monomials to row indices; an image hitting
+    a monomial absent from index_out raises ConsistencyError.  With no
+    entry it is the shared zero of its shape.
     """
     entries = {}
     for j, mono in enumerate(basis_in):
         for m, c in derv.apply_monomial(mono).items():
-            if m in index_out:
-                entries[(index_out[m], j)] = c
-            elif on_missing == "error":
+            if m not in index_out:
                 raise ConsistencyError(
                     f"image monomial {gralg.monomial_str(m)} outside the basis"
                 )
-    return SparseMatrix(dim_out, len(basis_in), entries)
+            entries[(index_out[m], j)] = c
+    if not entries:
+        return SparseMatrix.zero(len(index_out), len(basis_in))
+    return SparseMatrix(len(index_out), len(basis_in), entries)
 
 
 class LoopAlgebra:
@@ -142,37 +145,43 @@ class LoopAlgebra:
             else n + 1,
         )
 
-    def mixed_complex(self, top):
-        """The loop mixed complex on degrees 0..top with weight tags.
+    def mixed_complex(self, top, grown=None):
+        """The loop mixed complex on degrees 0..top, in (degree, weight)
+        blocks.
 
+        delta preserves the weight and the interior differential raises
+        it by one, so the block (n, p) has a delta block into (n + 1, p)
+        and a beta block into (n - 1, p + 1).  An image outside its target
+        block raises ConsistencyError: the weight grading is checked here,
+        once per block.  A block matrix with no entry is not stored.
         When a weight cutoff W is set, the complex is the direct summand
-        of weights <= W (delta preserves weight; the interior differential
-        is projected back onto weights <= W, which is again a mixed
-        structure because the weight decomposition is a direct sum).
+        of weights <= W, and no beta is built out of weight W (the weight
+        decomposition is a direct sum, so this is again a mixed
+        structure).  grown, a complex this method built on degrees 0..t
+        with t < top, is grown by the new degrees only: the result keeps
+        its blocks and builds the delta blocks out of degrees t..top-1
+        and the beta blocks out of degrees t+1..top.
         """
-        labels = {n: self.basis(n) for n in range(top + 1)}
-        weights = {n: [self.weight(m) for m in labels[n]] for n in labels}
-        index = {
-            n: {m: i for i, m in enumerate(labels[n])} for n in labels
-        }
-        truncating = self.weight_cutoff is not None
-        delta = {
-            n: derivation_matrix(
-                self.delta, labels[n], index[n + 1], len(labels[n + 1])
-            )
-            for n in range(top)
-        }
-        beta = {
-            n: derivation_matrix(
-                self.iota,
-                labels[n],
-                index[n - 1],
-                len(labels[n - 1]),
-                on_missing="drop" if truncating else "error",
-            )
-            for n in range(1, top + 1)
-        }
-        return MixedComplex(labels, delta, beta, weights=weights)
+        t, blocks, delta, beta = -1, {}, {}, {}
+        if grown is not None:
+            t = grown.top
+            blocks, delta, beta = (dict(grown.blocks), dict(grown.delta),
+                                   dict(grown.beta))
+        for n in range(t + 1, top + 1):
+            for mono in self.basis(n):
+                blocks.setdefault((n, self.weight(mono)), []).append(mono)
+        index = {key: {m: i for i, m in enumerate(labs)}
+                 for key, labs in blocks.items() if key[0] >= t}
+        for (n, p), labs in blocks.items():
+            for derv, mats, out, build in (
+                    (self.delta, delta, (n + 1, p), t <= n < top),
+                    (self.iota, beta, (n - 1, p + 1),
+                     n > t and p != self.weight_cutoff)):
+                if build:
+                    m = derivation_matrix(derv, labs, index.get(out, {}))
+                    if not m.is_zero():
+                        mats[(n, p)] = m
+        return MixedComplex(blocks, delta, beta, top)
 
 
 def free_loop(base, weight_cutoff=None):
@@ -199,22 +208,17 @@ def base_cochain(base, top, grown=None, bottom=0):
              for n in range(t, top + 1)}
     for n in range(t, top):
         diff[n] = derivation_matrix(base.differential, labels[n],
-                                    index[n + 1], len(index[n + 1]))
+                                    index[n + 1])
     return CochainComplex(labels, diff, shares=shares)
 
 
 def ideals(M):
-    """The augmentation ideal of a loop mixed complex M.
-
-    It drops exactly the unit monomial in degree 0 and is a mixed
-    subcomplex (the closure of delta and beta on it is verified).
-    """
-    keep = {}
-    for n in M.labels:
-        idx = [i for i, m in enumerate(M.labels[n]) if m != gralg.ONE]
-        if idx:
-            keep[n] = idx
-    return M.coordinate_subcomplex(keep)
+    """The augmentation ideal of a loop mixed complex M: M less the block
+    (0, 0), which holds only the unit.  No delta or beta block lands in
+    (0, 0) or leaves it (delta and beta of the unit are 0), so it is a
+    mixed subcomplex on M's blocks and matrices."""
+    blocks = {key: labs for key, labs in M.blocks.items() if key != (0, 0)}
+    return MixedComplex(blocks, M.delta, M.beta, M.top)
 
 
 def u_model(loop, top):

@@ -104,7 +104,8 @@ class LoopContext:
 
     The mixed complex is built once, through max(top, cutoff + 1), which
     covers every degree HH, CH, PH, SH, euler and check read; only
-    PH_periodic asks for more, and then it is rebuilt larger.  One band
+    PH_periodic and SH's negative control ask for more, and then it is
+    grown by the new degrees, so each block is built once.  One band
     per slot table: band assembles one of any kind per distinct table of
     (m, p) slots in degrees 0..top (for w <= 0 the periodic band has the
     plus band's slots, the minus band the slice's).  A "plus" or
@@ -141,7 +142,8 @@ class LoopContext:
 
     def mixed(self, top):
         if self._mixed is None or self._mixed.top < top:
-            self._mixed = self.loop.mixed_complex(max(top, self.cutoff + 1))
+            self._mixed = self.loop.mixed_complex(
+                max(top, self.cutoff + 1), grown=self._mixed)
         return self._mixed
 
     def cochain(self):
@@ -170,8 +172,7 @@ class LoopContext:
                                              self.cutoff + 1).truncated(top)
             else:
                 M = self.mixed(top)
-                slots = tuple(tuple((m, w + (r - m) // 2)
-                                    for m, _ in _slot_basis(M, r, kind, w))
+                slots = tuple(tuple(_slot_basis(M, r, kind, w))
                               for r in range(top + 1))
                 if slots not in self._tables:
                     self._tables[slots] = band_complex(M, w, kind, 0, top)
@@ -544,8 +545,8 @@ def fig2_audit(ctx):
     s = label_inclusion(lower, plus)
     for k in (2, 3):
         for r in range(2, cutoff + 1):
-            psi_lo = plus_power_matrix(M, plus, k, r - 2)
-            psi_hi = plus_power_matrix(M, plus, k, r)
+            psi_lo = plus_power_matrix(M, k, r - 2)
+            psi_hi = plus_power_matrix(M, k, r)
             lhs = s.matrix(r) @ psi_lo
             rhs = (psi_hi @ s.matrix(r)).scale(k)
             if lhs != rhs:
@@ -682,7 +683,7 @@ def t4_audit(ctx):
         for n in range(cutoff + 1):
             for name, cx, power, table in (
                 ("HH", C, M.power_matrix(k, n), hh),
-                ("CH", plus, plus_power_matrix(M, plus, k, n), ch),
+                ("CH", plus, plus_power_matrix(M, k, n), ch),
             ):
                 psi = linalg.induced_map(power, cx.cohomology(n),
                                          cx.cohomology(n))

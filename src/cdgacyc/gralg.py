@@ -68,18 +68,6 @@ def monomial_mul(m1, m2):
     return sign, tuple(out)
 
 
-def poly(*terms):
-    """Polynomial from (coeff, monomial) pairs, dropping zeros."""
-    out = {}
-    for c, m in terms:
-        c = Fraction(c)
-        if c:
-            out[m] = out.get(m, Fraction(0)) + c
-            if not out[m]:
-                del out[m]
-    return out
-
-
 def poly_add(p, q):
     out = dict(p)
     for m, c in q.items():

@@ -77,25 +77,31 @@ class BruteAlgebra:
                     del out[prod]
         return out
 
-    def basis(self, n, counted=None, cap=None):
-        """Exponent tuples of total degree n."""
+    def basis(self, n, counted=(), cap=None):
+        """Exponent tuples of total degree n.  With a cap, only those whose
+        exponents on the generator indices in counted sum to at most cap:
+        a counted generator of degree 0 then takes every exponent up to
+        the cap, and without one it takes none."""
         out = []
 
-        def rec(i, left, acc):
+        def rec(i, left, used, acc):
             if i == len(self.degrees):
                 if left == 0:
                     out.append(tuple(acc))
                 return
             d = self.degrees[i]
+            capped = cap is not None and i in counted
             top = 1 if self.odd[i] else (left // d if d else 0)
+            if capped:
+                top = cap - used if d == 0 else min(top, cap - used)
             for e in range(top + 1):
                 if e * d > left:
                     break
                 acc.append(e)
-                rec(i + 1, left - e * d, acc)
+                rec(i + 1, left - e * d, used + e * capped, acc)
                 acc.pop()
 
-        rec(0, n, [])
+        rec(0, n, 0, [])
         return out
 
 

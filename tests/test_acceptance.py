@@ -213,16 +213,14 @@ def test_criterion_8_negative_controls(monkeypatch):
     # (a) flip the sign of delta on y_bar: axioms must fail with a witness
     loop = free_loop(fixture("sphere2"))
     M = loop.mixed_complex(8)
-    ybar = loop.barred[1]
-    col = {i for i, mono in enumerate(M.labels[2]) if mono == ((ybar, 1),)}
-    d2 = M.delta[2]
-    entries = {
-        (i, j): (-v if j in col else v)
-        for (i, j), v in d2.entries.items()
-    }
-    delta = dict(M.delta)
-    delta[2] = SparseMatrix(d2.rows, d2.cols, entries)
-    bad = MixedComplex(M.labels, delta, M.beta, weights=M.weights)
+    ybar = ((loop.barred[1], 1),)
+    key = (2, loop.weight(ybar))
+    col = M.blocks[key].index(ybar)
+    d = M.delta[key]
+    entries = {(i, j): (-v if j == col else v)
+               for (i, j), v in d.entries.items()}
+    delta = {**M.delta, key: SparseMatrix(d.rows, d.cols, entries)}
+    bad = MixedComplex(M.blocks, delta, M.beta, M.top)
     axioms = bad.validate(ks=[2])
     ok = ok and axioms.status == "fail" and axioms.witnesses == (
         {"check": "delta.beta + beta.delta != 0", "degree": 3},)

@@ -269,9 +269,9 @@ def test_one_mixed_complex_per_command(command, monkeypatch, capsys):
     tops = []
     build = LoopAlgebra.mixed_complex
 
-    def counted(self, top):
+    def counted(self, top, grown=None):
         tops.append(top)
-        return build(self, top)
+        return build(self, top, grown)
 
     monkeypatch.setattr(LoopAlgebra, "mixed_complex", counted)
     code, _, _ = run([command, str(FIXTURES / "product_s2_s3.json"),
@@ -321,6 +321,46 @@ def test_base_complex_rebuilt_only_when_it_grows(monkeypatch, capsys):
     _assert_each_base_degree_built_once(calls)
 
 
+def test_each_loop_block_is_built_once(monkeypatch):
+    # PH_periodic and the negative control without the weight-zero
+    # projection read the loop complex above cutoff + 1, and the audits
+    # read it through cutoff + 1: the one complex grows, each call keeping
+    # the previous complex, and each delta and beta block is built once
+    grows, blocks = [], []
+    build = LoopAlgebra.mixed_complex
+    make = free_loop.derivation_matrix
+
+    def counted(self, top, grown=None):
+        out = build(self, top, grown)
+        grows.append((grown, out))
+        return out
+
+    def counted_make(derv, basis_in, index_out):
+        blocks.append((derv, tuple(basis_in)))
+        return make(derv, basis_in, index_out)
+
+    monkeypatch.setattr(LoopAlgebra, "mixed_complex", counted)
+    monkeypatch.setattr(free_loop, "derivation_matrix", counted_make)
+    ctx = functors.LoopContext(
+        cli.load_algebra(str(FIXTURES / "product_s2_s3.json")), 4)
+    functors.PH_periodic(ctx)
+    functors.SH(ctx, project_weight_zero=False)
+    records = functors.audits(ctx)
+    assert all(record.status != "fail" for record in records)
+    assert [grown for grown, _ in grows] == [None] + [
+        out for _, out in grows[:-1]]
+    M = grows[-1][1]
+    assert M.top > ctx.cutoff + 1 and len(grows) > 1
+    loop = [(derv, labs) for derv, labs in blocks
+            if derv in (ctx.loop.delta, ctx.loop.iota)]
+    assert len(loop) == len(set(loop))
+    # delta out of every block below the top, beta out of every block
+    assert set(loop) == {(derv, tuple(labs))
+                         for (n, _), labs in M.blocks.items()
+                         for derv in (ctx.loop.delta, ctx.loop.iota)
+                         if derv is ctx.loop.iota or n < M.top}
+
+
 def test_check_builds_each_band_and_cone_once(monkeypatch, capsys):
     # every reader of a plus band or slice shares the one band per
     # (weight, kind), a band is assembled once per distinct slot table
@@ -334,10 +374,8 @@ def test_check_builds_each_band_and_cone_once(monkeypatch, capsys):
 
     def counted_band(M, w, kind, r_min, r_max):
         bands.append((w, kind))
-        tables.append(tuple(
-            tuple((m, w + (r - m) // 2)
-                  for m, _ in complexes._slot_basis(M, r, kind, w))
-            for r in range(r_min, r_max + 1)))
+        tables.append(tuple(tuple(complexes._slot_basis(M, r, kind, w))
+                            for r in range(r_min, r_max + 1)))
         return band(M, w, kind, r_min, r_max)
 
     def counted_block(ctx, w, top):

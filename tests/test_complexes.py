@@ -93,51 +93,25 @@ def test_truncation_and_shift_share_cohomology():
     assert cut.d(0) is c.d(0)
 
 
+def _corrupt_beta(M, n):
+    """M with one entry of its first degree-n beta block changed, and
+    (that block's key, the column of the entry)."""
+    key = next(key for key in M.beta if key[0] == n)
+    b = M.beta[key]
+    entries = dict(b.entries)
+    (i0, j0), v0 = next(iter(entries.items()))
+    entries[(i0, j0)] = v0 + 1
+    beta = {**M.beta, key: SparseMatrix.validated(b.rows, b.cols, entries)}
+    return MixedComplex(M.blocks, M.delta, beta, M.top), key, j0
+
+
 def test_mixed_complex_validation_catches_corruption():
     loop = free_loop(sphere2())
     M = loop.mixed_complex(8)
     assert M.validate(ks=[-1, 2, 3, 6]).status == "pass"
     # corrupt one beta entry: the square/anticommutator axioms must fail
-    beta = dict(M.beta)
-    b3 = beta[3]
-    entries = dict(b3.entries)
-    (i0, j0), v0 = next(iter(entries.items()))
-    entries[(i0, j0)] = v0 + 1
-    beta[3] = SparseMatrix.validated(b3.rows, b3.cols, entries)
-    bad = MixedComplex(M.labels, M.delta, beta, weights=M.weights)
+    bad, _, _ = _corrupt_beta(M, 3)
     assert bad.validate(ks=[2]).status == "fail"
-
-
-def _touches(mat, row=None, col=None):
-    return any(i == row or j == col for i, j in mat.entries)
-
-
-def test_wrong_weight_tag_fails_only_the_power_maps_that_touch_it():
-    M = free_loop(sphere2()).mixed_complex(8)
-    ks = [-1, 2, 3, 6]
-    # the degree-4 label with the most delta and beta entries
-    m = 4
-    i = max(range(M.dim(m)), key=lambda i: sum(
-        _touches(a, row=r, col=c) for a, r, c in (
-            (M.delta_m(m - 1), i, None), (M.delta_m(m), None, i),
-            (M.beta_m(m), None, i), (M.beta_m(m + 1), i, None))))
-    weights = {n: list(v) for n, v in M.weights.items()}
-    weights[m][i] += 1
-    bad = MixedComplex(M.labels, M.delta, M.beta, weights=weights)
-    delta_degrees = [n for n, hit in ((m - 1, _touches(M.delta_m(m - 1), row=i)),
-                                      (m, _touches(M.delta_m(m), col=i))) if hit]
-    beta_degrees = [n for n, hit in ((m, _touches(M.beta_m(m), col=i)),
-                                     (m + 1, _touches(M.beta_m(m + 1), row=i)))
-                    if hit]
-    assert delta_degrees and beta_degrees
-    expected = []
-    for k in ks:
-        expected += [{"check": f"Psi_{k}.delta != delta.Psi_{k}", "degree": n}
-                     for n in delta_degrees]
-        expected += [{"check": f"Psi_{k}.beta != k.beta.Psi_{k}", "degree": n}
-                     for n in beta_degrees]
-    assert bad.validate(ks=ks).witnesses == tuple(expected)
-    assert bad.validate().status == "pass"
 
 
 def test_corrupted_beta_cannot_produce_a_number():
@@ -145,16 +119,10 @@ def test_corrupted_beta_cannot_produce_a_number():
     # corrupted beta block must still fail where cohomology is taken
     loop = free_loop(sphere2())
     M = loop.mixed_complex(8)
-    beta = dict(M.beta)
-    b3 = beta[3]
-    entries = dict(b3.entries)
-    (i0, j0), v0 = next(iter(entries.items()))
-    entries[(i0, j0)] = v0 + 1
-    beta[3] = SparseMatrix.validated(b3.rows, b3.cols, entries)
-    bad = MixedComplex(M.labels, M.delta, beta, weights=M.weights)
+    bad, (n, p), j0 = _corrupt_beta(M, 3)
     # the plus band whose degree-3 top slot holds the corrupted column
-    band = band_complex(bad, bad.weight_of(3, j0), "plus", 0, 8)
-    assert (3, M.labels[3][j0]) in band.labels[3]
+    band = band_complex(bad, p, "plus", 0, 8)
+    assert (3, M.blocks[(n, p)][j0]) in band.labels[3]
     with pytest.raises(PreconditionError):
         for r in range(8):
             band.betti(r)
@@ -212,18 +180,9 @@ def test_plus_bands_partition_plus_complex(name):
 
 
 def test_band_assembly_errors():
-    # delta sends the weight-0 element a onto the weight-1 element b
-    bad_delta = MixedComplex({0: ["a"], 1: ["b", "c"]}, {0: M_([[1], [0]])},
-                             {}, weights={0: [0], 1: [1, 0]})
-    with pytest.raises(ConsistencyError, match="delta breaks"):
-        band_complex(bad_delta, 0, "plus", 0, 1)
-    # beta sends the weight-0 element b onto the weight-0 element e
-    bad_beta = MixedComplex({0: ["a", "e"], 1: ["b"]}, {},
-                            {1: M_([[0], [1]])}, weights={0: [1, 0], 1: [0]})
-    with pytest.raises(ConsistencyError, match="beta breaks"):
-        band_complex(bad_beta, 0, "plus", 1, 2)
+    M = free_loop(sphere3()).mixed_complex(2)
     with pytest.raises(ComplexError, match="unknown band kind"):
-        band_complex(bad_delta, 0, "cyclic", 0, 1)
+        band_complex(M, 0, "cyclic", 0, 1)
 
 
 def test_mapping_cone_les():
@@ -347,21 +306,28 @@ def test_cone_shift_shares_the_cohomology_of_its_source(monkeypatch):
         assert all(m == SparseMatrix.identity(m.rows) for m in got)
 
 
-def test_coordinate_subcomplex_closure_check():
-    loop = free_loop(sphere2())
-    M = loop.mixed_complex(6)
-    # dropping the unit only is fine
-    keep = {
-        n: [i for i, lab in enumerate(M.labels[n]) if lab != ()]
-        for n in M.labels
-    }
-    keep = {n: idx for n, idx in keep.items() if idx}
-    M.coordinate_subcomplex(keep)
-    # dropping a monomial that receives differential must fail
-    bad = {n: list(range(M.dim(n))) for n in M.labels}
-    bad[3] = bad[3][1:]
-    with pytest.raises(ConsistencyError):
-        M.coordinate_subcomplex(bad)
+def test_ideal_is_the_complex_without_the_unit():
+    # no delta or beta block lands in or leaves the unit's block (0, 0),
+    # so the ideal keeps every other block and M's delta and beta on them
+    torus = FreeCDGA([Generator(0, "a", 1), Generator(1, "b", 1)], {})
+    for loop in (free_loop(sphere2()), free_loop(sphere3()),
+                 free_loop(torus, weight_cutoff=2)):
+        M = loop.mixed_complex(6)
+        ideal = ideals(M)
+        assert M.blocks[(0, 0)] == [()]
+        assert ideal.blocks == {key: labs for key, labs in M.blocks.items()
+                                if key != (0, 0)}
+        # the unit is the first label of degree 0
+        assert M.labels[0][0] == () and ideal.labels[0] == M.labels[0][1:]
+        assert dict(ideal.delta_m(0).entries) == {
+            (i, j - 1): v for (i, j), v in M.delta_m(0).entries.items()}
+        assert dict(ideal.beta_m(1).entries) == {
+            (i - 1, j): v for (i, j), v in M.beta_m(1).entries.items()}
+        for n in range(1, 7):
+            assert ideal.labels[n] == M.labels[n]
+            assert ideal.delta_m(n) == M.delta_m(n)
+            assert ideal.beta_m(n + 1) == M.beta_m(n + 1)
+        assert ideal.validate(ks=[2]).status == "pass"
 
 
 def test_beta_acyclic_lemma_on_ideal():

@@ -1,6 +1,7 @@
 """The free-loop construction: generators, differentials, weights."""
 
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -8,8 +9,13 @@ from pathlib import Path
 import pytest
 
 from cdgacyc import cli, gralg
-from cdgacyc.complexes import UnsupportedConfiguration, band_complex
+from cdgacyc.complexes import (
+    ConsistencyError,
+    UnsupportedConfiguration,
+    band_complex,
+)
 from cdgacyc.free_loop import (
+    LoopAlgebra,
     base_cochain,
     free_loop,
     u_model,
@@ -17,8 +23,10 @@ from cdgacyc.free_loop import (
 from cdgacyc.gralg import FreeCDGA, Generator
 
 from models import (
+    brute_form,
     even_sphere,
     free_cdga,
+    non_pure,
     odd_sphere,
     projective_space,
     rescaled,
@@ -115,9 +123,62 @@ def test_mixed_complex_weight_tags():
 def test_power_matrix_is_diagonal_weight_power():
     loop = free_loop(sphere2())
     for k in (2, 3):
-        m = loop.mixed_complex(5).power_matrix(k, 5)
-        for i, mono in enumerate(loop.basis(5)):
+        M = loop.mixed_complex(5)
+        m = M.power_matrix(k, 5)
+        for i, mono in enumerate(M.labels[5]):
             assert m.entries.get((i, i)) == Fraction(k) ** loop.weight(mono)
+
+
+def test_a_wrong_weight_tag_fails_at_construction(monkeypatch):
+    # the first monomial that delta carries into degree 4, tagged one
+    # weight too high: the delta block out of degree 3 that hits it finds
+    # it outside its target block
+    loop = free_loop(sphere2())
+    M = loop.mixed_complex(6)
+    (_, p), d = next((key, d) for key, d in M.delta.items() if key[0] == 3)
+    mono = M.blocks[(4, p)][min(i for i, _ in d.entries)]
+    weight = LoopAlgebra.weight
+    monkeypatch.setattr(LoopAlgebra, "weight", lambda self, m: (
+        weight(self, m) + (m == mono)))
+    with pytest.raises(ConsistencyError, match=re.escape(
+            f"image monomial {gralg.monomial_str(mono)} outside")):
+        loop.mixed_complex(6)
+
+
+TORUS = ([("a", 1), ("b", 1)], {})
+ASSEMBLED = {"sphere2": (even_sphere(2, ""), None),
+             "product_s2_s3": (tensor(even_sphere(2, "0"),
+                                      odd_sphere(3, "1")), None),
+             "non_pure": (non_pure(), None),
+             "torus": (TORUS, 0), "torus W=2": (TORUS, 2)}
+
+
+@pytest.mark.parametrize("name", sorted(ASSEMBLED))
+def test_assembled_matrices_match_the_oracle(name):
+    # delta_m and beta_m, stacked from the blocks in weight order, entry by
+    # entry against the oracle's delta and iota on its own basis; under a
+    # weight cutoff W the oracle's images of weight W + 1 are absent
+    model, cutoff = ASSEMBLED[name]
+    loop = free_loop(free_cdga(model), weight_cutoff=cutoff)
+    top = 6
+    M = loop.mixed_complex(top)
+    delta, iota = loop_of(*brute_form(model))
+    k = len(model[0])
+    barred = set(range(k, 2 * k))
+    vector = _exponents(loop.algebra.generators)
+    labels = {n: [vector(m) for m in M.labels[n]] for n in range(top + 1)}
+    for n in range(top + 1):
+        assert sorted(labels[n]) == sorted(delta.basis(n, barred, cutoff))
+        weights = [sum(v[k:]) for v in labels[n]]
+        assert M.weights[n] == weights == sorted(weights)
+    for n in range(top):
+        for mat, brute, n_in, n_out in ((M.delta_m(n), delta, n, n + 1),
+                                        (M.beta_m(n + 1), iota, n + 1, n)):
+            want = {(labels[n_out].index(m), j): c
+                    for j, v in enumerate(labels[n_in])
+                    for m, c in brute.d_mono(v).items()
+                    if cutoff is None or sum(m[k:]) <= cutoff}
+            assert dict(mat.entries) == want, (n_in, n_out)
 
 
 def test_base_cochain_matches_hand_values():

@@ -625,7 +625,7 @@ def test_complexes_of_a_fixture_keep_the_invariant():
         [mixed.power_matrix(k, n) for k in (-1, 2, 3) for n in range(9)]
     plus = plus_complex(mixed, 0, 8)
     mats += [plus.d(n) for n in range(8)]
-    mats += [plus_power_matrix(mixed, plus, k, n)
+    mats += [plus_power_matrix(mixed, k, n)
              for k in (-1, 2) for n in range(8)]
     for w in range(3):
         amb = band_complex(mixed, w, "plus", 0, 8)
