@@ -484,13 +484,14 @@ def band_complex(M, w, kind, r_min, r_max):
     )
 
 
-def plus_complex(M, r_min=0, r_max=None):
-    """Total +complex: degree r is the finite product of C^{r-2k}, k >= 0,
-    with differential (delta w_{r-2j} + beta w_{r-2j+2}) in slot j."""
+def plus_complex(M, r_max=None):
+    """Total +complex through degree r_max (default M.top): degree r is
+    the finite product of C^{r-2k}, k >= 0, with differential
+    (delta w_{r-2j} + beta w_{r-2j+2}) in slot j."""
     if r_max is None:
         r_max = M.top
     return _slot_complex(M, {r: _plus_slots(M, r)
-                             for r in range(r_min, r_max + 1)})
+                             for r in range(r_max + 1)})
 
 
 def _plus_slots(M, r):

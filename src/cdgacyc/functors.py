@@ -104,15 +104,15 @@ class LoopContext:
 
     The mixed complex is built once, through max(top, cutoff + 1), which
     covers every degree HH, CH, PH, SH, euler and check read; only
-    PH_periodic and SH's negative control ask for more, and then it is
-    grown by the new degrees, so each block is built once.  One band
-    per slot table: band assembles one of any kind per distinct table of
-    (m, p) slots in degrees 0..top (for w <= 0 the periodic band has the
-    plus band's slots, the minus band the slice's).  A "plus" or
-    "slice" band's degree-r piece reads the mixed complex only in degrees
-    <= r, so it is assembled through cutoff + 1, and a reader with a
-    smaller top gets its truncation, which shares the band's matrices
-    and its cohomology below that top.  The base complex grows by the
+    PH_periodic asks for more, and then it is grown by the new degrees,
+    so each block is built once.  One band per slot table: band
+    assembles one of any kind per distinct table of (m, p) slots in
+    degrees 0..top (for w <= 0 the periodic band has the plus band's
+    slots, the minus band the slice's).  A "plus" or "slice" band's
+    degree-r piece reads the mixed complex only in degrees <= r, so it
+    is assembled through cutoff + 1, and a reader with a smaller top
+    gets its truncation, which shares the band's matrices and its
+    cohomology below that top.  The base complex grows by the
     new degrees only, keeping its matrices and cohomology.
 
     truncated says why an audit that expects the untruncated loop complex
@@ -161,7 +161,7 @@ class LoopContext:
 
     def plus(self, top):
         if top not in self._plus:
-            self._plus[top] = plus_complex(self.mixed(top), 0, top)
+            self._plus[top] = plus_complex(self.mixed(top), top)
         return self._plus[top]
 
     def band(self, w, kind, top):
@@ -274,25 +274,21 @@ def reduced_CH(ctx):
 
 
 def K_groups(ctx):
-    """The even/odd products of base cohomology, with per-slot breakdown.
+    """The even/odd products of base cohomology and their reductions.
 
     K^r sums dim H^m(base) over m of the parity of r; finiteness rests on
     the vanishing-window certificate of the base cohomology.
     """
     cutoff = ctx.cutoff
     base = ctx.base(cutoff + 1)
-    betti = {n: base.betti(n) for n in range(cutoff + 1)}
-    bound, certified = ctx.base_bound()
-    even = sum(d for n, d in betti.items() if n % 2 == 0)
-    odd = sum(d for n, d in betti.items() if n % 2 == 1)
+    betti = [base.betti(n) for n in range(cutoff + 1)]
+    even, odd = sum(betti[0::2]), sum(betti[1::2])
     return {
         "even": even,
         "odd": odd,
         "reduced_even": even - 1,
         "reduced_odd": odd,
-        "base_betti": betti,
-        "bound": bound,
-        "certified": certified,
+        "certified": ctx.base_bound()[1],
     }
 
 
@@ -423,40 +419,32 @@ def _top_slot(ctx, w):
     return image
 
 
-def _sh_band(ctx, w, project_weight_zero=True):
+def _sh_band(ctx, w):
     """The comparison map Ibar at effective weight w and its cone, as
-    (Ibar, cone, include, project), built once per weight and flag.
+    (Ibar, cone, include, project), built once per weight.
 
     Source: the degree-r piece is the +band of effective weight w + 1 at
     level r - 2, for r <= cutoff + 2.  Target: the base block (weight-0
-    projection of the top slot) through degree cutoff + 2.  With
-    project_weight_zero=False the projection is skipped and the full
-    periodic band of the loop complex is the target (negative control).
+    projection of the top slot) through degree cutoff + 2.
 
     One cone serves every SH^r(w), r <= cutoff.  Its H^r reads cone
     degrees r - 1..r + 1, that is the source +band through degree r and
     the target through degree r + 1.  A +band's degree-r piece reads the
-    mixed complex only in degrees <= r, the base block's is base^{r+2w},
-    and the periodic target's reads degrees <= r + 2w, all of which the
-    larger top covers.  So the cone built at top cutoff + 1 has the same
-    degrees r - 1..r + 1 as one built at top r + 1, and the same H^r.
+    mixed complex only in degrees <= r, and the base block's reads
+    base^{r+2w}, all of which the larger top covers.  So the cone built
+    at top cutoff + 1 has the same degrees r - 1..r + 1 as one built at
+    top r + 1, and the same H^r.
     """
-    key = (w, project_weight_zero)
-    if key not in ctx._cones:
+    if w not in ctx._cones:
         top = ctx.cutoff + 1
         source = shift_complex(ctx.band(w + 1, "plus", top - 1), 2)
-        if project_weight_zero:
-            f = label_map(source, _base_block(ctx, w, top + 1),
-                          _top_slot(ctx, w), check_degrees=range(0, top))
-        else:
-            M = ctx.mixed(max(top + 2, top + 2 + 2 * w))
-            f = label_inclusion(source,
-                                band_complex(M, w, "periodic", 0, top + 1))
-        ctx._cones[key] = (f, *mapping_cone(f))
-    return ctx._cones[key]
+        f = label_map(source, _base_block(ctx, w, top + 1),
+                      _top_slot(ctx, w), check_degrees=range(0, top))
+        ctx._cones[w] = (f, *mapping_cone(f))
+    return ctx._cones[w]
 
 
-def SH(ctx, project_weight_zero=True):
+def SH(ctx):
     """Cohomology of the cone over the zero-weight comparison map.
 
     Per weight w the cone pairs the base block in degree r+2w with the
@@ -482,7 +470,7 @@ def SH(ctx, project_weight_zero=True):
             h_base = base.betti(mb) if mb >= 0 else 0
             if ch_next == 0 and h_base == 0:
                 continue
-            d = _sh_band(ctx, w, project_weight_zero)[1].betti(r)
+            d = _sh_band(ctx, w)[1].betti(r)
             if d:
                 weights[w] = d
         table.set_row(r, sum(weights.values()), weights, certified=certified)

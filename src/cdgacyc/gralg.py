@@ -84,20 +84,6 @@ def poly_scale(c, p):
     return {m: c * v for m, v in p.items()}
 
 
-def poly_mul(p, q):
-    out = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            r = monomial_mul(m1, m2)
-            if r is None:
-                continue
-            sign, m = r
-            out[m] = out.get(m, Fraction(0)) + sign * c1 * c2
-            if not out[m]:
-                del out[m]
-    return out
-
-
 def poly_degree(p):
     """Degree of a homogeneous polynomial; AlgebraError if mixed."""
     degs = {monomial_degree(m) for m in p}

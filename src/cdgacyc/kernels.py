@@ -1,13 +1,9 @@
 """Sparse fraction-free row reduction over the integers."""
 
-from collections.abc import Sequence
-from fractions import Fraction
 from math import gcd, lcm
 
 # Stamped into the environment record of every perfbench run.
 KERNEL_NAME = "python"
-
-_ONE = Fraction(1)
 
 
 def bareiss(rows, ncols):
@@ -16,20 +12,21 @@ def bareiss(rows, ncols):
     ``rows`` is a sequence of rows, each a sequence of ``(col, value)``
     pairs with distinct columns in ``range(ncols)`` and nonzero rational
     values (ints or Fractions); it is not mutated.  Returns ``(echelon,
-    pivot_cols)``: ``echelon`` is an ``Echelon``, the nonzero rows of the
-    reduced row echelon form in pivot order (leading entry 1, zero in
-    every other pivot column), and ``pivot_cols`` is the strictly
-    increasing list of their leading columns.  Both are unique for the
-    matrix, so they do not depend on the order of the rows.
+    pivot_cols)``: ``pivot_cols`` is the strictly increasing list of the
+    leading columns of the reduced row echelon form, and ``echelon[i]``
+    is its row i as a primitive {col: int} dict, the RREF row (leading
+    entry 1, zero in every other pivot column) times the integer
+    ``echelon[i][pivot_cols[i]]``.  The pivots and the RREF are unique for
+    the matrix, so they do not depend on the order of the rows.
 
     The elimination is fraction-free (Bareiss, Math. Comp. 22 (1968)):
     each row is scaled by the lcm of its denominators to integers, and
     every stored row stays a primitive integer multiple of the rational
     row it stands for.  A row is reduced against a table of stored rows
     keyed by leading column until its leading column is free; the stored
-    rows are then reduced upwards.  Nothing is divided here: the reduced
-    rows stay integral, each with its leading entry, and a row becomes
-    ``Fraction``s only when it is read, so a rank costs no division.
+    rows are then reduced upwards.  Nothing is divided here, so a rank
+    costs no division; a reader that needs entries of the RREF divides
+    just those by the leading entry.
 
     ``ncols`` is not read by the elimination; ``linalg`` binds this
     function by name and the benchmark's tracer wraps that binding and
@@ -56,48 +53,7 @@ def bareiss(rows, ncols):
         r = table[lead]
         for j in [j for j in r if j != lead and j in table]:
             _eliminate(r, j, table[j])
-    return Echelon([table[p] for p in pivot_cols], pivot_cols), pivot_cols
-
-
-class Echelon(Sequence):
-    """The nonzero rows of a reduced row echelon form, in pivot order.
-
-    ``integral[i]`` is row i as a primitive {col: int} dict: the RREF row
-    times its leading entry ``integral[i][pivots[i]]``.  Reading row i
-    (by index, iteration or ==) divides it into a {col: Fraction} dict
-    with leading entry 1, once; readers that need a few entries divide
-    those from ``integral`` themselves.
-    """
-
-    __slots__ = ("integral", "pivots", "_read")
-
-    def __init__(self, integral, pivots):
-        self.integral = integral
-        self.pivots = pivots
-        self._read = [None] * len(integral)
-
-    def __len__(self):
-        return len(self.integral)
-
-    def __getitem__(self, i):
-        row = self._read[i]
-        if row is None:
-            r, p = self.integral[i], self.pivots[i]
-            if len(r) == 1:
-                row = {p: _ONE}
-            else:
-                d = r[p]
-                row = {j: Fraction(v, d) for j, v in r.items()}
-            self._read[i] = row
-        return row
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return list(self) == list(other)
-
-    def __repr__(self):
-        return f"Echelon({list(self)!r})"
+    return [table[p] for p in pivot_cols], pivot_cols
 
 
 def _integer_row(row):

@@ -4,7 +4,7 @@ Everything downstream (cohomology of every complex, induced maps,
 audits) reduces to the operations here: rank, kernel, image, subquotient
 bases and maps induced on subquotients.  Each is read off a sparse
 reduced row echelon form over Q, computed once per matrix and cached on
-it.  The elimination leaves its rows integral (``kernels.Echelon``): a
+it.  The elimination leaves its rows integral (``kernels.bareiss``): a
 rank reads only the pivots and divides nothing, and a reader that needs
 entries of a row divides just those.  A subquotient Ker(d_out)/Im(d_in)
 works in kernel coordinates, the entries of a cocycle on the free
@@ -62,7 +62,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
 
-from cdgacyc.kernels import Echelon, bareiss
+from cdgacyc.kernels import bareiss
 
 
 class LinalgError(Exception):
@@ -225,9 +225,6 @@ class SparseMatrix:
     def __sub__(self, other):
         return self._combine(other, -1)
 
-    def __neg__(self):
-        return self.scale(-1)
-
     def scale(self, c):
         """c times the matrix, for an int or Fraction c."""
         p, q = c.as_integer_ratio()
@@ -292,7 +289,8 @@ class SparseMatrix:
 
     def echelon(self):
         """Reduced row echelon form of the integer form, cached: (its rows
-        as a kernels.Echelon, ascending pivot columns)."""
+        as primitive {col: int} dicts, ascending pivot columns), as
+        kernels.bareiss gives them."""
         if self._echelon is None:
             self._echelon = _rref(self.rows, self.cols, self._integer[1])
         return self._echelon
@@ -345,7 +343,7 @@ def _rref(nrows, ncols, entries):
     """bareiss of the nrows x ncols matrix with these {(row, col): value}
     entries; a matrix with no entries is not eliminated."""
     if not entries:
-        return Echelon((), ()), ()
+        return [], ()
     rows = [[] for _ in range(nrows)]
     for (i, j), v in entries.items():
         rows[i].append((j, v))
@@ -376,7 +374,7 @@ def _kernel_vectors(m, frees):
     {index: int} vector."""
     rows, pivots = m.echelon()
     terms = {f: {} for f in frees}
-    for p, row in zip(pivots, rows.integral):
+    for p, row in zip(pivots, rows):
         for j, x in row.items():
             if j in terms:
                 terms[j][p] = (-x, row[p])
@@ -411,7 +409,6 @@ def solve(m, rhs):
     for k, b in enumerate(rhs):
         entries.update({(i, n + k): x for i, x in b.items()})
     rows, pivots = _rref(m.rows, n + len(rhs), entries)
-    rows = rows.integral
     r = sum(p < n for p in pivots)
     # b is outside the column space exactly when a row past rank(m) has
     # an entry in its column.
@@ -483,7 +480,7 @@ class SubquotientBasis:
                 rows = [[(pos[j], x) for j, x in v if j in pos]
                         for v in self._columns]
                 echelon, leads = bareiss(rows, len(free))
-                for c, row in zip(leads, echelon.integral):
+                for c, row in zip(leads, echelon):
                     table[free[last - c]] = (row[c], {
                         free[last - j]: x for j, x in row.items() if j != c})
             reps = {f: i for i, f in enumerate(

@@ -277,22 +277,6 @@ def _decomposable(A, cutoff):
     return bad
 
 
-@audit("classifying map is a quasi-isomorphism")
-def is_quasi_iso(f, cutoff):
-    """Audit that H^n(f) is bijective for every n <= cutoff - 1; a
-    witness is a degree where it is not."""
-    src_c = base_cochain(f.source, cutoff)
-    bad = []
-    for n in range(cutoff):
-        m = linalg.induced_map(
-            f.matrix(n), src_c.cohomology(n), f.target.complex.cohomology(n)
-        )
-        if not (m.rows == m.cols and linalg.rank(m) == m.rows):
-            bad.append({"check": f"H(f) of rank {linalg.rank(m)} from dim "
-                                 f"{m.cols} to dim {m.rows}", "degree": n})
-    return bad
-
-
 def _mix(rng, vectors):
     """Random unimodular recombination of a list of coordinate vectors."""
     vecs = list(vectors)

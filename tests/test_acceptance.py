@@ -12,13 +12,11 @@ from cdgacyc.cli import load_algebra
 from cdgacyc.complexes import beta_acyclic_check, les_audit
 from cdgacyc.free_loop import free_loop, ideals, u_model
 from cdgacyc.linalg import SparseMatrix
-from cdgacyc.minimal_model import (
-    build_minimal_model,
-    is_quasi_iso,
-    verify_minimal,
-)
+from cdgacyc.minimal_model import build_minimal_model, verify_minimal
 
 import oracles
+from test_functors import unprojected_sh_band
+from test_minimal_model import is_quasi_iso
 
 N = 12
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "cdgacyc" / "fixtures"
@@ -250,8 +248,7 @@ def test_criterion_8_negative_controls(monkeypatch):
     budget.lap("connecting map")
 
     # (c) drop the weight-zero projection: the dimension identity breaks
-    sh = F.SH
-    monkeypatch.setattr(F, "SH", lambda c: sh(c, project_weight_zero=False))
+    monkeypatch.setattr(F, "_sh_band", unprojected_sh_band())
     identity = F.theorem2_check(ctx("sphere3", 10))
     ok = ok and identity.status == "fail" and [
         w["degree"] for w in identity.witnesses] == [1, 3, 5, 7, 9]

@@ -16,6 +16,8 @@ from cdgacyc import cli, complexes, free_loop, functors
 from cdgacyc.free_loop import LoopAlgebra
 from cdgacyc.minimal_model import verify_minimal
 
+from test_functors import unprojected_sh_band
+
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "src" / "cdgacyc" / "fixtures"
 
@@ -344,7 +346,9 @@ def test_each_loop_block_is_built_once(monkeypatch):
     ctx = functors.LoopContext(
         cli.load_algebra(str(FIXTURES / "product_s2_s3.json")), 4)
     functors.PH_periodic(ctx)
-    functors.SH(ctx, project_weight_zero=False)
+    with monkeypatch.context() as patch:
+        patch.setattr(functors, "_sh_band", unprojected_sh_band())
+        functors.SH(ctx)
     records = functors.audits(ctx)
     assert all(record.status != "fail" for record in records)
     assert [grown for grown, _ in grows] == [None] + [

@@ -162,7 +162,7 @@ def test_band_negative_degree_periodic():
 def test_plus_complex_dims():
     loop = free_loop(sphere3())
     M = loop.mixed_complex(8)
-    plus = plus_complex(M, 0, 8)
+    plus = plus_complex(M, 8)
     for r in range(9):
         expect = sum(M.dim(m) for m in range(r % 2, r + 1, 2))
         assert plus.dim(r) == expect
@@ -171,7 +171,7 @@ def test_plus_complex_dims():
 @pytest.mark.parametrize("name", ["sphere2", "sphere3", "product_s2_s3"])
 def test_plus_bands_partition_plus_complex(name):
     M = free_loop(load_algebra(FIXTURES / f"{name}.json")).mixed_complex(7)
-    plus = plus_complex(M, 0, 7)
+    plus = plus_complex(M, 7)
     bands = {w: band_complex(M, w, "plus", 0, 7) for w in range(-3, 7)}
     for r in range(7):
         ws = ch_weight_range(r)

@@ -17,7 +17,6 @@ from cdgacyc.gralg import (
     monomial_degree,
     monomial_mul,
     poly_add,
-    poly_mul,
     poly_scale,
 )
 
@@ -26,6 +25,22 @@ Y = Generator(1, "y", 3)
 Z = Generator(2, "z", 3)
 W = Generator(3, "w", 4)
 ALG = GradedAlgebra([X, Y, Z, W])
+
+
+def poly_mul(p, q):
+    """The product of two polynomials, term by term through monomial_mul:
+    the reference the derivations and Leibniz laws are checked against."""
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            r = monomial_mul(m1, m2)
+            if r is None:
+                continue
+            sign, m = r
+            out[m] = out.get(m, Fraction(0)) + sign * c1 * c2
+            if not out[m]:
+                del out[m]
+    return out
 
 
 def mono(*pairs):

@@ -1,6 +1,7 @@
 """The elimination kernel against the brute-force oracle."""
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,11 +36,18 @@ def sparse(rows):
     return [tuple((j, v) for j, v in enumerate(r) if v) for r in rows]
 
 
-def exact(echelon):
-    """Every entry is a nonzero Fraction: an int or a float would pass ==,
-    so the type is checked."""
-    return all(type(v) is Fraction and v for row in echelon
-               for v in row.values())
+def integral(echelon):
+    """Every entry is a nonzero int and every row is primitive: a Fraction
+    or a float would pass ==, so the type is checked."""
+    return all(type(v) is int and v for row in echelon
+               for v in row.values()) and all(
+        gcd(*row.values()) == 1 for row in echelon)
+
+
+def divided(echelon, pivots):
+    """The RREF rows: each integral row divided by its leading entry."""
+    return [{j: Fraction(v, row[p]) for j, v in row.items()}
+            for row, p in zip(echelon, pivots)]
 
 
 def test_kernel_contract():
@@ -65,7 +73,7 @@ def test_echelon_spans_row_space(case):
     echelon, pivots = kernels.bareiss(sparse(rows), ncols)
     assert pivots == sorted(pivots)
     assert len(echelon) == len(pivots)
-    assert exact(echelon)
+    assert integral(echelon)
     # every original row reduces to zero against the echelon
     for r in rows:
         r = [Fraction(v) for v in r]
@@ -85,15 +93,15 @@ def test_rref_matches_dense_gauss_jordan(case):
     echelon, pivots = kernels.bareiss(sparse(rows), ncols)
     want_rows, want_pivots = rref(rows)
     assert pivots == want_pivots
-    assert [[row.get(j, 0) for j in range(ncols)] for row in echelon] \
-        == want_rows
-    assert exact(echelon)
+    assert [[row.get(j, 0) for j in range(ncols)]
+            for row in divided(echelon, pivots)] == want_rows
+    assert integral(echelon)
 
 
 def test_known_echelon():
     echelon, pivots = kernels.bareiss(sparse([[2, 4], [1, 2], [0, 3]]), 2)
     assert pivots == [0, 1]
-    assert echelon == [{0: 1}, {1: 1}]
+    assert divided(echelon, pivots) == [{0: 1}, {1: 1}]
 
 
 def test_hilbert_matrix_reduces_to_the_identity():
@@ -102,12 +110,12 @@ def test_hilbert_matrix_reduces_to_the_identity():
     rows = [[Fraction(1, i + j + 1) for j in range(n)] for i in range(n)]
     echelon, pivots = kernels.bareiss(sparse(rows), n)
     assert pivots == list(range(n))
-    assert echelon == [{i: 1} for i in range(n)]
-    assert exact(echelon)
+    assert divided(echelon, pivots) == [{i: 1} for i in range(n)]
+    assert integral(echelon)
 
 
 def test_ranks_divide_nothing(monkeypatch):
-    # RREF [[1, 0, -1/2], [0, 1, 1/2]]: its rows are read only as Fractions
+    # RREF [[1, 0, -1/2], [0, 1, 1/2]], kept as its integral rows
     rows = [[2, 4, 1], [1, 3, 1]]
     d_out = linalg.SparseMatrix.validated(2, 3, {
         (i, j): v for i, r in enumerate(rows) for j, v in enumerate(r)})
@@ -117,13 +125,13 @@ def test_ranks_divide_nothing(monkeypatch):
     def forbidden(*args):
         raise AssertionError("divided into a Fraction")
 
-    monkeypatch.setattr(kernels, "Fraction", forbidden)
+    assert not hasattr(kernels, "Fraction")
     monkeypatch.setattr(linalg, "Fraction", forbidden)
     echelon, pivots = kernels.bareiss(sparse(rows), 3)
-    assert (pivots, len(echelon)) == ([0, 1], 2)
-    assert echelon.integral == [{0: 2, 2: -1}, {1: 2, 2: 1}]
+    assert pivots == [0, 1]
+    assert echelon == [{0: 2, 2: -1}, {1: 2, 2: 1}]
     assert (linalg.rank(d_out), linalg.nullity(d_out)) == (2, 1)
     assert linalg.cohomology_at(d_in, d_out).dim == 0
     monkeypatch.undo()
-    assert echelon == [{0: 1, 2: Fraction(-1, 2)}, {1: 1, 2: Fraction(1, 2)}]
-    assert exact(echelon)
+    assert divided(echelon, pivots) == [{0: 1, 2: Fraction(-1, 2)},
+                                        {1: 1, 2: Fraction(1, 2)}]
