@@ -45,7 +45,12 @@ def derivation_matrix(derv, basis_in, index_out):
 
 
 class LoopAlgebra:
-    """L[V + Vbar] with its exterior and interior differentials."""
+    """L[V + Vbar] with its exterior and interior differentials.
+
+    The unbarred generators are the base's own, and the barred uids start
+    past the largest base uid, so every barred factor sorts after every
+    unbarred one: a weight-0 loop monomial is a base monomial, and delta
+    on a base generator is the base differential, unchanged."""
 
     def __init__(self, base, weight_cutoff=None):
         self.base = base
@@ -64,53 +69,27 @@ class LoopAlgebra:
             self.complete_through = math.inf
         else:
             self.complete_through = -1 if degree_one else weight_cutoff
-        n = len(base_gens)
-        self.gens = tuple(
-            Generator(i, g.name, g.degree) for i, g in enumerate(base_gens)
-        )
+        past = max((g.uid for g in base_gens), default=-1) + 1
         self.barred = tuple(
-            Generator(n + i, g.name + "_bar", g.degree - 1)
+            Generator(past + i, g.name + "_bar", g.degree - 1)
             for i, g in enumerate(base_gens)
         )
-        self.algebra = gralg.GradedAlgebra(self.gens + self.barred)
+        self.algebra = gralg.GradedAlgebra(base_gens + self.barred)
         self.barred_uids = {g.uid for g in self.barred}
-        self._base_to_loop = {
-            old.uid: new for old, new in zip(base_gens, self.gens)
-        }
-        self._bar_of = {
-            new.uid: bar for new, bar in zip(self.gens, self.barred)
-        }
 
         self.iota = Derivation(
             self.algebra,
             -1,
-            {
-                g.name: {((self._bar_of[g.uid], 1),): Fraction(1)}
-                for g in self.gens
-            },
+            {g.name: {((bar, 1),): Fraction(1)}
+             for g, bar in zip(base_gens, self.barred)},
         )
         delta_values = {}
-        for old, new in zip(base_gens, self.gens):
-            dv = self.lift(base.differential.on_generator(old))
-            delta_values[new.name] = dv
-            bar = self._bar_of[new.uid]
+        for g, bar in zip(base_gens, self.barred):
+            dv = base.differential.on_generator(g)
+            delta_values[g.name] = dv
             delta_values[bar.name] = gralg.poly_scale(-1, self.iota.apply(dv))
         self.delta = Derivation(self.algebra, 1, delta_values)
         self._check_axioms()
-
-    def lower(self, mono):
-        """Weight-0 loop monomial as a base-algebra monomial."""
-        return tuple(
-            (self.base.algebra.by_name[g.name], e) for g, e in mono
-        )
-
-    def lift(self, p):
-        """Transport a polynomial of the base algebra into the loop algebra."""
-        out = {}
-        for mono, c in p.items():
-            new = tuple((self._base_to_loop[g.uid], e) for g, e in mono)
-            out[new] = c
-        return out
 
     def _check_axioms(self):
         for g in self.algebra.generators:

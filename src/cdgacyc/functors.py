@@ -382,38 +382,28 @@ def _base_block(ctx, w, top):
     """The periodic complex of (base, d, 0) at effective weight w: the
     single block base^{r+2w} in degree r, labels tagged ("b", monomial).
 
-    It is the base complex shifted by -2w and cut to degrees 0..top, on
-    the base's own matrices, so below top its H^r is the base's
-    H^{r+2w}, except in degree 0 when w > 0: there the cut drops
-    d^{2w-1}, and H^0 is the kernel of d^{2w} alone."""
+    It is the base complex shifted by -2w on degrees -1..top, on the
+    base's own matrices, so below top its H^r is the base's H^{r+2w} in
+    every degree; degree -1 carries base^{2w-1} and d^{2w-1}, which the
+    cone's H^0 reads."""
     base = ctx.base(max(0, top + 2 * w) + 1)
-    labels = {}
-    diff = {}
-    for r in range(top + 1):
-        m = r + 2 * w
-        if 0 <= m:
-            labels[r] = [("b", mono) for mono in base.labels.get(m, [])]
-    for r in range(top):
-        m = r + 2 * w
-        if m >= 0:
-            diff[r] = base.d(m)
-        elif m == -1:
-            diff[r] = SparseMatrix.zero(len(labels.get(r + 1, [])), 0)
-    return CochainComplex(labels, diff,
-                          shares=(base, -2 * w, 1 if w > 0 else -2 * w, top))
+    labels = {r: [("b", mono) for mono in base.labels.get(r + 2 * w, [])]
+              for r in range(-1, top + 1)}
+    diff = {r: base.d(r + 2 * w) for r in range(-1, top)}
+    return CochainComplex(labels, diff, shares=(base, -2 * w, 0, top))
 
 
 def _top_slot(ctx, w):
     """The comparison rule at effective weight w: a +band label (m, mono)
-    in degree r goes to the base block label ("b", lower(mono)) when it
-    sits in the top slot m = r + 2w and has weight 0, and to zero
-    otherwise."""
+    in degree r goes to the base block label ("b", mono) when it sits in
+    the top slot m = r + 2w and has weight 0, a base monomial, and to
+    zero otherwise."""
     loop = ctx.loop
 
     def image(r, lab):
         m, mono = lab
         if m == r + 2 * w and loop.weight(mono) == 0:
-            return ("b", loop.lower(mono))
+            return ("b", mono)
         return None
 
     return image
@@ -425,7 +415,7 @@ def _sh_band(ctx, w):
 
     Source: the degree-r piece is the +band of effective weight w + 1 at
     level r - 2, for r <= cutoff + 2.  Target: the base block (weight-0
-    projection of the top slot) through degree cutoff + 2.
+    projection of the top slot) on degrees -1..cutoff + 2.
 
     One cone serves every SH^r(w), r <= cutoff.  Its H^r reads cone
     degrees r - 1..r + 1, that is the source +band through degree r and
@@ -449,11 +439,16 @@ def SH(ctx):
 
     Per weight w the cone pairs the base block in degree r+2w with the
     +band of weight w+1 one level down; one cone per weight gives SH^r(w)
-    for every r (see _sh_band).  Weights whose surrounding exact sequence
-    terms both vanish (base cohomology at r+2w and CH^{r-1} at w+1) are
-    skipped as zero; others are read off the cone.  Rows are certified by
-    the base vanishing window, and only when the weight cutoff drops no
-    monomial through degree cutoff + 1, the top degree the bands read.
+    for every r (see _sh_band).  The block's H^r is the base's H^{r+2w}
+    in every degree, so in the cone's long exact sequence SH^r(w) sits
+    between H^{r+2w}(base) and CH^{r-1}(w+1): a weight where both vanish
+    is skipped, exactly, as zero, and the others are read off the cone.
+    In degree 0 the source terms CH^{-2} and CH^{-1} vanish, so SH^0(w)
+    is H^{2w}(base): SH^0 = K^0, the sum of the even Betti numbers of the
+    base, once the base cohomology vanishes past bound.  Rows are
+    certified by the base vanishing window, and only when the weight
+    cutoff drops no monomial through degree cutoff + 1, the top degree the
+    bands read.
     """
     cutoff = ctx.cutoff
     bound, base_cert = ctx.base_bound()
@@ -692,10 +687,9 @@ def t4_audit(ctx):
     for n in range(cutoff + 1):
         check(hh.weight(n, 0) == base.betti(n),
               "HH(0) differs from base cohomology", degree=n)
-        vanish = all(hh.weight(n, p) == 0 for p in range(n + 1, n + 3))
-        vanish = vanish and all(
-            ch.weight(n, p) == 0 for p in range(n + 1, n + 3)
-        )
+        # the tables stop at weight n, so the bands are read directly
+        vanish = all(ctx.band(p, kind, cutoff + 1).betti(n) == 0
+                     for p in (n + 1, n + 2) for kind in ("slice", "plus"))
         check(vanish, "HH(p) or CH(p) nonzero for p > degree", degree=n)
 
     dim_v = len(ctx.algebra.algebra.generators)

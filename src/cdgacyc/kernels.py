@@ -1,6 +1,6 @@
 """Sparse fraction-free row reduction over the integers."""
 
-from math import gcd, lcm
+from math import gcd
 
 # Stamped into the environment record of every perfbench run.
 KERNEL_NAME = "python"
@@ -10,23 +10,25 @@ def bareiss(rows, ncols):
     """Reduced row echelon form over Q of a sparse matrix.
 
     ``rows`` is a sequence of rows, each a sequence of ``(col, value)``
-    pairs with distinct columns in ``range(ncols)`` and nonzero rational
-    values (ints or Fractions); it is not mutated.  Returns ``(echelon,
-    pivot_cols)``: ``pivot_cols`` is the strictly increasing list of the
-    leading columns of the reduced row echelon form, and ``echelon[i]``
-    is its row i as a primitive {col: int} dict, the RREF row (leading
-    entry 1, zero in every other pivot column) times the integer
-    ``echelon[i][pivot_cols[i]]``.  The pivots and the RREF are unique for
-    the matrix, so they do not depend on the order of the rows.
+    pairs with distinct columns in ``range(ncols)`` and nonzero int
+    values; it is not mutated.  A caller with rational entries scales
+    each row to integers first, which leaves the RREF as it is.  Returns
+    ``(echelon, pivot_cols)``: ``pivot_cols`` is the strictly increasing
+    list of the leading columns of the reduced row echelon form, and
+    ``echelon[i]`` is its row i as a primitive {col: int} dict, the RREF
+    row (leading entry 1, zero in every other pivot column) times the
+    integer ``echelon[i][pivot_cols[i]]``.  The pivots and the RREF are
+    unique for the matrix, so they do not depend on the order of the
+    rows.
 
     The elimination is fraction-free (Bareiss, Math. Comp. 22 (1968)):
-    each row is scaled by the lcm of its denominators to integers, and
-    every stored row stays a primitive integer multiple of the rational
-    row it stands for.  A row is reduced against a table of stored rows
-    keyed by leading column until its leading column is free; the stored
-    rows are then reduced upwards.  Nothing is divided here, so a rank
-    costs no division; a reader that needs entries of the RREF divides
-    just those by the leading entry.
+    each row is divided by its content, and every stored row stays a
+    primitive integer multiple of the rational row it stands for.  A row
+    is reduced against a table of stored rows keyed by leading column
+    until its leading column is free; the stored rows are then reduced
+    upwards.  No entry becomes a fraction, so a rank costs no rational
+    division; a reader that needs entries of the RREF divides just those
+    by the leading entry.
 
     ``ncols`` is not read by the elimination; ``linalg`` binds this
     function by name and the benchmark's tracer wraps that binding and
@@ -37,7 +39,8 @@ def bareiss(rows, ncols):
         if len(row) == 1:
             r = {row[0][0]: 1}
         elif row:
-            r = _integer_row(row)
+            r = dict(row)
+            _divide_content(r)
         else:
             continue
         while r:
@@ -54,15 +57,6 @@ def bareiss(rows, ncols):
         for j in [j for j in r if j != lead and j in table]:
             _eliminate(r, j, table[j])
     return [table[p] for p in pivot_cols], pivot_cols
-
-
-def _integer_row(row):
-    """The row as a primitive {col: int} dict, a rational multiple of it."""
-    ratios = [(j, v.as_integer_ratio()) for j, v in row]
-    m = lcm(*[d for _, (_, d) in ratios])
-    r = {j: n * (m // d) for j, (n, d) in ratios}
-    _divide_content(r)
-    return r
 
 
 def _eliminate(r, col, p):

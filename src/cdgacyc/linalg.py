@@ -340,7 +340,7 @@ def _product(left, right):
 
 
 def _rref(nrows, ncols, entries):
-    """bareiss of the nrows x ncols matrix with these {(row, col): value}
+    """bareiss of the nrows x ncols matrix with these {(row, col): int}
     entries; a matrix with no entries is not eliminated."""
     if not entries:
         return [], ()
@@ -398,16 +398,20 @@ def solve(m, rhs):
 
     Each b and each answer is an {index: Fraction} vector.  The answer is
     the solution whose free coordinates are zero, or None when b is not
-    in the column space of m.  [den m | b] is eliminated, with den m the
-    integer form of m, and x is den times its solution.
+    in the column space of m.  [den m | s b] is eliminated, with den m
+    the integer form of m and s b the integer vector of b (_scaled), and
+    x is den / s times its solution.
     """
     if not rhs:
         return []
     n = m.cols
     den, nums = m._integer
     entries = dict(nums)
+    scales = []
     for k, b in enumerate(rhs):
-        entries.update({(i, n + k): x for i, x in b.items()})
+        s, u = _scaled(b)
+        scales.append(s)
+        entries.update({(i, n + k): x for i, x in u.items()})
     rows, pivots = _rref(m.rows, n + len(rhs), entries)
     r = sum(p < n for p in pivots)
     # b is outside the column space exactly when a row past rank(m) has
@@ -418,7 +422,7 @@ def solve(m, rhs):
         d = row[p]
         for c, x in row.items():
             if c >= n and out[c - n] is not None:
-                out[c - n][p] = Fraction(x * den, d)
+                out[c - n][p] = Fraction(x * den, d * scales[c - n])
     return out
 
 

@@ -21,6 +21,7 @@ from cdgacyc.free_loop import (
     u_model,
 )
 from cdgacyc.gralg import FreeCDGA, Generator
+from cdgacyc.linalg import SparseMatrix
 
 from models import (
     brute_form,
@@ -57,7 +58,7 @@ def test_delta_on_barred_sphere2():
     loop = free_loop(sphere2())
     xbar = loop.barred[0]
     ybar = loop.barred[1]
-    x = loop.gens[0]
+    x = loop.base.algebra.generators[0]
     # delta(x_bar) = -i(dx) = 0; delta(y_bar) = -i(x^2) = -2 x x_bar
     assert loop.delta.on_generator(xbar) == {}
     assert loop.delta.on_generator(ybar) == {
@@ -81,7 +82,7 @@ def test_axioms_via_application():
 
 def test_weight_counts_barred_factors():
     loop = free_loop(sphere2())
-    x, y = loop.gens
+    x, y = loop.base.algebra.generators
     xbar, ybar = loop.barred
     assert loop.weight(((x, 2),)) == 0
     assert loop.weight(((x, 1), (xbar, 1), (ybar, 2))) == 3
@@ -198,15 +199,21 @@ def test_u_model_dims():
         assert um.dim(n) == expect
 
 
-def test_lift_lower_roundtrip():
-    base = sphere2()
-    loop = free_loop(base)
-    for n in range(7):
-        for mono in base.algebra.basis(n):
-            lifted = loop.lift({mono: Fraction(1)})
-            (lmono, c), = lifted.items()
-            assert c == 1
-            assert loop.lower(lmono) == mono
+@pytest.mark.parametrize("base", [
+    # uids with gaps, so that the barred uids start past the largest
+    FreeCDGA([Generator(5, "x", 2), Generator(9, "y", 3)],
+             {"y": {((Generator(5, "x", 2), 2),): Fraction(1)}}),
+    free_cdga(non_pure()),
+], ids=["sphere2_uids_5_9", "non_pure"])
+def test_weight_zero_blocks_are_the_base_complex(base):
+    # the unbarred generators are the base's own, so the weight-0 blocks
+    # are the base's monomials and their delta blocks the base's d
+    M = free_loop(base).mixed_complex(8)
+    for n in range(8):
+        assert M.blocks.get((n, 0), []) == base.algebra.basis(n)
+        want = base_cochain(base, n + 1).d(n)
+        assert M.delta.get((n, 0), SparseMatrix.zero(want.rows,
+                                                     want.cols)) == want
 
 
 # a2 b3 c4 with dc = ab: an even generator with d != 0, so d(c^e) has e > 1

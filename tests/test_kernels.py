@@ -1,7 +1,7 @@
 """The elimination kernel against the brute-force oracle."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +34,16 @@ rational_matrices = dense_matrices(st.one_of(
 def sparse(rows):
     """Rows in the kernel's input format: sorted (col, value) pairs."""
     return [tuple((j, v) for j, v in enumerate(r) if v) for r in rows]
+
+
+def scaled(rows):
+    """Each rational row times the lcm of its denominators, as ints: the
+    kernel takes integer rows, and scaling a row leaves the RREF."""
+    out = []
+    for r in rows:
+        m = lcm(*[Fraction(v).denominator for v in r])
+        out.append([int(Fraction(v) * m) for v in r])
+    return out
 
 
 def integral(echelon):
@@ -90,7 +100,7 @@ def test_echelon_spans_row_space(case):
 @settings(max_examples=200, deadline=None)
 def test_rref_matches_dense_gauss_jordan(case):
     rows, ncols = case
-    echelon, pivots = kernels.bareiss(sparse(rows), ncols)
+    echelon, pivots = kernels.bareiss(sparse(scaled(rows)), ncols)
     want_rows, want_pivots = rref(rows)
     assert pivots == want_pivots
     assert [[row.get(j, 0) for j in range(ncols)]
@@ -108,7 +118,7 @@ def test_hilbert_matrix_reduces_to_the_identity():
     # entries 1/(i+j+1): large denominators and fast-growing integer rows
     n = 8
     rows = [[Fraction(1, i + j + 1) for j in range(n)] for i in range(n)]
-    echelon, pivots = kernels.bareiss(sparse(rows), n)
+    echelon, pivots = kernels.bareiss(sparse(scaled(rows)), n)
     assert pivots == list(range(n))
     assert divided(echelon, pivots) == [{i: 1} for i in range(n)]
     assert integral(echelon)

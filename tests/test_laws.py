@@ -23,6 +23,7 @@ from cdgacyc.functors import (
 )
 
 from models import (
+    brute_form,
     even_sphere,
     free_cdga,
     odd_sphere,
@@ -30,6 +31,7 @@ from models import (
     rescaled,
     tensor,
 )
+from oracles import BruteAlgebra, cohomology_dims
 
 # (kind, degree): odd spheres, and even spheres with dy = x^2.  Degree 1 is
 # left out: its barred generator has degree 0, so HH is not finite there.
@@ -130,6 +132,31 @@ def test_certified_rows_stable_under_a_larger_cutoff(spheres, seed, cutoff):
 @settings(max_examples=10, deadline=None)
 def test_certified_rows_stable_under_a_larger_cutoff_deep(spheres, seed):
     assert_certified_rows_stable(spheres, 12, seed)
+
+
+# Products where some degree 2w >= 2 carries both cohomology and
+# coboundaries; the top degree of each base is at most 8.
+SH0_PRODUCTS = {
+    "s2xs2": [(even_sphere, 2)] * 2,
+    "s2xs2xs2": [(even_sphere, 2)] * 3,
+    "s2xs2xs3": [(even_sphere, 2), (even_sphere, 2), (odd_sphere, 3)],
+    "s2xcp2": [(even_sphere, 2), (projective_space, 2)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SH0_PRODUCTS))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_sh0_is_the_even_base_cohomology(name, seed):
+    # In the cone's long exact sequence SH^0(w) is H^(2w) of the base, so
+    # dim SH^0 sums the even Betti numbers, here from the oracle's dense
+    # elimination on the base
+    cutoff = 8
+    model = rescaled(tensor(*[kind(degree, str(i)) for i, (kind, degree)
+                              in enumerate(SH0_PRODUCTS[name])]),
+                     random.Random(seed))
+    betti = cohomology_dims(BruteAlgebra(*brute_form(model)), cutoff + 1)
+    sh = SH(LoopContext(free_cdga(model), cutoff))
+    assert sh.total(0) == sum(betti[0::2])
 
 
 def ph_against_periodic(spheres, cutoff, seed):
