@@ -20,7 +20,25 @@ needs it (a file written by ``--emit`` is closed before ``main``
 returns).  A flush that fails, and any exception or exit raised inside
 ``main``, take the ordinary exit path.  ``main`` called as a library
 returns its exit code and ends nothing.
+
+Such a process also runs with the cyclic garbage collector off: the
+first statement of this module, run as ``__main__``, turns it off
+before any other import, and ``run`` does for the ``cdgacyc`` script.
+A command makes no reference cycles (``gc.collect()`` finds nothing
+after any command on any fixture, and a constant 31-33 objects of the
+json encoder after ``--json``, at any cutoff), and the process ends
+through ``os._exit``, so a collection only walks live objects.  Timed
+with ``gc.callbacks`` around ``main`` (one 2-vCPU host), those walks
+took 1.11 s of the 3.83 s of ``check`` on (S^2)^4 at cutoff 10 (4,312
+collections), 0.19 s of 0.84 s on (S^2)^3, and 4 ms of 65 ms on ``check
+product_s2_s3.json --cutoff 10``.  Importing the package, or calling
+``main`` as a library, leaves the collector as it was.
 """
+
+import gc
+
+if __name__ == "__main__":
+    gc.disable()
 
 import json
 import os
@@ -440,7 +458,9 @@ def run():
     process ended with main's exit code without interpreter teardown.
     A flush that raises OSError (such as a closed pipe) exits through
     sys.exit, so the interpreter reports it as it does any failed
-    flush at exit."""
+    flush at exit.  The cyclic garbage collector is off from here on
+    (see the module docstring)."""
+    gc.disable()
     code = main()
     try:
         for stream in (sys.stdout, sys.stderr):

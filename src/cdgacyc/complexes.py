@@ -46,12 +46,13 @@ Chain maps between labelled complexes come from one builder, label_map,
 which sends each label to a label or to zero; inclusions, projections
 and the canonical maps of a cone are label maps.  A diagram audit is
 ladder_audit: a morphism of short exact sequences checked as both long
-exact sequences plus the three squares.  Each induced map and each
-connecting map is computed once per degree and cached, as cohomology
-is, so the sequences and the squares share them.  A composite through a
-zero group is zero by its shape, so the chain-map and proj.incl checks,
-the exactness test of a node and a ladder square form no product there,
-and a connecting map out of a zero group lifts nothing.
+exact sequences (once, when the two rows are one object) plus the three
+squares.  Each induced map and each connecting map is computed once
+per degree and cached, as cohomology is, so the sequences and the
+squares share them.  A composite through a zero group is zero by its
+shape, so the chain-map and proj.incl checks, the exactness test of a
+node and a ladder square form no product there, and a connecting map
+out of a zero group lifts nothing.
 
 An audit returns one Audit record, made by the audit decorator from the
 witnesses it finds: les_audit finds the nodes that are not exact,
@@ -231,8 +232,7 @@ class ChainMap:
     def induced(self, n):
         if n not in self._induced:
             m, h = self.matrix(n), self.source.cohomology(n)
-            if h is self.target.cohomology(n) and m.integer() == (
-                    1, {(j, j): 1 for j in range(m.cols)}):
+            if h is self.target.cohomology(n) and m.is_identity():
                 self._induced[n] = SparseMatrix.identity(h.dim)
             else:
                 self._induced[n] = linalg.induced_map(
@@ -651,12 +651,15 @@ def ladder_audit(top, bottom, verticals, r_hi):
     squares vb.i1 = i2.va, vc.p1 = p2.vb and va.delta1 = delta2.vc are
     checked as identities of induced matrices, degree by degree up to the
     first that fails.  Returns the witnesses: the nodes of either row that
-    are not exact, and the first square that does not commute.
+    are not exact, and the first square that does not commute.  When the
+    two rows are one object its sequence is audited once, and each of its
+    witnesses is reported for row 1 and for row 2.
     """
     va, vb, vc = verticals
+    rows = [les_audit(*top.les(1, r_hi))]
+    rows.append(rows[0] if bottom is top else les_audit(*bottom.les(1, r_hi)))
     bad = [dict(w, check=f"row {row} {w['check']}")
-           for row, ses in ((1, top), (2, bottom))
-           for w in les_audit(*ses.les(1, r_hi))]
+           for row, ws in enumerate(rows, 1) for w in ws]
 
     def differ(f, g, h, k):
         """Whether f.g != h.k.  Two composites of one empty shape, from a

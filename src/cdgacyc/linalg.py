@@ -53,9 +53,10 @@ and the slot builders of ``complexes``: an integer vector meets only the
 columns that it hits, and a Fraction vector is first scaled by the lcm
 of its denominators.  A relabelling (a label map, the identity) is the
 0/1 matrix of an injective column -> row map and keeps that map beside
-its integer form: applying it or multiplying by it on either side moves
-entries by index, with no arithmetic, and its rank is its number of
-entries.  A map that is not injective gives a general matrix.
+its integer form: applying it, multiplying by it on either side or
+solving against it moves entries by index, with no arithmetic or
+elimination, and its rank is its number of entries.  A map that is not
+injective gives a general matrix.
 """
 
 from fractions import Fraction
@@ -202,6 +203,18 @@ class SparseMatrix:
 
     def is_zero(self):
         return not self._integer[1]
+
+    def is_identity(self):
+        """Whether this is the identity matrix; a relabelling reads it off
+        its column -> row map, with no dict built."""
+        if self.rows != self.cols:
+            return False
+        if self._image is not None:
+            return len(self._image) == self.cols and all(
+                i == j for j, i in self._image.items())
+        den, nums = self._integer
+        return den == 1 and len(nums) == self.cols and all(
+            nums.get((j, j)) == 1 for j in range(self.cols))
 
     def _combine(self, other, sign):
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -400,10 +413,18 @@ def solve(m, rhs):
     the solution whose free coordinates are zero, or None when b is not
     in the column space of m.  [den m | s b] is eliminated, with den m
     the integer form of m and s b the integer vector of b (_scaled), and
-    x is den / s times its solution.
+    x is den / s times its solution.  A relabelling eliminates nothing:
+    x_j = b[image[j]] for each column j in its image, and b is outside
+    its column space exactly when b has an entry on a row outside the
+    image; the columns outside the image are free and get 0, as in the
+    elimination.
     """
     if not rhs:
         return []
+    if m._image is not None:
+        back = {i: j for j, i in m._image.items()}
+        return [dict(sorted((back[i], x) for i, x in b.items()))
+                if back.keys() >= b.keys() else None for b in rhs]
     n = m.cols
     den, nums = m._integer
     entries = dict(nums)

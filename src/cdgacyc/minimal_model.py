@@ -296,6 +296,15 @@ def build_minimal_model(B, cutoff, seed=None):
     complement of the image of H^n(theta), then generators whose
     differentials kill the kernel of H^{n+1}(theta), with target values
     solved as primitives.  Returns (A, theta).
+
+    Each stage builds its algebra, theta and source complex once, before
+    its closed generators are adjoined, and both steps read them.  The
+    closed generators of degree n change nothing the second step reads:
+    no generator has degree 1, so none of them enters a monomial of
+    degree n + 1, and Lambda^{n+1}, its labels, theta^{n+1} and d^{n+1}
+    stay the same; in degree n they add only themselves, with d = 0, so
+    d^n gains only zero columns, and its image, hence H^{n+1}, is
+    unchanged.
     """
     if not isinstance(B, FiniteCDGA):
         raise ModelError("build_minimal_model expects a FiniteCDGA")
@@ -341,9 +350,7 @@ def build_minimal_model(B, cutoff, seed=None):
             theta_values[name] = cocycle
 
         # injectivity in degree n+1: adjoin generators killing the kernel
-        A = FreeCDGA(gens, diff_values)
-        theta = CDGAMorphism(A, B, dict(theta_values))
-        src_c = base_cochain(A, n + 2, bottom=n - 1)
+        # (A, theta and src_c serve unchanged: see the docstring)
         h_src = src_c.cohomology(n + 1)
         h_tgt = tgt_c.cohomology(n + 1)
         m = linalg.induced_map(theta.matrix(n + 1), h_src, h_tgt)

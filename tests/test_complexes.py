@@ -26,7 +26,7 @@ from cdgacyc.complexes import (
 from cdgacyc.cli import load_algebra
 from cdgacyc.free_loop import free_loop, ideals
 from cdgacyc.functors import ch_weight_range
-from cdgacyc import linalg
+from cdgacyc import complexes, linalg
 from cdgacyc.gralg import FreeCDGA, Generator
 from cdgacyc.linalg import PreconditionError, SparseMatrix
 
@@ -276,6 +276,25 @@ def test_ladder_audit_fails_with_scaled_vertical():
     assert ladder_audit(row1, row2, (va, vb, doubled), 7) == [
         {"check": "square does not commute", "degree": 3,
          "square": "va.delta1 = delta2.vc"}]
+
+
+def test_ladder_audit_reads_a_shared_row_once(monkeypatch):
+    # fig2's rows are one object at every w <= 0: its long exact sequence
+    # is audited once, and each witness is reported for both rows
+    row1, _, _ = sphere3_weight0_ladder()
+    identities = tuple(label_inclusion(c, c) for c in (row1.a, row1.b, row1.c))
+    assert ladder_audit(row1, row1, identities, 7) == []
+    audited = []
+
+    def one_witness(names, dims, maps):
+        audited.append(names)
+        return [{"check": "not exact", "degree": 2, "node": "B"}]
+
+    monkeypatch.setattr(complexes, "les_audit", one_witness)
+    assert ladder_audit(row1, row1, identities, 7) == [
+        {"check": f"row {k} not exact", "degree": 2, "node": "B"}
+        for k in (1, 2)]
+    assert len(audited) == 1
 
 
 def test_cone_shift_shares_the_cohomology_of_its_source(monkeypatch):

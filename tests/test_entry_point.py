@@ -1,8 +1,11 @@
 """The program as it is run: ``python -m cdgacyc.cli`` in a fresh
-interpreter, which ends through ``cli.run`` without interpreter teardown,
-against ``cli.main`` called in-process."""
+interpreter, which ends through ``cli.run`` without interpreter teardown
+and runs with the cyclic garbage collector off, against ``cli.main``
+called in-process."""
 
+import gc
 import io
+import json
 import os
 import subprocess
 import sys
@@ -12,6 +15,8 @@ from pathlib import Path
 import pytest
 
 from cdgacyc import cli
+
+from models import even_sphere, free_cdga, tensor
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "src" / "cdgacyc" / "fixtures"
@@ -110,3 +115,100 @@ def test_no_exit_handler_is_registered(env):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "0"
+
+
+@pytest.mark.parametrize("fixture", sorted(p.name for p in
+                                           FIXTURES.glob("*.json")))
+def test_commands_leave_no_cyclic_garbage(fixture):
+    # the program runs with the collector off: a command must make no
+    # reference cycle, or it would keep every object of one alive.  The
+    # json encoder makes the same few cycles at every cutoff.
+    path = str(FIXTURES / fixture)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for command in cli.COMMANDS:
+            for opts in ([], ["--per-weight"]):
+                in_process([command, path, "--cutoff", "4", *opts])
+                assert gc.collect() == 0, (command, opts)
+            found = set()
+            for cutoff in ("3", "5"):
+                in_process([command, path, "--cutoff", cutoff, "--json"])
+                found.add(gc.collect())
+            assert len(found) == 1, (command, found)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_library_use_leaves_the_collector_as_it_was(enabled, env):
+    code = (
+        "import gc\n"
+        f"gc.enable() if {enabled} else gc.disable()\n"
+        "import cdgacyc\n"
+        "from cdgacyc import cli\n"
+        "print(gc.isenabled())\n"
+        f"assert cli.main(['check', {S2!r}, '--cutoff', '4']) == 0\n"
+        "print(gc.isenabled())"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert (lines[0], lines[-1]) == (str(enabled), str(enabled))
+
+
+# The program as python -m runs it (the module as __main__) and as the
+# cdgacyc script runs it (cli.run), reporting at os._exit whether the
+# collector is on and how many collections ran once the program started:
+# for -m, from the import of complexes, which cli imports after its first
+# statement; for the script, from the call of run.
+_PROGRAM = """
+import gc, os, runpy, sys
+collections = []
+def count(phase, info):
+    if phase == "start" and "cdgacyc.complexes" in sys.modules:
+        collections.append(info)
+gc.callbacks.append(count)
+exit_ = os._exit
+def report(code):
+    print(gc.isenabled(), len(collections), file=sys.stderr, flush=True)
+    exit_(code)
+os._exit = report
+sys.argv = ["cdgacyc", "check", {path!r}, "--cutoff", "6"]
+if {as_module}:
+    runpy.run_module("cdgacyc.cli", run_name="__main__", alter_sys=True)
+else:
+    from cdgacyc import cli
+    collections.clear()
+    cli.run()
+"""
+
+
+@pytest.mark.parametrize("as_module", [True, False])
+def test_program_runs_without_the_collector(as_module, env):
+    code = _PROGRAM.format(path=S2, as_module=as_module)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == in_process(["check", S2, "--cutoff", "6"])[1]
+    assert done.stderr.splitlines()[-1] == "False 0"
+
+
+@pytest.mark.slow
+def test_program_without_the_collector_prints_what_main_prints(env,
+                                                               tmp_path):
+    # a check long enough for collections of every generation when the
+    # collector is on, against main in this process with it on
+    model = tensor(*[even_sphere(2, i) for i in range(3)])
+    path = tmp_path / "s2_cubed.json"
+    path.write_text(json.dumps(cli.emit_free(free_cdga(model))))
+    argv = ["check", str(path), "--cutoff", "10"]
+    assert gc.isenabled()
+    before = gc.get_stats()[2]["collections"]
+    want = in_process(argv)
+    assert gc.get_stats()[2]["collections"] > before
+    assert want[0] == 0
+    assert as_program(argv, env) == want

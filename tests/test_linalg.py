@@ -605,6 +605,54 @@ def test_relabelling_matches_the_general_matrix(case, c):
         assert_matrix(out)
 
 
+@st.composite
+def relabelling_system(draw):
+    """An injective label map, and right-hand sides: some in its column
+    space, and, when the image misses a row, one with an entry there."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    image = dict(zip(draw(st.lists(st.integers(0, max(cols - 1, 0)),
+                                   unique=True, max_size=cols)),
+                     draw(st.permutations(range(rows)))))
+    rhs = [{i: x for i, x in enumerate(b) if x}
+           for b in draw(st.lists(st.lists(rationals, min_size=rows,
+                                           max_size=rows), max_size=3))]
+    rhs += [{i: x for i, x in b.items() if i in image.values()}
+            for b in rhs]
+    off = [i for i in range(rows) if i not in image.values()]
+    if off:
+        rhs.append({draw(st.sampled_from(off)): Fraction(draw(scalars) or 1)})
+    return rows, cols, image, rhs
+
+
+@given(relabelling_system())
+@settings(max_examples=200, deadline=None)
+def test_relabelling_solve_matches_the_elimination(case):
+    rows, cols, image, rhs = case
+    r = SparseMatrix.relabelling(rows, cols, image)
+    # the same 0/1 matrix, built without its image map, is eliminated
+    g = SparseMatrix(rows, cols, integer=(1, {
+        (i, j): 1 for j, i in image.items()}))
+    assert r._image is not None and g._image is None
+    got, want = linalg.solve(r, rhs), linalg.solve(g, rhs)
+    assert [x if x is None else list(x.items()) for x in got] == [
+        x if x is None else list(x.items()) for x in want]
+    for b, x in zip(rhs, got):
+        assert (x is None) == any(i not in image.values() for i in b)
+        if x is not None:
+            assert_sparse(x, cols)
+            assert r.apply(x) == b
+
+
+def test_relabelling_solve_eliminates_nothing(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a relabelling was eliminated")
+
+    monkeypatch.setattr(linalg, "bareiss", forbidden)
+    r = SparseMatrix.relabelling(3, 2, {0: 2, 1: 0})
+    rhs = [{0: Fraction(1, 2), 2: Fraction(3)}, {1: Fraction(1)}]
+    assert linalg.solve(r, rhs) == [{0: Fraction(3), 1: Fraction(1, 2)}, None]
+
+
 @given(dense)
 @settings(max_examples=100, deadline=None)
 def test_from_columns_and_solve_keep_the_invariant(rows):

@@ -254,6 +254,31 @@ def test_seeded_branches_fire_and_change_no_table(finite, generator,
     assert all(t == tables[0] for t in tables)
 
 
+@pytest.mark.parametrize("finite", [h_s2, h_cp2, h_s2xs2, h_s2_wedge_s3],
+                         ids=["s2", "cp2", "s2xs2", "s2vs3"])
+def test_builder_builds_each_stage_once(finite, monkeypatch):
+    # one algebra, theta and source complex per stage n = 2..cutoff-1,
+    # read by both of its steps, and the algebra it returns
+    built = {"algebras": 0, "complexes": 0}
+
+    class Counted(FreeCDGA):
+        def __init__(self, *args):
+            built["algebras"] += 1
+            super().__init__(*args)
+
+    def counted(*args, **kwargs):
+        built["complexes"] += 1
+        return base_cochain(*args, **kwargs)
+
+    monkeypatch.setattr(minimal_model, "FreeCDGA", Counted)
+    monkeypatch.setattr(minimal_model, "base_cochain", counted)
+    cutoff = 9
+    _, theta = build_minimal_model(finite(), cutoff, seed=1)
+    assert built == {"algebras": cutoff - 1, "complexes": cutoff - 2}
+    assert theta.verify() == []
+    assert is_quasi_iso(theta, cutoff - 1).status == "pass"
+
+
 def test_hh_through_builder_equals_free_model():
     via_model = F.HH(F.LoopContext(h_s2(), 12))
     hh = F.HH(F.LoopContext(free_s2(), 12))
