@@ -5,9 +5,8 @@ exterior differential delta (delta v = d v, delta vbar = -i(d v)), the
 interior differential i (i v = vbar, i vbar = 0), the weight grading
 (total exponent of barred factors), on which the power maps Psi_k act by
 k^weight.  delta preserves the weight and i raises it by one, so the loop
-mixed complex is built as (degree, weight) blocks, and grown by new
-degrees only.  Also provides the augmentation ideal and the
-polynomial-circle model C (x) L[u].
+mixed complex is built as (degree, weight) blocks.  Also provides the
+augmentation ideal and the polynomial-circle model C (x) L[u].
 """
 
 import math
@@ -124,7 +123,7 @@ class LoopAlgebra:
             else n + 1,
         )
 
-    def mixed_complex(self, top, grown=None):
+    def mixed_complex(self, top):
         """The loop mixed complex on degrees 0..top, in (degree, weight)
         blocks.
 
@@ -136,26 +135,19 @@ class LoopAlgebra:
         When a weight cutoff W is set, the complex is the direct summand
         of weights <= W, and no beta is built out of weight W (the weight
         decomposition is a direct sum, so this is again a mixed
-        structure).  grown, a complex this method built on degrees 0..t
-        with t < top, is grown by the new degrees only: the result keeps
-        its blocks and builds the delta blocks out of degrees t..top-1
-        and the beta blocks out of degrees t+1..top.
+        structure).
         """
-        t, blocks, delta, beta = -1, {}, {}, {}
-        if grown is not None:
-            t = grown.top
-            blocks, delta, beta = (dict(grown.blocks), dict(grown.delta),
-                                   dict(grown.beta))
-        for n in range(t + 1, top + 1):
+        blocks, delta, beta = {}, {}, {}
+        for n in range(top + 1):
             for mono in self.basis(n):
                 blocks.setdefault((n, self.weight(mono)), []).append(mono)
         index = {key: {m: i for i, m in enumerate(labs)}
-                 for key, labs in blocks.items() if key[0] >= t}
+                 for key, labs in blocks.items()}
         for (n, p), labs in blocks.items():
             for derv, mats, out, build in (
-                    (self.delta, delta, (n + 1, p), t <= n < top),
+                    (self.delta, delta, (n + 1, p), n < top),
                     (self.iota, beta, (n - 1, p + 1),
-                     n > t and p != self.weight_cutoff)):
+                     p != self.weight_cutoff)):
                 if build:
                     m = derivation_matrix(derv, labs, index.get(out, {}))
                     if not m.is_zero():

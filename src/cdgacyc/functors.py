@@ -8,8 +8,7 @@ effective weight, where each derived complex is an honest finite complex,
 and come with certification flags recording when a reported number is
 provably unaffected by the degree cutoff.  Every functor and audit
 takes one LoopContext, which fixes the algebra and both cutoffs.  Every
-table and audit reads the loop complex only through degree cutoff + 1;
-the independent cross-check PH_periodic alone reads further.
+table and audit reads the loop complex only through degree cutoff + 1.
 
 Every audit returns a complexes.Audit record; audits(ctx) returns those
 of the check command.
@@ -102,18 +101,17 @@ class LoopContext:
     degree cutoff + 1), and the builder at cutoff c adjoins generators
     through degree c - 1, so the model is built at cutoff + 3.
 
-    The mixed complex is built once, through max(top, cutoff + 1), which
-    covers every degree HH, CH, PH, SH, euler and check read; only
-    PH_periodic asks for more, and then it is grown by the new degrees,
-    so each block is built once.  One band per slot table: band
-    assembles one of any kind per distinct table of (m, p) slots in
-    degrees 0..top (for w <= 0 the periodic band has the plus band's
-    slots, the minus band the slice's).  A "plus" or "slice" band's
-    degree-r piece reads the mixed complex only in degrees <= r, so it
-    is assembled through cutoff + 1, and a reader with a smaller top
-    gets its truncation, which shares the band's matrices and its
-    cohomology below that top.  The base complex grows by the
-    new degrees only, keeping its matrices and cohomology.
+    The mixed complex and the +complex are built once, through degree
+    cutoff + 1, which covers every degree HH, CH, PH, SH, euler and
+    check read.  One band per slot table: band assembles one of any kind
+    per distinct table of (m, p) slots in degrees 0..top (for w <= 0 the
+    periodic band has the plus band's slots, the minus band the
+    slice's).  A "plus" or "slice" band's degree-r piece reads the mixed
+    complex only in degrees <= r, so it is assembled through cutoff + 1,
+    and a reader with a smaller top gets its truncation, which shares
+    the band's matrices and its cohomology below that top.  The base
+    complex grows on demand, since SH reads base^{r+2w} past cutoff + 1,
+    by the new degrees only, keeping its matrices and cohomology.
 
     truncated says why an audit that expects the untruncated loop complex
     skips, or is None.
@@ -135,21 +133,20 @@ class LoopContext:
         self._cochain = None
         self._base = None
         self._base_top = -1
-        self._plus = {}
+        self._plus = None
         self._bands = {}
         self._tables = {}
         self._cones = {}
 
-    def mixed(self, top):
-        if self._mixed is None or self._mixed.top < top:
-            self._mixed = self.loop.mixed_complex(
-                max(top, self.cutoff + 1), grown=self._mixed)
+    def mixed(self):
+        if self._mixed is None:
+            self._mixed = self.loop.mixed_complex(self.cutoff + 1)
         return self._mixed
 
     def cochain(self):
         """(C, delta) of the loop mixed complex, for HH and t4_audit."""
         if self._cochain is None:
-            self._cochain = self.mixed(self.cutoff + 1).cochain()
+            self._cochain = self.mixed().cochain()
         return self._cochain
 
     def base(self, top):
@@ -159,10 +156,10 @@ class LoopContext:
             self._base_top = top
         return self._base
 
-    def plus(self, top):
-        if top not in self._plus:
-            self._plus[top] = plus_complex(self.mixed(top), top)
-        return self._plus[top]
+    def plus(self):
+        if self._plus is None:
+            self._plus = plus_complex(self.mixed())
+        return self._plus
 
     def band(self, w, kind, top):
         key = (w, kind, top)
@@ -171,7 +168,7 @@ class LoopContext:
                 self._bands[key] = self.band(w, kind,
                                              self.cutoff + 1).truncated(top)
             else:
-                M = self.mixed(top)
+                M = self.mixed()
                 slots = tuple(tuple(_slot_basis(M, r, kind, w))
                               for r in range(top + 1))
                 if slots not in self._tables:
@@ -250,31 +247,8 @@ def CH(ctx):
     return table
 
 
-def reduced_CH(ctx):
-    """CH modulo the image of the one-point algebra: the unit tower class
-    at effective weight -n/2 is removed wherever it survives."""
-    cutoff = ctx.cutoff
-    table = CH(ctx)
-    out = CohomologyTable("CH~")
-    for n in table.degrees:
-        weights = dict(table.weights(n))
-        total = table.total(n)
-        if n % 2 == 0:
-            w0 = -(n // 2)
-            band = ctx.band(w0, "plus", cutoff + 1)
-            labs = band.labels.get(n, [])
-            if (0, ()) in labs:
-                [coords] = band.cohomology(n).coordinates(
-                    [{labs.index((0, ())): Fraction(1)}])
-                if coords:
-                    weights[w0] = weights.get(w0, 0) - 1
-                    total -= 1
-        out.set_row(n, total, weights, certified=table.certified(n))
-    return out
-
-
 def K_groups(ctx):
-    """The even/odd products of base cohomology and their reductions.
+    """The even/odd products of base cohomology.
 
     K^r sums dim H^m(base) over m of the parity of r; finiteness rests on
     the vanishing-window certificate of the base cohomology.
@@ -286,8 +260,6 @@ def K_groups(ctx):
     return {
         "even": even,
         "odd": odd,
-        "reduced_even": even - 1,
-        "reduced_odd": odd,
         "certified": ctx.base_bound()[1],
     }
 
@@ -332,49 +304,6 @@ def PH(ctx):
         weights = {w: ch.weight(n, v) for w, (n, v) in reads.items()}
         table.set_row(r, sum(weights.values()), weights,
                       certified=all(ch.certified(n) for n, _ in reads.values()))
-    return table
-
-
-def PH_periodic(ctx):
-    """PH via the direct-sum periodic complex, weight by weight.
-
-    PC splits as the direct sum of the finite effective-weight bands of
-    the 2-periodic complex, so its cohomology is the sum over w of the
-    band cohomologies.  The sum is cut off after two consecutive zero
-    weights past the structural markers, and a row is uncertified if it
-    reaches weight cutoff + 5 first; certification additionally needs the
-    base vanishing-window certificate.
-    """
-    cutoff = ctx.cutoff
-    bound, base_cert = ctx.base_bound()
-    table = CohomologyTable("PHper")
-    for r in range(cutoff + 1):
-        weights = {}
-        w = -(r // 2) - 1
-        zeros = 0
-        ran_out = False
-        while True:
-            w += 1
-            if w > cutoff + 4:
-                ran_out = True
-                break
-            top = max(r + 1, r + 1 + 2 * w)
-            M = ctx.mixed(top)
-            band = band_complex(M, w, "periodic", r - 1, r + 1)
-            d = band.cohomology(r).dim
-            if d:
-                weights[w] = d
-                zeros = 0
-            else:
-                zeros += 1
-            if w >= 0 and r + 2 * w > bound and zeros >= 2:
-                break
-        table.set_row(
-            r,
-            sum(weights.values()),
-            weights,
-            certified=base_cert and not ran_out,
-        )
     return table
 
 
@@ -477,19 +406,29 @@ def theorem2_check(ctx):
     """dim SH^r = dim K~^r + dim CH~^{r-1} in every certified degree,
     where ~ marks reduction by the one-point algebra.  A witness is a
     degree where the two sides differ; with no certified degree the
-    audit is skipped."""
+    audit is skipped.
+
+    The one-point algebra adds its unit to K^r for even r, so
+    K~^r = K^r - [r even], and CH~^n = CH^n - [n even] by this lemma:
+    the +band of weight -n/2 in degree n is the unit block (0, 0) alone
+    (slot m carries p = -m/2), and degree n - 1 has no slot, since
+    there p = -(m+1)/2 < 0; delta and beta of the unit vanish, so the
+    unit is a cocycle that is never a coboundary.  So the identity reads
+    dim SH^r = dim K^r + dim CH^{r-1} - 1 for r >= 1.
+    """
     sh = SH(ctx)
     k = K_groups(ctx)
-    chr_ = reduced_CH(ctx)
+    ch = CH(ctx)
     rows = [r for r in range(1, ctx.cutoff + 1)
-            if sh.certified(r) and k["certified"] and chr_.certified(r - 1)]
+            if sh.certified(r) and k["certified"] and ch.certified(r - 1)]
     if not rows:
         raise Skip("no degree from 1 to the cutoff has certified SH, K and "
                    "CH rows")
-    kbar = (k["reduced_even"], k["reduced_odd"])
+    kbar = (k["even"] - 1, k["odd"])
+    chbar = {r: ch.total(r - 1) - r % 2 for r in rows}
     return [{"check": f"dim SH {sh.total(r)} != dim K~ {kbar[r % 2]} + "
-                      f"dim CH~ {chr_.total(r - 1)}", "degree": r}
-            for r in rows if sh.total(r) != kbar[r % 2] + chr_.total(r - 1)]
+                      f"dim CH~ {chbar[r]}", "degree": r}
+            for r in rows if sh.total(r) != kbar[r % 2] + chbar[r]]
 
 
 @audit("long exact sequences (rows and verticals)")
@@ -511,7 +450,7 @@ def fig2_audit(ctx):
     if cutoff < 2:
         raise Skip(f"cutoff {cutoff} leaves no degree to compare")
     top = cutoff + 1
-    M = ctx.mixed(top)
+    M = ctx.mixed()
     bad = []
     for w in range(-(cutoff // 2) - 1, cutoff // 2 + 2):
         # certified stretch for the minus/periodic bands
@@ -522,7 +461,7 @@ def fig2_audit(ctx):
 
     # intertwining on the total +complex: S . +Psi_k = k . +Psi_k . S,
     # where S: +C^{*-2} -> +C^* is the slotwise inclusion
-    plus = ctx.plus(top)
+    plus = ctx.plus()
     lower = CochainComplex(
         {n + 2: v for n, v in plus.labels.items() if n + 2 <= top}, {})
     s = label_inclusion(lower, plus)
@@ -650,9 +589,9 @@ def t4_audit(ctx):
     if ctx.truncated:
         raise Skip(ctx.truncated)
     cutoff = ctx.cutoff
-    M = ctx.mixed(cutoff + 1)
+    M = ctx.mixed()
     C = ctx.cochain()
-    plus = ctx.plus(cutoff + 1)
+    plus = ctx.plus()
     hh = HH(ctx)
     ch = CH(ctx)
     base = ctx.base(cutoff + 1)
@@ -721,12 +660,12 @@ def ideal_audit(ctx):
     complex.  Skipped when the weight cutoff truncates that complex."""
     if ctx.truncated:
         raise Skip(ctx.truncated)
-    return beta_acyclic_check(ideals(ctx.mixed(ctx.cutoff + 1)))
+    return beta_acyclic_check(ideals(ctx.mixed()))
 
 
 def audits(ctx):
     """The records of the check command, in its order."""
-    return [ctx.mixed(ctx.cutoff + 1).validate(ks=[-1, 2, 3, 6]),
+    return [ctx.mixed().validate(ks=[-1, 2, 3, 6]),
             t4_audit(ctx), fig2_audit(ctx), fig7_audit(ctx),
             theorem2_check(ctx), circle_audit(ctx), ideal_audit(ctx)]
 

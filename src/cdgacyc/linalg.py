@@ -34,9 +34,7 @@ coordinates and matrix-vector products all take and give this form.
 
 A matrix stores one form, its integer form: a pair ``(den, {(row, col):
 int})`` with den > 0, no stored zero, every index in range of its
-shape, and the matrix equal to the integer matrix divided by den.  Its
-``entries``, ``{(row, col): Fraction}`` with the same invariant, are a
-read-only view of that form, built the first time they are read.  The
+shape, and the matrix equal to the integer matrix divided by den.  The
 constructor trusts its caller, since every matrix the package builds is
 made from exact data: builders that hold integers (power maps, slots,
 cones, arithmetic) give the integer form, and a {(row, col): Fraction}
@@ -78,13 +76,12 @@ class SparseMatrix:
     """Immutable sparse matrix over Q, entries indexed (row, col).
 
     It stores one form, the integer form (den, {(row, col): int}), with
-    one column index over it built on first use; ``entries`` is a
-    read-only Fraction view of it, built the first time it is read.  A
-    relabelling also keeps its column -> row map.
+    one column index over it built on first use.  A relabelling also
+    keeps its column -> row map.
     """
 
-    __slots__ = ("rows", "cols", "_integer", "_image", "_entries",
-                 "_columns", "_echelon")
+    __slots__ = ("rows", "cols", "_integer", "_image", "_columns",
+                 "_echelon")
 
     def __init__(self, rows, cols, entries=None, integer=None, image=None):
         """A matrix of shape rows x cols from its integer form, a pair
@@ -101,7 +98,6 @@ class SparseMatrix:
         self.cols = cols
         self._integer = integer
         self._image = image
-        self._entries = None
         self._columns = None
         self._echelon = None
 
@@ -129,7 +125,7 @@ class SparseMatrix:
     @classmethod
     def zero(cls, rows, cols):
         """The rows x cols zero matrix: one shared instance per shape,
-        its integer form, column index and entries read-only."""
+        its integer form and column index read-only."""
         m = _ZEROS.get((rows, cols))
         if m is None:
             m = _ZEROS[(rows, cols)] = cls(rows, cols, integer=(1, _EMPTY))
@@ -166,15 +162,6 @@ class SparseMatrix:
             return cls.zero(ambient, len(columns))
         return cls(ambient, len(columns), {
             (i, j): x for j, v in enumerate(columns) for i, x in v.items()})
-
-    @property
-    def entries(self):
-        """{(row, col): nonzero Fraction}, read-only."""
-        if self._entries is None:
-            den, nums = self._integer
-            self._entries = MappingProxyType(
-                {k: Fraction(v, den) for k, v in nums.items()})
-        return self._entries
 
     def integer(self):
         """(den, {(row, col): nonzero int}): the matrix is the integer

@@ -16,6 +16,7 @@ from cdgacyc import cli, complexes, free_loop, functors
 from cdgacyc.free_loop import LoopAlgebra
 from cdgacyc.minimal_model import verify_minimal
 
+from periodic import PH_periodic
 from test_functors import unprojected_sh_band
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -271,9 +272,9 @@ def test_one_mixed_complex_per_command(command, monkeypatch, capsys):
     tops = []
     build = LoopAlgebra.mixed_complex
 
-    def counted(self, top, grown=None):
+    def counted(self, top):
         tops.append(top)
-        return build(self, top, grown)
+        return build(self, top)
 
     monkeypatch.setattr(LoopAlgebra, "mixed_complex", counted)
     code, _, _ = run([command, str(FIXTURES / "product_s2_s3.json"),
@@ -324,18 +325,15 @@ def test_base_complex_rebuilt_only_when_it_grows(monkeypatch, capsys):
 
 
 def test_each_loop_block_is_built_once(monkeypatch):
-    # PH_periodic and the negative control without the weight-zero
-    # projection read the loop complex above cutoff + 1, and the audits
-    # read it through cutoff + 1: the one complex grows, each call keeping
-    # the previous complex, and each delta and beta block is built once
-    grows, blocks = [], []
+    # SH and the audits read the loop complex through cutoff + 1, so it
+    # is built once, there, and each delta and beta block once in it
+    tops, blocks = [], []
     build = LoopAlgebra.mixed_complex
     make = free_loop.derivation_matrix
 
-    def counted(self, top, grown=None):
-        out = build(self, top, grown)
-        grows.append((grown, out))
-        return out
+    def counted(self, top):
+        tops.append(top)
+        return build(self, top)
 
     def counted_make(derv, basis_in, index_out):
         blocks.append((derv, tuple(basis_in)))
@@ -345,16 +343,11 @@ def test_each_loop_block_is_built_once(monkeypatch):
     monkeypatch.setattr(free_loop, "derivation_matrix", counted_make)
     ctx = functors.LoopContext(
         cli.load_algebra(str(FIXTURES / "product_s2_s3.json")), 4)
-    functors.PH_periodic(ctx)
-    with monkeypatch.context() as patch:
-        patch.setattr(functors, "_sh_band", unprojected_sh_band())
-        functors.SH(ctx)
+    functors.SH(ctx)
     records = functors.audits(ctx)
     assert all(record.status != "fail" for record in records)
-    assert [grown for grown, _ in grows] == [None] + [
-        out for _, out in grows[:-1]]
-    M = grows[-1][1]
-    assert M.top > ctx.cutoff + 1 and len(grows) > 1
+    assert tops == [ctx.cutoff + 1]
+    M = ctx.mixed()
     loop = [(derv, labs) for derv, labs in blocks
             if derv in (ctx.loop.delta, ctx.loop.iota)]
     assert len(loop) == len(set(loop))
@@ -363,6 +356,22 @@ def test_each_loop_block_is_built_once(monkeypatch):
                          for (n, _), labs in M.blocks.items()
                          for derv in (ctx.loop.delta, ctx.loop.iota)
                          if derv is ctx.loop.iota or n < M.top}
+
+
+def test_cross_checks_leave_the_context_complex(monkeypatch):
+    # PH_periodic and the negative control without the weight-zero
+    # projection read the loop complex above cutoff + 1 from complexes
+    # of their own: the context's complex stays the one built at
+    # cutoff + 1, and the bands read after them are built on it
+    ctx = functors.LoopContext(
+        cli.load_algebra(str(FIXTURES / "product_s2_s3.json")), 4)
+    M = ctx.mixed()
+    PH_periodic(ctx)
+    with monkeypatch.context() as patch:
+        patch.setattr(functors, "_sh_band", unprojected_sh_band())
+        functors.SH(ctx)
+    assert ctx.mixed() is M and M.top == ctx.cutoff + 1
+    assert all(record.status != "fail" for record in functors.audits(ctx))
 
 
 def test_check_builds_each_band_and_cone_once(monkeypatch, capsys):

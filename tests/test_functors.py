@@ -15,8 +15,10 @@ from cdgacyc.gralg import FreeCDGA, Generator
 
 import oracles
 from models import brute_form, even_sphere, free_cdga, non_pure, tensor
+from periodic import PH_periodic
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "cdgacyc" / "fixtures"
+FREE = ["trivial", "sphere2", "sphere3", "sphereEven4", "product_s2_s3"]
 
 
 def sphere2():
@@ -42,16 +44,19 @@ def unprojected_sh_band():
     weight w, read through degree cutoff + 2 + 2w, instead of mapping it
     onto the base block.  The replacement keeps its own cones, one per
     context and weight, apart from the projected cones that
-    functors._sh_band keeps on the context."""
-    cones = {}
+    functors._sh_band keeps on the context, and its own loop mixed
+    complex per context, rebuilt only when a weight reads past it."""
+    cones, mixed = {}, {}
 
     def sh_band(ctx, w):
         if (ctx, w) not in cones:
             top = ctx.cutoff + 1
             source = shift_complex(ctx.band(w + 1, "plus", top - 1), 2)
-            M = ctx.mixed(max(top + 2, top + 2 + 2 * w))
-            f = label_inclusion(source,
-                                band_complex(M, w, "periodic", 0, top + 1))
+            reach = max(top + 2, top + 2 + 2 * w)
+            if ctx not in mixed or mixed[ctx].top < reach:
+                mixed[ctx] = ctx.loop.mixed_complex(reach)
+            f = label_inclusion(source, band_complex(mixed[ctx], w,
+                                                     "periodic", 0, top + 1))
             cones[ctx, w] = (f, *mapping_cone(f))
         return cones[ctx, w]
 
@@ -113,16 +118,23 @@ def test_ch_sphere3(ctx3):
             assert ch.total(n) == 0
 
 
-def test_reduced_ch_sphere3(ctx3):
-    rch = F.reduced_CH(ctx3)
-    for n in range(13):
-        assert rch.total(n) == (1 if n % 2 == 0 and n > 0 else 0)
+@pytest.mark.parametrize("name", FREE)
+def test_unit_alone_spans_ch_at_weight_minus_half_degree(name):
+    # the lemma theorem2_check reduces CH by: in even degree n the +band
+    # of weight -n/2 is the unit block alone, with nothing in degree
+    # n - 1, so the unit is one class of CH^n that is no coboundary
+    ctx = F.LoopContext(load_algebra(str(FIXTURES / f"{name}.json")), 8)
+    ch = F.CH(ctx)
+    for n in range(0, ctx.cutoff + 1, 2):
+        band = ctx.band(-(n // 2), "plus", ctx.cutoff + 1)
+        assert band.labels[n] == [(0, ())]
+        assert not band.labels.get(n - 1)
+        assert band.betti(n) == 1 == ch.weight(n, -(n // 2))
 
 
 def test_k_groups(ctx3, ctx2):
     k3 = F.K_groups(ctx3)
     assert (k3["even"], k3["odd"]) == (1, 1)
-    assert (k3["reduced_even"], k3["reduced_odd"]) == (0, 1)
     assert k3["certified"]
     k2 = F.K_groups(ctx2)
     assert (k2["even"], k2["odd"]) == (2, 0)
@@ -152,11 +164,10 @@ def test_ph_stabilizes(ctx3):
 
 def test_ph_agrees_with_periodic():
     # PH is read off the CH table; PH_periodic sums periodic bands
-    for name in ("trivial", "sphere2", "sphere3", "sphereEven4",
-                 "product_s2_s3"):
+    for name in FREE:
         ctx = F.LoopContext(load_algebra(str(FIXTURES / f"{name}.json")), 12)
         ph = F.PH(ctx)
-        php = F.PH_periodic(ctx)
+        php = PH_periodic(ctx)
         for n in range(13):
             assert ph.certified(n) and php.certified(n)
             assert ph.weights(n) == php.weights(n), (name, n)
@@ -217,12 +228,12 @@ def test_dropping_weight_projection_breaks_theorem2(ctx3_10, monkeypatch):
         sh_good.total(n) != sh_bad.total(n) for n in range(11)
     )
     k = F.K_groups(ctx3_10)
-    rch = F.reduced_CH(ctx3_10)
-    broken = []
-    for r in range(1, 11):
-        kbar = k["reduced_even"] if r % 2 == 0 else k["reduced_odd"]
-        if sh_bad.total(r) != kbar + rch.total(r - 1):
-            broken.append(r)
+    ch = F.CH(ctx3_10)
+    # reduced by the one-point algebra: K~^r = K^r - [r even] and
+    # CH~^(r-1) = CH^(r-1) - [r odd]
+    broken = [r for r in range(1, 11)
+              if sh_bad.total(r) != k["even" if r % 2 == 0 else "odd"]
+              + ch.total(r - 1) - 1]
     assert broken  # located witness degrees
 
 

@@ -15,7 +15,6 @@ from cdgacyc.functors import (
     CH,
     HH,
     PH,
-    PH_periodic,
     SH,
     LoopContext,
     audits,
@@ -32,6 +31,7 @@ from models import (
     tensor,
 )
 from oracles import BruteAlgebra, cohomology_dims
+from periodic import PH_periodic
 
 # (kind, degree): odd spheres, and even spheres with dy = x^2.  Degree 1 is
 # left out: its barred generator has degree 0, so HH is not finite there.

@@ -14,6 +14,7 @@ from cdgacyc.complexes import (band_complex, label_inclusion, mapping_cone,
 from cdgacyc.free_loop import free_loop
 from cdgacyc.linalg import SparseMatrix
 
+from matrices import entries
 from oracles import rref, rref_rank
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "cdgacyc" / "fixtures"
@@ -37,7 +38,7 @@ def to_sparse(v):
 
 
 def column(m, j):
-    return {i: v for (i, jj), v in m.entries.items() if jj == j}
+    return {i: v for (i, jj), v in entries(m).items() if jj == j}
 
 
 def assert_sparse(v, n):
@@ -110,7 +111,6 @@ def test_image_basis_of_integer_born_matrix_matches_fraction_entries():
     born = SparseMatrix(3, 4, integer=(6, nums))
     built = SparseMatrix(3, 4, {k: Fraction(v, 6) for k, v in nums.items()})
     assert linalg.image_basis(born) == linalg.image_basis(built)
-    assert born._entries is None  # no Fraction built for a dropped column
 
 
 def test_matrix_algebra():
@@ -118,7 +118,7 @@ def test_matrix_algebra():
     b = M([[0, 1], [1, 0]])
     assert a @ b == M([[2, 1], [4, 3]])
     assert a + b == M([[1, 3], [4, 4]])
-    assert (a - a).entries == {}
+    assert entries(a - a) == {}
     assert SparseMatrix.identity(2) @ a == a
 
 
@@ -226,7 +226,7 @@ def complex_at(draw):
         (i, j): draw(ints) for i in range(n) for j in range(p)})
     # rows of d_out: combinations of the left kernel of d_in
     left = linalg.kernel_basis(SparseMatrix(
-        p, n, {(j, i): v for (i, j), v in d_in.entries.items()}))
+        p, n, {(j, i): v for (i, j), v in entries(d_in).items()}))
     q = draw(st.integers(0, 3))
     out = {}
     for i in range(q):
@@ -385,7 +385,7 @@ def test_coordinates_of_zero_vector_are_zero_not_none():
 def assert_matrix(m):
     """The matrix invariant: every entry a nonzero Fraction at an index in
     range of the shape."""
-    for (i, j), v in m.entries.items():
+    for (i, j), v in entries(m).items():
         assert type(v) is Fraction and v, (i, j, v)
         assert 0 <= i < m.rows and 0 <= j < m.cols, (i, j, m)
 
@@ -412,8 +412,8 @@ def test_arithmetic_keeps_the_matrix_invariant(mats, c):
     for out in (a @ m, a + b, a - b, a - a, a + a.scale(-1), a.scale(-1),
                 a.scale(c), a.scale(0)):
         assert_matrix(out)
-    assert a.scale(0).entries == {}
-    assert (a - a).entries == {}
+    assert entries(a.scale(0)) == {}
+    assert entries(a - a) == {}
 
 
 # Mostly zeros, with small denominators, so that products and sums
@@ -430,7 +430,8 @@ def from_dense(rows, cols, d):
 
 def dense_of(m):
     """The reference: m as a dense list of Fraction rows."""
-    return [[m.entries.get((i, j), Fraction(0)) for j in range(m.cols)]
+    known = entries(m)
+    return [[known.get((i, j), Fraction(0)) for j in range(m.cols)]
             for i in range(m.rows)]
 
 
@@ -496,7 +497,6 @@ def test_integer_arithmetic_matches_dense_fractions(ops, c, e, data):
     vec = to_sparse(data.draw(st.lists(rationals, min_size=a.cols,
                                        max_size=a.cols)))
     out = born.apply(vec)
-    assert born._entries is None
     assert_sparse(out, a.rows)
     ref = dense_mul(dense_add(dca, deb), [[vec.get(j, Fraction(0))]
                                           for j in range(a.cols)], 1)
@@ -593,7 +593,7 @@ def test_relabelling_matches_the_general_matrix(case, c):
     g, h = (SparseMatrix.validated(n, m, {(i, j): 1 for j, i in f.items()})
             for n, m, f in ((rows, cols, image), (cols, rows, back)))
     assert r == g and g == r
-    assert r.entries == g.entries
+    assert entries(r) == entries(g)
     assert_matrix(r)
     assert r.integer() == g.integer()
     assert r.apply(vec) == g.apply(vec)
@@ -684,7 +684,7 @@ def test_complexes_of_a_fixture_keep_the_invariant():
             mats += [c.d(n) for n in range(-1, 8)]
         for f in (include, project):
             mats += [f.matrix(n) for n in range(-1, 8)]
-    assert sum(len(m.entries) for m in mats) > 1000
+    assert sum(len(m.integer()[1]) for m in mats) > 1000
     for m in mats:
         assert_matrix(m)
 
@@ -705,7 +705,7 @@ def test_validated_rejects_what_is_not_a_rational_matrix(rows, cols, entries):
 def test_validated_converts_and_drops_zeros():
     m = SparseMatrix.validated(2, 2, {(0, 0): 2, (0, 1): "-1/3",
                                       (1, 0): Fraction(0), (1, 1): "0"})
-    assert m.entries == {(0, 0): 2, (0, 1): Fraction(-1, 3)}
+    assert entries(m) == {(0, 0): 2, (0, 1): Fraction(-1, 3)}
     assert_matrix(m)
 
 
@@ -734,7 +734,8 @@ def _oracle_coordinates(h, d_out, v):
     [representatives | image] c = v by naive Gauss-Jordan, cut to the
     representatives."""
     n = h.ambient
-    dense_out = [[d_out.entries.get((i, j), 0) for j in range(n)]
+    known = entries(d_out)
+    dense_out = [[known.get((i, j), 0) for j in range(n)]
                  for i in range(d_out.rows)]
     if any(sum(a * v.get(j, 0) for j, a in enumerate(row))
            for row in dense_out):
@@ -810,7 +811,7 @@ def test_betti_builds_no_kernel_basis(monkeypatch):
     dims = [amb.betti(n) for n in range(9)]
     assert any(dims)
     # each differential is eliminated at most once, and nothing else is
-    shapes = [(m.rows, m.cols) for m in amb.diff.values() if m.entries]
+    shapes = [(m.rows, m.cols) for m in amb.diff.values() if not m.is_zero()]
     assert len(calls) <= len(shapes)
     assert all((rows, ncols) in shapes for rows, ncols in calls)
 
@@ -874,7 +875,7 @@ def test_zero_matrices_are_shared_and_nothing_changes_them():
     assert z.apply({0: Fraction(1)}) == {}
     assert z + a == a and a - z == a and (z - a) == a.scale(-1)
     # every form of z is read-only
-    for form in (z.entries, z.integer()[1], z.columns()):
+    for form in (z.integer()[1], z.columns()):
         with pytest.raises(TypeError):
             form[(0, 0)] = Fraction(1)
     # another zero of the shape is still zero and eliminates as one
