@@ -4,7 +4,8 @@ Commands: cohomology, hh, ch, ph, sh, euler, check, minimal-model,
 verify-minimal.  Input files are UTF-8 JSON in either free form
 (generators + differential) or finite form (basis + structure constants).
 All coefficients are exact rational strings; floats are rejected.
-Exit codes: 0 success / no check fails, 1 check failures, 2 bad input.
+Exit codes: 0 success / no check fails, 1 check failures, 2 bad input,
+141 a closed output pipe.
 
 A well-formed command line (the command, the file and exact long options)
 is read without argparse, which would cost a few milliseconds of every
@@ -17,9 +18,10 @@ process with ``os._exit``, skipping interpreter teardown.  The teardown
 frees every module, cache and object the process is about to discard,
 about 9-13 ms of a run of some 50 ms, and the process holds nothing that
 needs it (a file written by ``--emit`` is closed before ``main``
-returns).  A flush that fails, and any exception or exit raised inside
-``main``, take the ordinary exit path.  ``main`` called as a library
-returns its exit code and ends nothing.
+returns).  A closed output pipe ends it with exit code 141 and no
+report; any other flush that fails, and any exception or exit raised
+inside ``main``, take the ordinary exit path.  ``main`` called as a
+library returns its exit code and ends nothing.
 
 Such a process also runs with the cyclic garbage collector off: the
 first statement of this module, run as ``__main__``, turns it off
@@ -256,52 +258,45 @@ def emit_free(A):
     }
 
 
-def print_table(table, per_weight=False, out=None):
-    if out is None:
-        out = sys.stdout
+def print_table(table, header, args):
+    """The table as JSON with --json, else its header and one line per
+    degree, with the weights under --per-weight.  Exit code 0."""
+    if args.json:
+        print(json.dumps(table.to_json(), indent=2))
+        return 0
+    print(header)
     for n in table.degrees:
         line = f"  {n:3d}  dim {table.total(n):3d}"
         if not table.certified(n):
             line += "  (uncertified)"
-        if per_weight and table.weights(n):
+        if args.per_weight and table.weights(n):
             ws = ", ".join(
                 f"{w}:{d}" for w, d in sorted(table.weights(n).items())
             )
             line += f"  [{ws}]"
-        print(line, file=out)
+        print(line)
+    return 0
 
 
 def cmd_functor(kind, ctx, args, finite):
     fn = {"hh": functors.HH, "ch": functors.CH,
           "ph": functors.PH, "sh": functors.SH}[kind]
     table = fn(ctx)
-    if args.json:
-        print(json.dumps(table.to_json(), indent=2))
-    else:
-        if finite:
-            print("model generators: " + ", ".join(
-                f"{g.name} (degree {g.degree})"
-                for g in ctx.algebra.algebra.generators))
-        print(f"{kind.upper()} up to degree {args.cutoff}:")
-        print_table(table, per_weight=args.per_weight)
-    return 0
+    if finite and not args.json:
+        print("model generators: " + ", ".join(
+            f"{g.name} (degree {g.degree})"
+            for g in ctx.algebra.algebra.generators))
+    return print_table(table, f"{kind.upper()} up to degree {args.cutoff}:",
+                       args)
 
 
 def cmd_cohomology(algebra, args):
-    N = args.cutoff
     c = (algebra if isinstance(algebra, FiniteCDGA)
-         else base_cochain(algebra, N + 1))
-    dims = [c.betti(n) for n in range(N + 1)]
-    if args.json:
-        print(json.dumps({"degrees": [
-            {"n": n, "total": d, "weights": {}, "certified": True}
-            for n, d in enumerate(dims)
-        ]}, indent=2))
-    else:
-        print(f"cohomology up to degree {N}:")
-        for n, d in enumerate(dims):
-            print(f"  {n:3d}  dim {d:3d}")
-    return 0
+         else base_cochain(algebra, args.cutoff + 1))
+    table = functors.CohomologyTable("cohomology")
+    for n in range(args.cutoff + 1):
+        table.set_row(n, c.betti(n), {}, True)
+    return print_table(table, f"cohomology up to degree {args.cutoff}:", args)
 
 
 def cmd_euler(ctx, args):
@@ -360,6 +355,7 @@ def cmd_minimal_model(algebra, args):
     return 0
 
 
+CLOSED_PIPE = 141
 COMMANDS = ("cohomology", "hh", "ch", "ph", "sh", "euler", "check",
             "minimal-model", "verify-minimal")
 _VALUED = {"--cutoff": int, "--weight-max": int, "--emit": str, "--seed": int}
@@ -456,18 +452,24 @@ def main(argv=None):
 def run():
     """The program's entry point: main(), its output flushed, and the
     process ended with main's exit code without interpreter teardown.
-    A flush that raises OSError (such as a closed pipe) exits through
-    sys.exit, so the interpreter reports it as it does any failed
-    flush at exit.  The cyclic garbage collector is off from here on
-    (see the module docstring)."""
+    A write into a closed pipe, in main or in the flush, ends it with
+    exit code 141 (128 + SIGPIPE) and no report.  Any other flush that
+    raises OSError exits through sys.exit, so the interpreter reports it
+    as it does any failed flush at exit.  The cyclic garbage collector is
+    off from here on (see the module docstring)."""
     gc.disable()
-    code = main()
     try:
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:
-                stream.flush()
-    except OSError:
-        sys.exit(code)
+        code = main()
+        try:
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:
+                    stream.flush()
+        except BrokenPipeError:
+            raise
+        except OSError:
+            sys.exit(code)
+    except BrokenPipeError:
+        os._exit(CLOSED_PIPE)  # drops the buffered output unreported
     os._exit(code or 0)
 
 

@@ -159,28 +159,18 @@ def free_loop(base, weight_cutoff=None):
     return LoopAlgebra(base, weight_cutoff=weight_cutoff)
 
 
-def base_cochain(base, top, grown=None, bottom=0):
-    """(Lambda[V], d) as a cochain complex on degrees bottom..top.
-
-    grown, a complex this function built on degrees 0..t with t < top, is
-    grown by the new degrees only: the result keeps its matrices, builds
-    d^t..d^{top-1}, and takes its cohomology below degree t.  A complex
-    built from bottom > 0 has no d^{bottom-1}, so only its H^n with
-    bottom < n < top are those of (Lambda[V], d).
+def base_cochain(base, top, bottom=0):
+    """(Lambda[V], d) as a cochain complex on degrees bottom..top, with d^n
+    for bottom <= n < top.  Built from bottom = 0, its H^n for n < top is
+    that of (Lambda[V], d); built from bottom > 0, it has no d^{bottom-1},
+    so only its H^n with bottom < n < top are.
     """
-    t, labels, diff, shares = bottom, {}, {}, None
-    if grown is not None:
-        # a complex built here has one differential per degree below its top
-        t = len(grown.diff)
-        labels, diff = dict(grown.labels), dict(grown.diff)
-        shares = (grown, 0, -math.inf, t)
-    labels.update({n: base.algebra.basis(n) for n in range(t, top + 1)})
+    labels = {n: base.algebra.basis(n) for n in range(bottom, top + 1)}
     index = {n: {m: i for i, m in enumerate(labels[n])}
-             for n in range(t, top + 1)}
-    for n in range(t, top):
-        diff[n] = derivation_matrix(base.differential, labels[n],
-                                    index[n + 1])
-    return CochainComplex(labels, diff, shares=shares)
+             for n in range(bottom, top + 1)}
+    diff = {n: derivation_matrix(base.differential, labels[n], index[n + 1])
+            for n in range(bottom, top)}
+    return CochainComplex(labels, diff)
 
 
 def ideals(M):

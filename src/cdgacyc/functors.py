@@ -19,6 +19,7 @@ from fractions import Fraction
 from cdgacyc import linalg
 from cdgacyc.complexes import (
     CochainComplex,
+    ConsistencyError,
     Skip,
     audit,
     _slot_basis,
@@ -46,17 +47,18 @@ class FunctorError(Exception):
 
 
 class CohomologyTable:
-    """Per-degree totals with their per-weight breakdown."""
+    """Per-degree totals with their per-weight breakdown, which must sum
+    to the total unless it is empty (a table with no weights)."""
 
     def __init__(self, name=""):
         self.name = name
         self.rows = {}
 
     def set_row(self, n, total, weights, certified):
-        weights = {w: d for w, d in weights.items() if d}
-        if sum(weights.values()) != total:
+        if weights and sum(weights.values()) != total:
             raise FunctorError(
                 f"{self.name} degree {n}: total {total} != weight sum")
+        weights = {w: d for w, d in weights.items() if d}
         self.rows[n] = {"total": total, "weights": weights, "certified": certified}
 
     @property
@@ -109,9 +111,16 @@ class LoopContext:
     slice's).  A "plus" or "slice" band's degree-r piece reads the mixed
     complex only in degrees <= r, so it is assembled through cutoff + 1,
     and a reader with a smaller top gets its truncation, which shares
-    the band's matrices and its cohomology below that top.  The base
-    complex grows on demand, since SH reads base^{r+2w} past cutoff + 1,
-    by the new degrees only, keeping its matrices and cohomology.
+    the band's matrices and its cohomology below that top.
+
+    The base complex is built once, through base_top = cutoff + 2 + 2W,
+    where W = max(cutoff - 2, cutoff//2 + 1, 2) is the largest weight of
+    a cone: SH reads weights w <= max(r - 2, (bound - r)//2 + 1) with r
+    and bound <= cutoff, fig7_audit w <= max(2, bound//2 + 1), and the
+    base block of _sh_band(w) reads base labels through cutoff + 2 + 2w
+    and H^n for n <= cutoff + 1 + 2w.  SH's skip test reads H^n for n <=
+    3 cutoff - 4, every other reader below cutoff + 1.  A degree past
+    base_top would read as zero, so base_betti and _base_block raise.
 
     truncated says why an audit that expects the untruncated loop complex
     skips, or is None.
@@ -132,7 +141,7 @@ class LoopContext:
         self._mixed = None
         self._cochain = None
         self._base = None
-        self._base_top = -1
+        self.base_top = cutoff + 2 + 2 * max(cutoff - 2, cutoff // 2 + 1, 2)
         self._plus = None
         self._bands = {}
         self._tables = {}
@@ -149,12 +158,16 @@ class LoopContext:
             self._cochain = self.mixed().cochain()
         return self._cochain
 
-    def base(self, top):
-        # the complex drops empty degrees, so its labels do not record top
-        if self._base_top < top:
-            self._base = base_cochain(self.algebra, top, self._base)
-            self._base_top = top
+    def base(self):
+        if self._base is None:
+            self._base = base_cochain(self.algebra, self.base_top)
         return self._base
+
+    def base_betti(self, n):
+        """dim H^n of the base complex (0 for n < 0); it needs d^n."""
+        if n >= self.base_top:
+            raise ConsistencyError("base H^n read past the base", n)
+        return self.base().betti(n) if n >= 0 else 0
 
     def plus(self):
         if self._plus is None:
@@ -183,8 +196,7 @@ class LoopContext:
         plus one, which is the boundedness evidence all tail arguments use.
         """
         top = self.cutoff + 1
-        base = self.base(top)
-        betti = {n: base.betti(n) for n in range(top)}
+        betti = {n: self.base_betti(n) for n in range(top)}
         g = self.algebra.max_generator_degree()
         window = range(max(0, top - 1 - g), top)
         certified = all(betti[m] == 0 for m in window) and top - 1 - g > 0
@@ -253,9 +265,7 @@ def K_groups(ctx):
     K^r sums dim H^m(base) over m of the parity of r; finiteness rests on
     the vanishing-window certificate of the base cohomology.
     """
-    cutoff = ctx.cutoff
-    base = ctx.base(cutoff + 1)
-    betti = [base.betti(n) for n in range(cutoff + 1)]
+    betti = [ctx.base_betti(n) for n in range(ctx.cutoff + 1)]
     even, odd = sum(betti[0::2]), sum(betti[1::2])
     return {
         "even": even,
@@ -315,7 +325,9 @@ def _base_block(ctx, w, top):
     base's own matrices, so below top its H^r is the base's H^{r+2w} in
     every degree; degree -1 carries base^{2w-1} and d^{2w-1}, which the
     cone's H^0 reads."""
-    base = ctx.base(max(0, top + 2 * w) + 1)
+    if top + 2 * w > ctx.base_top:
+        raise ConsistencyError("base block reads past the base", top + 2 * w)
+    base = ctx.base()
     labels = {r: [("b", mono) for mono in base.labels.get(r + 2 * w, [])]
               for r in range(-1, top + 1)}
     diff = {r: base.d(r + 2 * w) for r in range(-1, top)}
@@ -389,10 +401,7 @@ def SH(ctx):
         w_hi = max(r - 2, (bound - r) // 2 + 1, w_lo)
         for w in range(w_lo, w_hi + 1):
             ch_next = ctx.band(w + 1, "plus", cutoff + 1).betti(r - 1) if r >= 1 else 0
-            mb = r + 2 * w
-            base = ctx.base(max(cutoff + 1, mb + 1))
-            h_base = base.betti(mb) if mb >= 0 else 0
-            if ch_next == 0 and h_base == 0:
+            if ch_next == 0 and ctx.base_betti(r + 2 * w) == 0:
                 continue
             d = _sh_band(ctx, w)[1].betti(r)
             if d:
@@ -594,7 +603,6 @@ def t4_audit(ctx):
     plus = ctx.plus()
     hh = HH(ctx)
     ch = CH(ctx)
-    base = ctx.base(cutoff + 1)
     bad = []
 
     def check(ok, what, **where):
@@ -624,7 +632,7 @@ def t4_audit(ctx):
                 )
 
     for n in range(cutoff + 1):
-        check(hh.weight(n, 0) == base.betti(n),
+        check(hh.weight(n, 0) == ctx.base_betti(n),
               "HH(0) differs from base cohomology", degree=n)
         # the tables stop at weight n, so the bands are read directly
         vanish = all(ctx.band(p, kind, cutoff + 1).betti(n) == 0
@@ -632,7 +640,7 @@ def t4_audit(ctx):
         check(vanish, "HH(p) or CH(p) nonzero for p > degree", degree=n)
 
     dim_v = len(ctx.algebra.algebra.generators)
-    h_total = sum(base.betti(n) for n in range(cutoff + 1))
+    h_total = sum(ctx.base_betti(n) for n in range(cutoff + 1))
     for w in range(0, cutoff + 1):
         partial = sum(hh.weight(n, w) for n in range(cutoff + 1))
         check(partial <= (dim_v**w) * h_total,

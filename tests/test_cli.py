@@ -283,18 +283,23 @@ def test_one_mixed_complex_per_command(command, monkeypatch, capsys):
     assert tops == [5]
 
 
-def _count_base_growth(monkeypatch):
-    """Record each base_cochain call as (top, grown, result, number of
-    differentials it built)."""
-    calls = []
-    grow = functors.base_cochain
+@pytest.mark.parametrize("argv", [
+    # sphereEven4 has empty base degrees, which the built complex drops
+    ["sh", str(FIXTURES / "sphereEven4.json"), "--cutoff", "12"],
+    ["check", S2, "--cutoff", "5"],
+], ids=["sh", "check"])
+def test_base_complex_built_once_at_its_top(argv, monkeypatch, capsys):
+    # the base complex is built once, through cutoff + 2 + 2W, where W is
+    # the largest weight at which SH or the comparison diagram builds a
+    # cone, and each of its differentials once
+    calls, built = [], []
+    build = functors.base_cochain
     make = free_loop.derivation_matrix
-    built = []
 
-    def counted(algebra, top, grown=None):
+    def counted(algebra, top):
         built.clear()
-        out = grow(algebra, top, grown)
-        calls.append((top, grown, out, len(built)))
+        out = build(algebra, top)
+        calls.append((top, len(built), len(out.diff)))
         return out
 
     def counted_make(*args, **kwargs):
@@ -303,25 +308,11 @@ def _count_base_growth(monkeypatch):
 
     monkeypatch.setattr(functors, "base_cochain", counted)
     monkeypatch.setattr(free_loop, "derivation_matrix", counted_make)
-    return calls
-
-
-def _assert_each_base_degree_built_once(calls):
-    tops = [top for top, _, _, _ in calls]
-    assert tops == sorted(set(tops))
-    # each call grows the previous complex, building d^n once for each n
-    assert [grown for _, grown, _, _ in calls] == [None] + [
-        out for _, _, out, _ in calls[:-1]]
-    assert sum(n for _, _, _, n in calls) == tops[-1]
-
-
-def test_base_complex_rebuilt_only_when_it_grows(monkeypatch, capsys):
-    # sphereEven4 has empty base degrees, which the built complex drops
-    calls = _count_base_growth(monkeypatch)
-    code, _, _ = run(["sh", str(FIXTURES / "sphereEven4.json"),
-                      "--cutoff", "12"], capsys)
+    code, _, _ = run(argv, capsys)
     assert code == 0
-    _assert_each_base_degree_built_once(calls)
+    cutoff = int(argv[-1])
+    top = cutoff + 2 + 2 * max(cutoff - 2, cutoff // 2 + 1, 2)
+    assert calls == [(top, top, top)]
 
 
 def test_each_loop_block_is_built_once(monkeypatch):
@@ -378,8 +369,8 @@ def test_check_builds_each_band_and_cone_once(monkeypatch, capsys):
     # every reader of a plus band or slice shares the one band per
     # (weight, kind), a band is assembled once per distinct slot table
     # (so for w <= 0 the periodic and minus bands are the plus band and
-    # the slice), SH and the comparison diagram share one cone over Ibar
-    # per weight, and the base complex grows degree by degree
+    # the slice), and SH and the comparison diagram share one cone over
+    # Ibar per weight
     bands, tables, blocks, ibar_cones = [], [], [], []
     band = functors.band_complex
     block = functors._base_block
@@ -404,7 +395,6 @@ def test_check_builds_each_band_and_cone_once(monkeypatch, capsys):
     monkeypatch.setattr(functors, "band_complex", counted_band)
     monkeypatch.setattr(functors, "_base_block", counted_block)
     monkeypatch.setattr(functors, "mapping_cone", counted_cone)
-    calls = _count_base_growth(monkeypatch)
     code, out, _ = run(["check", str(FIXTURES / "product_s2_s3.json"),
                         "--cutoff", "6"], capsys)
     assert code == 0 and "FAIL" not in out
@@ -415,7 +405,6 @@ def test_check_builds_each_band_and_cone_once(monkeypatch, capsys):
     assert not [b for b in bands if b[1] in ("periodic", "minus")
                 and b[0] <= 0]
     assert blocks and len(blocks) == len(set(blocks)) == len(ibar_cones)
-    _assert_each_base_degree_built_once(calls)
 
 
 def test_finite_input_goes_through_model(capsys):

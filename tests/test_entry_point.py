@@ -82,22 +82,45 @@ def test_program_emits_the_file_main_emits(env, tmp_path):
 
 
 def test_failed_flush_takes_the_ordinary_exit(env):
-    # stdout is a pipe with no reader: the output is still buffered when
-    # main returns, so run's flush fails, and the interpreter reports the
+    # stdout is a full device: the output is still buffered when main
+    # returns, so run's flush fails, and the interpreter reports the
     # flush that fails again at exit
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "cdgacyc.cli", "hh", S3, "--cutoff", "2"],
+            env=env, stdout=full, stderr=subprocess.PIPE, text=True,
+            timeout=120)
+    assert done.returncode == 120
+    assert done.stderr.startswith("Exception ignored in: <_io.TextIOWrapper "
+                                  "name='<stdout>'")
+    assert done.stderr.endswith("OSError: [Errno 28] No space left on "
+                                "device\n")
+
+
+@pytest.mark.parametrize("argv, unbuffered", [
+    # buffered when main returns, so run's flush fails
+    (["hh", S2, "--cutoff", "2"], False),
+    (["hh", S2, "--cutoff", "40", "--json"], False),
+    # past the buffer, so a print inside main fails
+    (["cohomology", S2, "--cutoff", "3000"], False),
+    # unbuffered, so the first print fails
+    (["hh", S2, "--cutoff", "2"], True),
+])
+def test_closed_pipe_ends_one_way(argv, unbuffered, env):
+    # stdout is a pipe whose reader is gone: whichever write fails, the
+    # program ends with the one exit code and no report
+    if unbuffered:
+        env = {**env, "PYTHONUNBUFFERED": "1"}
     read, write = os.pipe()
     os.close(read)
     try:
         done = subprocess.run(
-            [sys.executable, "-m", "cdgacyc.cli", "hh", S3, "--cutoff", "2"],
+            [sys.executable, "-m", "cdgacyc.cli", *argv],
             env=env, stdout=write, stderr=subprocess.PIPE, text=True,
             timeout=120)
     finally:
         os.close(write)
-    assert done.returncode == 120
-    assert done.stderr.startswith("Exception ignored in: <_io.TextIOWrapper "
-                                  "name='<stdout>'")
-    assert done.stderr.endswith("BrokenPipeError: [Errno 32] Broken pipe\n")
+    assert (done.returncode, done.stderr) == (cli.CLOSED_PIPE, "")
 
 
 def test_no_exit_handler_is_registered(env):

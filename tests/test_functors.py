@@ -7,9 +7,9 @@ import pytest
 
 from cdgacyc import functors as F
 from cdgacyc.cli import load_algebra
-from cdgacyc.complexes import (CochainComplex, band_complex,
-                               label_inclusion, label_map, mapping_cone,
-                               shift_complex)
+from cdgacyc.complexes import (CochainComplex, ConsistencyError,
+                               band_complex, label_inclusion, label_map,
+                               mapping_cone, shift_complex)
 from cdgacyc.free_loop import base_cochain
 from cdgacyc.gralg import FreeCDGA, Generator
 
@@ -350,6 +350,24 @@ def test_base_blocks_share_the_base_cohomology(stem):
     top = ctx.cutoff + 2
     for w in range(-4, 5):
         block = F._base_block(ctx, w, top)
-        base = ctx.base(max(0, top + 2 * w) + 1)
+        base = ctx.base()
         for r in range(top):
             assert block.cohomology(r) is base.cohomology(r + 2 * w), (w, r)
+
+
+@pytest.mark.parametrize("cutoff", [0, 4, 9])
+def test_base_reads_stop_at_the_built_top(cutoff):
+    # the base complex is built through cutoff + 2 + 2W, which the block
+    # of the largest cone weight W reaches; a read past it would see a
+    # degree never built as zero, so it raises
+    ctx = F.LoopContext(load_algebra(str(FIXTURES / "sphere2.json")), cutoff)
+    W = max(cutoff - 2, cutoff // 2 + 1, 2)
+    T = cutoff + 2 + 2 * W
+    top = cutoff + 2
+    block = F._base_block(ctx, W, top)
+    assert block.cohomology(top - 1) is ctx.base().cohomology(T - 1)
+    assert ctx.base_betti(T - 1) == ctx.base().betti(T - 1)
+    with pytest.raises(ConsistencyError):
+        F._base_block(ctx, W + 1, top)
+    with pytest.raises(ConsistencyError):
+        ctx.base_betti(T)

@@ -671,7 +671,7 @@ def test_complexes_of_a_fixture_keep_the_invariant():
     mats = [mixed.delta_m(n) for n in range(8)] + \
         [mixed.beta_m(n) for n in range(1, 9)] + \
         [mixed.power_matrix(k, n) for k in (-1, 2, 3) for n in range(9)]
-    plus = plus_complex(mixed, 8)
+    plus = plus_complex(mixed)
     mats += [plus.d(n) for n in range(8)]
     mats += [plus_power_matrix(mixed, k, n)
              for k in (-1, 2) for n in range(8)]
