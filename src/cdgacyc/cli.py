@@ -5,7 +5,7 @@ verify-minimal.  Input files are UTF-8 JSON in either free form
 (generators + differential) or finite form (basis + structure constants).
 All coefficients are exact rational strings; floats are rejected.
 Exit codes: 0 success / no check fails, 1 check failures, 2 bad input,
-141 a closed output pipe.
+74 an output write that fails, 141 a closed output pipe.
 
 A well-formed command line (the command, the file and exact long options)
 is read without argparse, which would cost a few milliseconds of every
@@ -19,9 +19,9 @@ frees every module, cache and object the process is about to discard,
 about 9-13 ms of a run of some 50 ms, and the process holds nothing that
 needs it (a file written by ``--emit`` is closed before ``main``
 returns).  A closed output pipe ends it with exit code 141 and no
-report; any other flush that fails, and any exception or exit raised
-inside ``main``, take the ordinary exit path.  ``main`` called as a
-library returns its exit code and ends nothing.
+report, any other failed write with one error line and exit code 74;
+any other exception or exit in ``main`` takes the ordinary exit path.
+``main`` called as a library returns its exit code and ends nothing.
 
 Such a process also runs with the cyclic garbage collector off: the
 first statement of this module, run as ``__main__``, turns it off
@@ -356,6 +356,7 @@ def cmd_minimal_model(algebra, args):
 
 
 CLOSED_PIPE = 141
+WRITE_FAILED = 74
 COMMANDS = ("cohomology", "hh", "ch", "ph", "sh", "euler", "check",
             "minimal-model", "verify-minimal")
 _VALUED = {"--cutoff": int, "--weight-max": int, "--emit": str, "--seed": int}
@@ -453,23 +454,23 @@ def run():
     """The program's entry point: main(), its output flushed, and the
     process ended with main's exit code without interpreter teardown.
     A write into a closed pipe, in main or in the flush, ends it with
-    exit code 141 (128 + SIGPIPE) and no report.  Any other flush that
-    raises OSError exits through sys.exit, so the interpreter reports it
-    as it does any failed flush at exit.  The cyclic garbage collector is
-    off from here on (see the module docstring)."""
+    exit code 141 (128 + SIGPIPE) and no report; any other failed write
+    with one line on stderr and exit code 74 (EX_IOERR).  The cyclic
+    garbage collector is off from here on (see the module docstring)."""
     gc.disable()
     try:
         code = main()
-        try:
-            for stream in (sys.stdout, sys.stderr):
-                if stream is not None:
-                    stream.flush()
-        except BrokenPipeError:
-            raise
-        except OSError:
-            sys.exit(code)
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
     except BrokenPipeError:
         os._exit(CLOSED_PIPE)  # drops the buffered output unreported
+    except OSError as exc:
+        try:
+            print(f"error: cannot write the output: {exc}", file=sys.stderr,
+                  flush=True)
+        finally:
+            os._exit(WRITE_FAILED)
     os._exit(code or 0)
 
 

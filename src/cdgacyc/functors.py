@@ -105,13 +105,13 @@ class LoopContext:
 
     The mixed complex and the +complex are built once, through degree
     cutoff + 1, which covers every degree HH, CH, PH, SH, euler and
-    check read.  One band per slot table: band assembles one of any kind
-    per distinct table of (m, p) slots in degrees 0..top (for w <= 0 the
-    periodic band has the plus band's slots, the minus band the
-    slice's).  A "plus" or "slice" band's degree-r piece reads the mixed
-    complex only in degrees <= r, so it is assembled through cutoff + 1,
-    and a reader with a smaller top gets its truncation, which shares
-    the band's matrices and its cohomology below that top.
+    check read; its blocks (n, p) say which weights each degree has.
+    band(w, kind) is the one "plus" band or slice of weight w, built
+    through cutoff + 1 once per distinct table of (m, p) slots (its
+    degree-r piece reads the mixed complex only in degrees <= r).  A
+    reader of fewer degrees takes its truncation, which shares the
+    band's matrices and its cohomology below that top.  fig2_audit
+    builds the periodic and minus bands, which are not kept.
 
     The base complex is built once, through base_top = cutoff + 2 + 2W,
     where W = max(cutoff - 2, cutoff//2 + 1, 2) is the largest weight of
@@ -174,20 +174,17 @@ class LoopContext:
             self._plus = plus_complex(self.mixed())
         return self._plus
 
-    def band(self, w, kind, top):
-        key = (w, kind, top)
-        if key not in self._bands:
-            if top < self.cutoff + 1 and kind in ("plus", "slice"):
-                self._bands[key] = self.band(w, kind,
-                                             self.cutoff + 1).truncated(top)
-            else:
-                M = self.mixed()
-                slots = tuple(tuple(_slot_basis(M, r, kind, w))
-                              for r in range(top + 1))
-                if slots not in self._tables:
-                    self._tables[slots] = band_complex(M, w, kind, 0, top)
-                self._bands[key] = self._tables[slots]
-        return self._bands[key]
+    def band(self, w, kind):
+        """The "plus" band or "slice" of weight w through cutoff + 1."""
+        if (w, kind) not in self._bands:
+            M = self.mixed()
+            slots = tuple(tuple(_slot_basis(M, r, kind, w))
+                          for r in range(self.cutoff + 2))
+            if slots not in self._tables:
+                self._tables[slots] = band_complex(M, w, kind, 0,
+                                                   self.cutoff + 1)
+            self._bands[w, kind] = self._tables[slots]
+        return self._bands[w, kind]
 
     def base_bound(self):
         """(largest degree with nonzero base cohomology within the window,
@@ -204,56 +201,37 @@ class LoopContext:
         return bound, certified
 
 
-def hh_weight_range(n):
-    """Weights that can occur in loop degree n (weight <= degree)."""
-    return range(0, n + 1)
-
-
-def ch_weight_range(n):
-    """Effective weights that can occur in CH^n: a slot of underlying
-    degree m <= n and weight p <= m gives w = p - (n-m)/2 in [-n/2, n]."""
-    return range(-(n // 2), n + 1)
-
-
 def HH(ctx):
     """Loop-complex cohomology with its weight decomposition.
 
     Totals come from the full complex, per-weight dimensions from the
-    weight slices; their agreement is asserted (the slices partition the
-    complex and the differential preserves weight).  Row n is certified
-    when the weight cutoff drops no monomial through degree n + 1.
+    weight slices, one per block (n, p); their agreement is asserted (the
+    slices partition the complex and the differential preserves weight).
+    Row n is certified when the weight cutoff drops no monomial through
+    degree n + 1.
     """
-    cutoff = ctx.cutoff
+    M = ctx.mixed()
     C = ctx.cochain()
     table = CohomologyTable("HH")
-    for n in range(cutoff + 1):
-        weights = {}
-        ws = hh_weight_range(n)
-        if ctx.loop.weight_cutoff is not None:
-            # degree-1 generators break the weight <= degree bound
-            ws = range(0, max(n, ctx.loop.weight_cutoff) + 1)
-        for w in ws:
-            weights[w] = ctx.band(w, "slice", cutoff + 1).betti(n)
-        total = C.betti(n)
-        table.set_row(n, total, weights,
+    for n in range(ctx.cutoff + 1):
+        weights = {p: ctx.band(p, "slice").betti(n) for _, p in M.keys[n]}
+        table.set_row(n, C.betti(n), weights,
                       certified=n + 1 <= ctx.loop.complete_through)
     return table
 
 
 def CH(ctx):
     """+complex cohomology, decomposed by effective weight (an integer:
-    the unit tower contributes negative weights).  Row n is certified when
-    the weight cutoff drops no monomial through degree n + 1."""
-    cutoff = ctx.cutoff
-    top = cutoff + 1
+    the unit tower contributes negative weights): w = p - (n - m)/2 for
+    the blocks (m, p), m <= n and m = n mod 2, the slots of degree n.
+    Row n is certified when the weight cutoff drops no monomial through
+    degree n + 1."""
+    M = ctx.mixed()
     table = CohomologyTable("CH")
-    for n in range(cutoff + 1):
-        weights = {}
-        for w in ch_weight_range(n):
-            band = ctx.band(w, "plus", top)
-            d = band.betti(n)
-            if d:
-                weights[w] = d
+    for n in range(ctx.cutoff + 1):
+        ws = sorted({p - (n - m) // 2 for m in range(n % 2, n + 1, 2)
+                     for _, p in M.keys[m]})
+        weights = {w: ctx.band(w, "plus").betti(n) for w in ws}
         table.set_row(n, sum(weights.values()), weights,
                       certified=n + 1 <= ctx.loop.complete_through)
     return table
@@ -368,7 +346,7 @@ def _sh_band(ctx, w):
     """
     if w not in ctx._cones:
         top = ctx.cutoff + 1
-        source = shift_complex(ctx.band(w + 1, "plus", top - 1), 2)
+        source = shift_complex(ctx.band(w + 1, "plus").truncated(top - 1), 2)
         f = label_map(source, _base_block(ctx, w, top + 1),
                       _top_slot(ctx, w), check_degrees=range(0, top))
         ctx._cones[w] = (f, *mapping_cone(f))
@@ -400,7 +378,7 @@ def SH(ctx):
         w_lo = -((r + 1) // 2) - 1
         w_hi = max(r - 2, (bound - r) // 2 + 1, w_lo)
         for w in range(w_lo, w_hi + 1):
-            ch_next = ctx.band(w + 1, "plus", cutoff + 1).betti(r - 1) if r >= 1 else 0
+            ch_next = ctx.band(w + 1, "plus").betti(r - 1) if r >= 1 else 0
             if ch_next == 0 and ctx.base_betti(r + 2 * w) == 0:
                 continue
             d = _sh_band(ctx, w)[1].betti(r)
@@ -487,22 +465,25 @@ def fig2_audit(ctx):
 
 
 def _fig2_weight(ctx, w, r_hi):
-    plus_w = ctx.band(w, "plus", r_hi + 2)
-    plus_w1 = shift_complex(ctx.band(w + 1, "plus", r_hi), 2)
-    slice_w = ctx.band(w, "slice", r_hi + 2)
-    per_w = ctx.band(w, "periodic", r_hi + 2)
-    minus_w = ctx.band(w, "minus", r_hi + 2)
-
+    top = r_hi + 2
+    plus_w = ctx.band(w, "plus").truncated(top)
+    plus_w1 = shift_complex(ctx.band(w + 1, "plus").truncated(r_hi), 2)
+    slice_w = ctx.band(w, "slice").truncated(top)
 
     def row(middle, last):
         return ShortExactSequence(label_inclusion(plus_w1, middle),
                                   label_projection(middle, last),
-                                  degrees=range(0, r_hi + 2))
+                                  degrees=range(0, top))
 
+    # for w <= 0 these are the plus band and the slice (row 2 is row 1); the
+    # minus band is the periodic one's slots m >= r (labels ascend in m)
+    per_w, minus_w = plus_w, slice_w
+    if w > 0:
+        per_w = minus_w = band_complex(ctx.mixed(), w, "periodic", 0, top)
+        if any(labs and labs[0][0] < r for r, labs in per_w.labels.items()):
+            minus_w = band_complex(ctx.mixed(), w, "minus", 0, top)
     row1 = row(plus_w, slice_w)
-    # on the same bands (every w <= 0), row 2 is row 1
-    row2 = (row1 if per_w is plus_w and minus_w is slice_w
-            else row(per_w, minus_w))
+    row2 = row1 if w <= 0 else row(per_w, minus_w)
     verticals = (label_inclusion(plus_w1, plus_w1),
                  label_inclusion(plus_w, per_w),
                  label_inclusion(slice_w, minus_w))
@@ -537,9 +518,9 @@ def fig7_audit(ctx):
 
 def _fig7_weight(ctx, w):
     r_hi = ctx.cutoff - 1
-    band_w = ctx.band(w, "plus", r_hi + 2)
-    band_w1 = shift_complex(ctx.band(w + 1, "plus", r_hi), 2)
-    slice_w = ctx.band(w, "slice", r_hi + 2)
+    band_w = ctx.band(w, "plus")
+    band_w1 = shift_complex(ctx.band(w + 1, "plus").truncated(r_hi), 2)
+    slice_w = ctx.band(w, "slice")
 
     # row 1: cone over the inclusion, plus the quasi-isomorphism onto the
     # loop-cohomology slice (the top slot of the +band part)
@@ -635,7 +616,7 @@ def t4_audit(ctx):
         check(hh.weight(n, 0) == ctx.base_betti(n),
               "HH(0) differs from base cohomology", degree=n)
         # the tables stop at weight n, so the bands are read directly
-        vanish = all(ctx.band(p, kind, cutoff + 1).betti(n) == 0
+        vanish = all(ctx.band(p, kind).betti(n) == 0
                      for p in (n + 1, n + 2) for kind in ("slice", "plus"))
         check(vanish, "HH(p) or CH(p) nonzero for p > degree", degree=n)
 

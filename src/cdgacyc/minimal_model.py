@@ -329,12 +329,10 @@ def build_minimal_model(B, cutoff, seed=None):
         hn_src = src_c.cohomology(n)
         hn_tgt = tgt_c.cohomology(n)
         m = linalg.induced_map(theta.matrix(n), hn_src, hn_tgt)
-        # unit vectors outside the image: pivot columns of [image | units]
-        d, (den, nums) = m.rows, m.integer()
-        units = {(i, m.cols + i): den for i in range(d)}
-        _, pivots = SparseMatrix(d, m.cols + d,
-                                 integer=(den, nums | units)).echelon()
-        missing = [{j - m.cols: Fraction(1)} for j in pivots if j >= m.cols]
+        # the unit vectors e_i outside span(image, e_<i): those i that
+        # are the highest index of no image vector
+        missing = linalg.cohomology_at(
+            m, SparseMatrix.zero(0, m.rows)).representatives
         if rng and len(missing) > 1:
             missing = _mix(rng, missing)
         for coords in missing:

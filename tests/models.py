@@ -3,8 +3,10 @@
 A model is a pair ``(generators, differential)``: ``generators`` lists
 ``(name, degree)`` and ``differential`` maps a generator name to a
 polynomial ``{((name, exp), ...): Fraction}``: spheres and projective
-spaces, their tensor products, and a model that is not pure.  Factors
-get distinct names from their tag, so tensor products are plain unions.
+spaces, their tensor products, a model that is not pure, and two
+nilmanifolds with degree-1 generators, the torus and the Heisenberg
+manifold.  Factors get distinct names from their tag, so tensor
+products are plain unions.
 ``rescaled`` gives an isomorphic copy (x' = s_x x for a seeded nonzero
 rational s_x, so c * prod x^e in d(y) becomes c * s_y / prod s_x^e);
 every table of the package depends only on the isomorphism class.
@@ -42,6 +44,18 @@ def non_pure():
             {"x": {(("a", 2),): one},
              "y": {(("a", 1), ("b", 1)): one},
              "z": {(("a", 1), ("y", 1)): one, (("b", 1), ("x", 1)): -one}})
+
+
+def torus(tag):
+    """T^2: two closed generators of degree 1."""
+    return [(f"a{tag}", 1), (f"b{tag}", 1)], {}
+
+
+def heisenberg(tag):
+    """The Heisenberg nilmanifold: x, y, z of degree 1 with dz = xy."""
+    x, y, z = f"x{tag}", f"y{tag}", f"z{tag}"
+    return ([(x, 1), (y, 1), (z, 1)],
+            {z: {((x, 1), (y, 1)): Fraction(1)}})
 
 
 def tensor(*models):

@@ -129,7 +129,12 @@ def test_weight_truncated_rows_uncertified(command, torus, capsys):
 
 
 def test_weight_truncated_euler_uncertified(torus, capsys):
-    # at --weight-max 3, chiC weight 2 is -5: weight 1 misses classes
+    # at --weight-max 3, chiC weight 2 is -4.  The torus has delta = 0,
+    # so the +band of weight 2 through degree 3 is a truncated Koszul
+    # complex: beta sends a block (m, p) to (m - 1, p + 1), with blocks
+    # (0, 2) in degree 0, (1, 2) in degree 1, (2, 2) + (0, 3) in degree 2
+    # and (1, 3) in degree 3, and no (0, 4) past the weight cutoff.  Its
+    # cohomology has dimensions 3, 2, 0, 5.
     for weight_max in ("1", "3"):
         code, out, _ = run(["euler", str(torus), "--cutoff", "3",
                             "--weight-max", weight_max, "--json"], capsys)
@@ -137,7 +142,7 @@ def test_weight_truncated_euler_uncertified(torus, capsys):
         doc = json.loads(out)
         assert not any(row["certified"] for part in doc.values()
                        for row in part.values())
-    assert doc["chiC"]["2"]["value"] == -5
+    assert doc["chiC"]["2"]["value"] == -4
 
 
 def test_check_skips_audits_under_weight_cutoff(torus, capsys):
@@ -368,9 +373,10 @@ def test_cross_checks_leave_the_context_complex(monkeypatch):
 def test_check_builds_each_band_and_cone_once(monkeypatch, capsys):
     # every reader of a plus band or slice shares the one band per
     # (weight, kind), a band is assembled once per distinct slot table
-    # (so for w <= 0 the periodic and minus bands are the plus band and
-    # the slice), and SH and the comparison diagram share one cone over
-    # Ibar per weight
+    # (for w <= 0 the periodic and minus bands are the plus band and the
+    # slice, and a minus band with the periodic band's slots is that
+    # band), and SH and the comparison diagram share one cone over Ibar
+    # per weight
     bands, tables, blocks, ibar_cones = [], [], [], []
     band = functors.band_complex
     block = functors._base_block

@@ -81,20 +81,28 @@ def test_program_emits_the_file_main_emits(env, tmp_path):
     assert target.read_bytes() == emitted
 
 
-def test_failed_flush_takes_the_ordinary_exit(env):
-    # stdout is a full device: the output is still buffered when main
-    # returns, so run's flush fails, and the interpreter reports the
-    # flush that fails again at exit
+@pytest.mark.parametrize("argv, unbuffered", [
+    # buffered when main returns, so run's flush fails
+    (["hh", S2, "--cutoff", "2"], False),
+    # past the buffer, so a print inside main fails
+    (["cohomology", S2, "--cutoff", "3000"], False),
+    # unbuffered, so the first print fails
+    (["hh", S2, "--cutoff", "2"], True),
+])
+def test_failed_write_ends_one_way(argv, unbuffered, env):
+    # stdout is a full device: whichever write fails, the program ends
+    # with one line on stderr and the one exit code
+    if unbuffered:
+        env = {**env, "PYTHONUNBUFFERED": "1"}
     with open("/dev/full", "w") as full:
         done = subprocess.run(
-            [sys.executable, "-m", "cdgacyc.cli", "hh", S3, "--cutoff", "2"],
+            [sys.executable, "-m", "cdgacyc.cli", *argv],
             env=env, stdout=full, stderr=subprocess.PIPE, text=True,
             timeout=120)
-    assert done.returncode == 120
-    assert done.stderr.startswith("Exception ignored in: <_io.TextIOWrapper "
-                                  "name='<stdout>'")
-    assert done.stderr.endswith("OSError: [Errno 28] No space left on "
-                                "device\n")
+    assert (done.returncode, done.stderr) == (
+        cli.WRITE_FAILED,
+        "error: cannot write the output: [Errno 28] No space left on "
+        "device\n")
 
 
 @pytest.mark.parametrize("argv, unbuffered", [
@@ -140,29 +148,46 @@ def test_no_exit_handler_is_registered(env):
     assert done.stdout.splitlines()[-1] == "0"
 
 
+# Every command on one fixture, run in-process in a fresh interpreter
+# with the collector off, each followed by a collection, so that a
+# collection walks the objects of the commands and not those of pytest.
+_NO_GARBAGE = """
+import gc, io, sys
+from contextlib import redirect_stderr, redirect_stdout
+from cdgacyc import cli
+
+def in_process(argv):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            cli.main(argv)
+        except SystemExit:
+            pass
+
+path = sys.argv[1]
+gc.disable()
+gc.collect()
+for command in cli.COMMANDS:
+    for opts in ([], ["--per-weight"]):
+        in_process([command, path, "--cutoff", "4", *opts])
+        assert gc.collect() == 0, (command, opts)
+    found = set()
+    for cutoff in ("3", "5"):
+        in_process([command, path, "--cutoff", cutoff, "--json"])
+        found.add(gc.collect())
+    assert len(found) == 1, (command, found)
+"""
+
+
 @pytest.mark.parametrize("fixture", sorted(p.name for p in
                                            FIXTURES.glob("*.json")))
-def test_commands_leave_no_cyclic_garbage(fixture):
+def test_commands_leave_no_cyclic_garbage(fixture, env):
     # the program runs with the collector off: a command must make no
     # reference cycle, or it would keep every object of one alive.  The
     # json encoder makes the same few cycles at every cutoff.
-    path = str(FIXTURES / fixture)
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        gc.collect()
-        for command in cli.COMMANDS:
-            for opts in ([], ["--per-weight"]):
-                in_process([command, path, "--cutoff", "4", *opts])
-                assert gc.collect() == 0, (command, opts)
-            found = set()
-            for cutoff in ("3", "5"):
-                in_process([command, path, "--cutoff", cutoff, "--json"])
-                found.add(gc.collect())
-            assert len(found) == 1, (command, found)
-    finally:
-        if was_enabled:
-            gc.enable()
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_GARBAGE, str(FIXTURES / fixture)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -51,7 +51,8 @@ def unprojected_sh_band():
     def sh_band(ctx, w):
         if (ctx, w) not in cones:
             top = ctx.cutoff + 1
-            source = shift_complex(ctx.band(w + 1, "plus", top - 1), 2)
+            source = shift_complex(ctx.band(w + 1, "plus").truncated(top - 1),
+                                   2)
             reach = max(top + 2, top + 2 + 2 * w)
             if ctx not in mixed or mixed[ctx].top < reach:
                 mixed[ctx] = ctx.loop.mixed_complex(reach)
@@ -126,7 +127,7 @@ def test_unit_alone_spans_ch_at_weight_minus_half_degree(name):
     ctx = F.LoopContext(load_algebra(str(FIXTURES / f"{name}.json")), 8)
     ch = F.CH(ctx)
     for n in range(0, ctx.cutoff + 1, 2):
-        band = ctx.band(-(n // 2), "plus", ctx.cutoff + 1)
+        band = ctx.band(-(n // 2), "plus")
         assert band.labels[n] == [(0, ())]
         assert not band.labels.get(n - 1)
         assert band.betti(n) == 1 == ch.weight(n, -(n // 2))
@@ -261,10 +262,10 @@ def test_table_json_schema():
                                   "cp2_finite"])
 @pytest.mark.parametrize("descending", [False, True])
 def test_shared_bands_equal_fresh_ones(stem, descending):
-    # a band of any top t is the truncation of the one band per (w, kind)
-    # and shares its cohomology below t; it must equal the band built
-    # fresh over 0..t from a mixed complex built at top t, in every
-    # degree including t, whichever of them is read first
+    # the truncation at any top t of the one band per (w, kind) shares
+    # its cohomology below t; it must equal the band built fresh over
+    # 0..t from a mixed complex built at top t, in every degree including
+    # t, whichever of them is read first
     cutoff = 6
     ctx = F.LoopContext(load_algebra(str(FIXTURES / f"{stem}.json")), cutoff)
     tops = range(cutoff + 1, -1, -1) if descending else range(cutoff + 2)
@@ -273,9 +274,9 @@ def test_shared_bands_equal_fresh_ones(stem, descending):
         for kind, ws in (("plus", range(-(t // 2) - 1, t + 2)),
                          ("slice", range(0, t + 2))):
             for w in ws:
-                got = ctx.band(w, kind, t)
+                full = ctx.band(w, kind)
+                got = full.truncated(t)
                 want = band_complex(M, w, kind, 0, t)
-                full = ctx.band(w, kind, cutoff + 1)
                 assert got.labels == want.labels
                 for n in range(t + 1):
                     assert got.d(n) == want.d(n)

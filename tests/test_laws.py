@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdgacyc.free_loop import u_model
 from cdgacyc.functors import (
     CH,
     HH,
@@ -25,10 +26,12 @@ from models import (
     brute_form,
     even_sphere,
     free_cdga,
+    heisenberg,
     odd_sphere,
     projective_space,
     rescaled,
     tensor,
+    torus,
 )
 from oracles import BruteAlgebra, cohomology_dims
 from periodic import PH_periodic
@@ -157,6 +160,20 @@ def test_sh0_is_the_even_base_cohomology(name, seed):
     betti = cohomology_dims(BruteAlgebra(*brute_form(model)), cutoff + 1)
     sh = SH(LoopContext(free_cdga(model), cutoff))
     assert sh.total(0) == sum(betti[0::2])
+
+
+@pytest.mark.parametrize("model", [torus("0"), heisenberg("0")],
+                         ids=["torus", "heisenberg"])
+@pytest.mark.parametrize("weight_max", [1, 2, 4])
+def test_ch_is_the_circle_model_under_a_weight_cutoff(model, weight_max):
+    # with degree-1 generators the weights of a degree are not bounded by
+    # the degree; CH must read every weight the truncated complex has, as
+    # the circle model, built without the +complex, counts them
+    ctx = LoopContext(free_cdga(model), 5, weight_cutoff=weight_max)
+    ch = CH(ctx)
+    um = u_model(ctx.loop, ctx.cutoff + 1)
+    assert ([ch.total(n) for n in ch.degrees]
+            == [um.betti(n) for n in range(ctx.cutoff + 1)])
 
 
 def ph_against_periodic(spheres, cutoff, seed):
